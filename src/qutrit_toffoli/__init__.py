@@ -45,8 +45,8 @@ from .noise import (
 )
 from .tomography import (
     ChiMatrix,
-    MeasurementRecord,
     ProjectionError,
+    Records,
     apply_chi,
     bootstrap_ci,
     chi_of_unitary,
@@ -83,10 +83,10 @@ __all__ = [
     "GateOp",
     "KrausChannel",
     "LocalOperator",
-    "MeasurementRecord",
     "NoiseModel",
     "PauliString",
     "ProjectionError",
+    "Records",
     "RegisterLayout",
     "StateVector",
     "TruthTable",

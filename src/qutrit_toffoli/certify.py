@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import task_rng
 from .gates import ideal_toffoli_unitary
 from .register import ATOL
-from .tomography import pauli_labels, standard_pauli_stack
+from .tomography import _binomial_readout, pauli_labels, standard_pauli_stack, task_rng
 
 RELEVANCE_CUTOFF = 1e-9
 
@@ -210,9 +209,7 @@ class EigenstateProtocol:
         if shots:
             if rng is None:
                 raise ValueError("sampling requires a generator")
-            prob = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
-            counts = rng.binomial(shots, prob)
-            exact = 2.0 * counts / shots - 1.0
+            exact = _binomial_readout(rng, shots, exact)
         return float(np.dot(eigenvalues, exact) / 8.0)
 
 

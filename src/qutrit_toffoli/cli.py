@@ -2,7 +2,7 @@
 
 Every pipeline writes its artifacts into the output directory and prints a
 single summary line.  Given the same arguments and seed the artifacts are
-byte-identical, whatever the worker count in QUTRIT_TOFFOLI_THREADS.
+byte-identical.
 
 Exit codes: 0 on success, 2 for invalid arguments or configuration files,
 1 for runtime failures such as a non-convergent projection.

@@ -69,19 +69,10 @@ def tphi_from_t2star(t1_us: float, t2star_us: float) -> float:
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Per-site coherence times in microseconds, sites ordered (A, B, C).
-
-    The spectroscopy fields after the coherence times are provenance only:
-    the simulation consumes nothing but T1 and T2*.
-    """
+    """Per-site coherence times in microseconds, sites ordered (A, B, C)."""
 
     t1_us: tuple[float, float, float]
     t2star_us: tuple[float, float, float]
-    max_frequency_ghz: tuple[float, float, float] = (6.714, 6.050, 4.999)
-    charging_energy_ghz: tuple[float, float, float] = (0.264, 0.296, 0.307)
-    coupling_ghz: tuple[float, float, float] = (0.36, 0.30, 0.34)
-    resonator_frequency_ghz: float = 8.625
-    resonator_quality: float = 3300.0
 
     def __post_init__(self) -> None:
         t1 = tuple(float(v) for v in self.t1_us)
@@ -92,13 +83,6 @@ class DeviceParams:
             tphi_from_t2star(a, b)  # validates positivity and the 2*T1 limit
         object.__setattr__(self, "t1_us", t1)
         object.__setattr__(self, "t2star_us", t2)
-        for name in ("max_frequency_ghz", "charging_energy_ghz", "coupling_ghz"):
-            triple = tuple(float(v) for v in getattr(self, name))
-            if len(triple) != 3 or any(v <= 0 for v in triple):
-                raise ValueError(f"{name} must be three positive values")
-            object.__setattr__(self, name, triple)
-        if self.resonator_frequency_ghz <= 0 or self.resonator_quality <= 0:
-            raise ValueError("resonator parameters must be positive")
 
     @classmethod
     def default(cls) -> "DeviceParams":

@@ -23,7 +23,6 @@ from math import pi
 
 import numpy as np
 
-from ._parallel import deterministic_map, task_rng
 from .gates import QUBIT3, QUTRIT3, ideal_toffoli_unitary, rotation_matrix_qutrit
 from .register import (
     ATOL,
@@ -118,88 +117,75 @@ def _input_qubit_matrices() -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One tomography data point: a preparation, an observable, an estimate."""
+def task_rng(master_seed: int, task_index: int) -> np.random.Generator:
+    """Independent generator for one task, seeded by (master seed, task index)."""
+    return np.random.default_rng([int(master_seed), int(task_index)])
 
-    input_label: str
-    pauli_label: str
-    expectation: float
-    shots: int
+
+def _binomial_readout(
+    rng: np.random.Generator, shots: int, expectations: np.ndarray
+) -> np.ndarray:
+    """Pauli expectations re-estimated from ``shots`` single-shot outcomes each."""
+    prob = np.clip((1.0 + expectations) / 2.0, 0.0, 1.0)
+    return 2.0 * rng.binomial(shots, prob) / shots - 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """All 64 x 64 tomography data points of one run.
+
+    ``values[i, p]`` is the estimated expectation of observable
+    ``pauli_labels()[p]`` on the output for preparation
+    ``input_prep_labels()[i]``; ``shots`` is the per-setting shot count,
+    0 for exact expectations.
+    """
+
+    values: np.ndarray
+    shots: int = 0
 
     def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float)
+        if values.shape != (64, 64):
+            raise ValueError("records must be a 64x64 array indexed (input, observable)")
+        if not (np.abs(values) <= 1.0 + 1e-12).all():
+            raise ValueError("expectations must be finite and lie in [-1, 1]")
         if self.shots < 0:
             raise ValueError("shot count must be non-negative")
-        if not -1.0 - 1e-12 <= self.expectation <= 1.0 + 1e-12:
-            raise ValueError("expectation must lie in [-1, 1]")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
-def _channel_output_blocks(channel) -> np.ndarray:
-    """8x8 truncated outputs of the channel on all 64 preparations."""
-    idx = computational_indices(QUTRIT3)
-
-    def run(state: StateVector) -> np.ndarray:
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        out = channel(rho)
-        return out[np.ix_(idx, idx)]
-
-    return np.stack(deterministic_map(run, input_states()))
-
-
-def measure_output_records(
-    channel, shots: int = 0, seed: int = 0
-) -> tuple[MeasurementRecord, ...]:
+def measure_output_records(channel, shots: int = 0, seed: int = 0) -> Records:
     """Measure all 64 x 64 Pauli expectations behind ``channel``.
 
     ``shots=0`` stores exact expectations; otherwise each value is a
-    binomial estimate from ``shots`` single-shot outcomes, reproducible for
-    a given ``seed`` independent of the worker count.
+    binomial estimate from ``shots`` single-shot outcomes, and row ``i``
+    draws from ``task_rng(seed, i)``.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    blocks = _channel_output_blocks(channel)
-    exact = np.einsum("iab,pba->ip", blocks, standard_pauli_stack()).real
-    if shots == 0:
-        values = exact
-    else:
-        values = np.empty_like(exact)
-        prob = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
-        for i in range(len(prob)):
-            counts = task_rng(seed, i).binomial(shots, prob[i])
-            values[i] = 2.0 * counts / shots - 1.0
-    in_labels = input_prep_labels()
-    p_labels = pauli_labels()
-    records = []
-    for i, ilab in enumerate(in_labels):
-        for p, plab in enumerate(p_labels):
-            records.append(
-                MeasurementRecord(ilab, plab, float(values[i, p]), shots)
-            )
-    return tuple(records)
+    idx = computational_indices(QUTRIT3)
+    blocks = np.stack(
+        [
+            channel(np.outer(state.amplitudes, state.amplitudes.conj()))[np.ix_(idx, idx)]
+            for state in input_states()
+        ]
+    )
+    values = np.einsum("iab,pba->ip", blocks, standard_pauli_stack()).real
+    if shots:
+        values = np.stack(
+            [_binomial_readout(task_rng(seed, i), shots, row) for i, row in enumerate(values)]
+        )
+    return Records(values, shots)
 
 
-def _records_to_matrix(records) -> tuple[np.ndarray, np.ndarray]:
-    """Expectation and shot matrices indexed (input, observable)."""
-    in_index = {lab: i for i, lab in enumerate(input_prep_labels())}
-    p_index = {lab: i for i, lab in enumerate(pauli_labels())}
-    values = np.full((64, 64), np.nan)
-    shots = np.zeros((64, 64), dtype=int)
-    for rec in records:
-        i = in_index[rec.input_label]
-        p = p_index[rec.pauli_label]
-        if not np.isnan(values[i, p]):
-            raise ValueError(f"duplicate record for ({rec.input_label}, {rec.pauli_label})")
-        values[i, p] = rec.expectation
-        shots[i, p] = rec.shots
-    if np.isnan(values).any():
-        raise ValueError("records do not cover all 64 x 64 settings")
-    return values, shots
-
-
-def reconstruct_outputs(records) -> np.ndarray:
-    """Per-input output estimates rho_i = (1/8) sum_p <P_p> P_p, shape (64, 8, 8)."""
-    values, _ = _records_to_matrix(records)
+def _outputs_of(values: np.ndarray) -> np.ndarray:
     return np.einsum("ip,pab->iab", values, standard_pauli_stack()) / 8.0
+
+
+def reconstruct_outputs(records: Records) -> np.ndarray:
+    """Per-input output estimates rho_i = (1/8) sum_p <P_p> P_p, shape (64, 8, 8)."""
+    return _outputs_of(records.values)
 
 
 def state_tomography(
@@ -219,9 +205,7 @@ def state_tomography(
         raise ValueError("expected a three-site qubit or qutrit state")
     exact = np.einsum("ab,pba->p", block, standard_pauli_stack()).real
     if shots:
-        prob = np.clip((1.0 + exact) / 2.0, 0.0, 1.0)
-        counts = task_rng(seed, 0).binomial(shots, prob)
-        exact = 2.0 * counts / shots - 1.0
+        exact = _binomial_readout(task_rng(seed, 0), shots, exact)
     mat = np.einsum("p,pab->ab", exact, standard_pauli_stack()) / 8.0
     return DensityOperator(
         QUBIT3, mat, subnormalized=True, validate=(shots == 0)
@@ -310,7 +294,7 @@ def chi_from_outputs(outputs: np.ndarray) -> np.ndarray:
     return (chi + chi.conj().T) / 2.0
 
 
-def chi_from_records(records) -> ChiMatrix:
+def chi_from_records(records: Records) -> ChiMatrix:
     """Linear inversion from measurement records; no positivity enforced."""
     chi = chi_from_outputs(reconstruct_outputs(records))
     return ChiMatrix(chi, trace_deficit=1.0 - float(chi.trace().real))
@@ -410,8 +394,7 @@ def ml_projection(
 
 
 def bootstrap_ci(
-    records,
-    statistic=None,
+    records: Records,
     *,
     resamples: int = 200,
     confidence: float = 0.90,
@@ -419,41 +402,22 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile confidence interval under parametric binomial resampling.
 
-    Each resample redraws every record's outcome count around its observed
-    frequency and re-evaluates ``statistic`` (default: raw linear-inversion
-    process fidelity against the ideal gate).  Exact-mode records carry no
-    sampling distribution and are rejected.
+    Resample ``b`` redraws every setting's outcome count around its observed
+    frequency from ``task_rng(seed, b)`` and re-evaluates the raw
+    linear-inversion process fidelity against the ideal gate.  Exact-mode
+    records carry no sampling distribution and are rejected.
     """
-    records = tuple(records)
-    values, shots = _records_to_matrix(records)
-    if (shots <= 0).any():
+    if records.shots == 0:
         raise ValueError("bootstrap requires shot-based records")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     if resamples < 2:
         raise ValueError("need at least two resamples")
-    if statistic is None:
-        ideal = chi_of_unitary(ideal_toffoli_unitary())
-
-        def statistic(recs):
-            return process_fidelity(chi_from_records(recs), ideal)
-
-    prob = np.clip((1.0 + values) / 2.0, 0.0, 1.0)
-    in_labels = input_prep_labels()
-    p_labels = pauli_labels()
-
-    def one(b: int) -> float:
-        rng = task_rng(seed, b)
-        counts = rng.binomial(shots, prob)
-        estimates = 2.0 * counts / shots - 1.0
-        resampled = tuple(
-            MeasurementRecord(ilab, plab, float(estimates[i, p]), int(shots[i, p]))
-            for i, ilab in enumerate(in_labels)
-            for p, plab in enumerate(p_labels)
-        )
-        return statistic(resampled)
-
-    stats = np.array(deterministic_map(one, tuple(range(resamples))))
+    ideal = chi_of_unitary(ideal_toffoli_unitary())
+    stats = []
+    for b in range(resamples):
+        values = _binomial_readout(task_rng(seed, b), records.shots, records.values)
+        stats.append(process_fidelity(chi_from_outputs(_outputs_of(values)), ideal))
     alpha = 1.0 - confidence
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)

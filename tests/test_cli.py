@@ -121,25 +121,6 @@ def test_certify_exhaustive(tmp_path):
     assert data["relevant_strings"] == 232
 
 
-def test_thread_count_does_not_change_artifacts(tmp_path, monkeypatch):
-    outputs = {}
-    for threads in ("1", "3"):
-        monkeypatch.setenv("QUTRIT_TOFFOLI_THREADS", threads)
-        out = tmp_path / f"t{threads}"
-        args = [
-            "process-tomo",
-            "--output",
-            str(out),
-            "--shots",
-            "100",
-            "--seed",
-            "12",
-        ]
-        assert run_cli(args) == 0
-        outputs[threads] = (out / "process_tomo.json").read_bytes()
-    assert outputs["1"] == outputs["3"]
-
-
 def test_custom_noise_config(tmp_path, capsys):
     config = tmp_path / "device.cfg"
     config.write_text(

@@ -1,0 +1,36 @@
+"""Smoke test: the demo scripts run to completion against the package.
+
+``04_certification.py`` is left out: it takes about 17 s, because every
+Monte Carlo sample re-simulates the pulse sequence.  It can join the list
+once the channel is compiled into a single linear map.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = (
+    "01_pulse_trajectories.py",
+    "02_truth_table.py",
+    "03_process_tomography.py",
+)
+
+
+@pytest.mark.parametrize("script", DEMOS)
+def test_demo_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -282,39 +282,3 @@ def test_config_t2star_limit_enforced(tmp_path):
     path.write_text("t2star_a_us = 1.2\n")  # 2*T1_A = 1.1
     with pytest.raises(ValueError):
         device_params_from_config(parse_config_file(path))
-
-
-def test_spectroscopy_fields_are_stored_but_inert():
-    default = DeviceParams.default()
-    assert default.resonator_frequency_ghz == pytest.approx(8.625)
-    assert default.resonator_quality == pytest.approx(3300.0)
-    assert default.max_frequency_ghz == pytest.approx((6.714, 6.050, 4.999))
-    assert default.charging_energy_ghz == pytest.approx((0.264, 0.296, 0.307))
-    assert default.coupling_ghz == pytest.approx((0.36, 0.30, 0.34))
-    # changing them must not move a single Kraus operator
-    rewired = DeviceParams(
-        default.t1_us,
-        default.t2star_us,
-        max_frequency_ghz=(1.0, 1.0, 1.0),
-        resonator_quality=7.0,
-    )
-    base = NoiseModel.from_device(default)
-    other = NoiseModel.from_device(rewired)
-    for site in range(3):
-        relax_a, deph_a = base.site_channels(site, 67.0)
-        relax_b, deph_b = other.site_channels(site, 67.0)
-        assert all(
-            np.array_equal(x, y)
-            for x, y in zip(relax_a.operators, relax_b.operators)
-        )
-        assert all(
-            np.array_equal(x, y)
-            for x, y in zip(deph_a.operators, deph_b.operators)
-        )
-
-
-def test_spectroscopy_fields_validated():
-    with pytest.raises(ValueError):
-        DeviceParams(DEVICE_T1_US, DEVICE_T2STAR_US, coupling_ghz=(0.3, 0.3))
-    with pytest.raises(ValueError):
-        DeviceParams(DEVICE_T1_US, DEVICE_T2STAR_US, resonator_quality=-1.0)

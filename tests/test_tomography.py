@@ -16,8 +16,8 @@ from qutrit_toffoli.register import (
     computational_indices,
 )
 from qutrit_toffoli.tomography import (
-    MeasurementRecord,
     ProjectionError,
+    Records,
     apply_chi,
     bootstrap_ci,
     chi_basis,
@@ -200,33 +200,34 @@ def test_process_tomography_recovers_generic_cptp_action():
         assert np.allclose(apply_chi(chi_dev, rho), restricted(rho), atol=1e-9)
 
 
+def record_value(records, input_label, pauli_label):
+    i = input_prep_labels().index(input_label)
+    p = pauli_labels().index(pauli_label)
+    return records.values[i, p]
+
+
 def test_measurement_records_exact_values():
     records = measure_output_records(embed_as_qutrit_channel(lambda b: b))
-    by_key = {(r.input_label, r.pauli_label): r.expectation for r in records}
-    assert by_key[("id.id.id", "ZZZ")] == pytest.approx(1.0)
-    assert by_key[("id.id.id", "ZII")] == pytest.approx(1.0)
-    assert by_key[("x180.id.id", "ZII")] == pytest.approx(-1.0)
-    assert by_key[("id.y90.id", "IXI")] == pytest.approx(1.0)
-    assert by_key[("id.x90.id", "IYI")] == pytest.approx(-1.0)
-    assert by_key[("id.id.id", "XII")] == pytest.approx(0.0, abs=1e-12)
-    assert all(r.shots == 0 for r in records)
+    assert record_value(records, "id.id.id", "ZZZ") == pytest.approx(1.0)
+    assert record_value(records, "id.id.id", "ZII") == pytest.approx(1.0)
+    assert record_value(records, "x180.id.id", "ZII") == pytest.approx(-1.0)
+    assert record_value(records, "id.y90.id", "IXI") == pytest.approx(1.0)
+    assert record_value(records, "id.x90.id", "IYI") == pytest.approx(-1.0)
+    assert record_value(records, "id.id.id", "XII") == pytest.approx(0.0, abs=1e-12)
+    assert records.shots == 0
 
 
 def test_records_shot_mode_is_deterministic_and_consistent():
     channel = device_toffoli_channel()
     a = measure_output_records(channel, shots=400, seed=9)
     b = measure_output_records(channel, shots=400, seed=9)
-    assert all(
-        x.expectation == y.expectation and x.shots == y.shots == 400
-        for x, y in zip(a, b)
-    )
+    assert np.array_equal(a.values, b.values)
+    assert a.shots == b.shots == 400
     c = measure_output_records(channel, shots=400, seed=10)
-    assert any(x.expectation != y.expectation for x, y in zip(a, c))
-    exact = {(r.input_label, r.pauli_label): r.expectation for r in measure_output_records(channel)}
+    assert not np.array_equal(a.values, c.values)
+    exact = measure_output_records(channel)
     # 6 sigma with sigma <= 1/sqrt(400)
-    worst = max(
-        abs(r.expectation - exact[(r.input_label, r.pauli_label)]) for r in a
-    )
+    worst = np.max(np.abs(a.values - exact.values))
     assert worst < 6.0 / np.sqrt(400)
 
 
@@ -348,27 +349,42 @@ def test_bootstrap_rejects_exact_records():
         bootstrap_ci(records)
 
 
-def test_bootstrap_custom_statistic():
-    channel = device_toffoli_channel()
-    records = measure_output_records(channel, shots=200, seed=18)
+def test_bootstrap_rejects_bad_confidence_and_resamples():
+    records = measure_output_records(device_toffoli_channel(), shots=200, seed=18)
+    for confidence in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            bootstrap_ci(records, confidence=confidence)
+    with pytest.raises(ValueError):
+        bootstrap_ci(records, resamples=1)
 
-    def first_expectation(recs):
-        return recs[0].expectation
 
-    lo, hi = bootstrap_ci(records, first_expectation, resamples=50, seed=19)
-    assert -1.0 <= lo <= hi <= 1.0
+def test_bootstrap_matches_reference_interval():
+    # interval written by the record-object implementation for these inputs
+    records = measure_output_records(device_toffoli_channel(), shots=1000, seed=5)
+    lo, hi = bootstrap_ci(records, resamples=200, seed=5)
+    assert lo == pytest.approx(0.7255533203125, abs=1e-12)
+    assert hi == pytest.approx(0.7369654296875, abs=1e-12)
 
 
 def test_record_validation():
+    values = np.zeros((64, 64))
+    assert Records(values, 10).shots == 10
+    for bad in (1.5, -1.5, np.nan, np.inf):
+        out_of_range = values.copy()
+        out_of_range[0, 0] = bad
+        with pytest.raises(ValueError):
+            Records(out_of_range, 10)
     with pytest.raises(ValueError):
-        MeasurementRecord("id.id.id", "III", 1.5, 10)
+        Records(values, -1)
     with pytest.raises(ValueError):
-        MeasurementRecord("id.id.id", "III", 0.5, -1)
+        Records(values).values[0, 0] = 0.5
 
 
 def test_chi_from_records_requires_complete_coverage():
-    records = measure_output_records(device_toffoli_channel())
+    values = measure_output_records(device_toffoli_channel()).values
     with pytest.raises(ValueError):
-        chi_from_records(records[:-1])
+        chi_from_records(Records(values[:-1]))
     with pytest.raises(ValueError):
-        chi_from_records(records + records[-1:])
+        chi_from_records(Records(np.vstack([values, values[-1:]])))
+    with pytest.raises(ValueError):
+        chi_from_records(Records(values.reshape(-1)))

@@ -60,7 +60,6 @@ from .tomography import (
 )
 from .certify import (
     ChoiMatrix,
-    EigenstateProtocol,
     FidelityEstimate,
     PauliString,
     choi_of_channel,
@@ -78,7 +77,6 @@ __all__ = [
     "ChoiMatrix",
     "DensityOperator",
     "DeviceParams",
-    "EigenstateProtocol",
     "FidelityEstimate",
     "GateOp",
     "KrausChannel",

@@ -17,11 +17,14 @@ its eigenbasis, prepare the eight product eigenstates, and measure B_n on
 the channel output.  Sampling pairs with probability P_n^2 / 64 and
 averaging X = Q_n / P_n gives an unbiased fidelity estimate whose error
 shrinks with the sample count alone.
+
+Q_n is linear in the channel's Choi state, so the estimators take the
+``ChoiMatrix`` of the channel under test and read every eigenstate output
+off it: the channel itself is evaluated only by ``choi_of_channel``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -148,69 +151,39 @@ def choi_expectation_direct(choi: ChoiMatrix, in_labels: str, out_labels: str) -
     return float(val.real)
 
 
-def enumerate_relevant_paulis(
-    choi: ChoiMatrix, cutoff: float = RELEVANCE_CUTOFF
-) -> tuple[PauliString, ...]:
-    """All pairs whose target correlation magnitude exceeds ``cutoff``."""
+def enumerate_relevant_paulis(choi: ChoiMatrix) -> tuple[PauliString, ...]:
+    """All pairs whose target correlation magnitude exceeds ``RELEVANCE_CUTOFF``."""
     vals = _correlations(choi)
     labels = pauli_labels()
     out = []
     for m, n in itertools.product(range(64), repeat=2):
-        if abs(vals[m, n]) > cutoff:
+        if abs(vals[m, n]) > RELEVANCE_CUTOFF:
             out.append(PauliString(labels[m], labels[n], float(vals[m, n])))
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=8)
-def _product_eigensystem(in_labels: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eight product eigenvectors (rows) and eigenvalues of an input Pauli."""
-    vec_a, val_a = _EIGEN[in_labels[0]]
-    vec_b, val_b = _EIGEN[in_labels[1]]
-    vec_c, val_c = _EIGEN[in_labels[2]]
+def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Exact readout of every input Pauli's product eigenstates.
+
+    Returns ``exact[m, k, n] = Tr[P_n E(|v_mk><v_mk|)]``, where v_mk is the
+    k-th product eigenvector of input Pauli m and P_n the output Pauli, and
+    the ``(64, 8)`` eigenvalues of the v_mk.  The channel is read off its
+    Choi matrix C, reshaped to (8, 8, 8, 8): E(M) = 8 sum_ij M_ij C[i, :, j, :].
+    """
+    tensor = choi.matrix.reshape(8, 8, 8, 8)
+    # unit_readout[n, i, j] = Tr[P_n E(|i><j|)]
+    unit_readout = 8.0 * np.einsum("iajb,nba->nij", tensor, standard_pauli_stack())
     vectors = []
     values = []
-    for i, j, k in itertools.product(range(2), repeat=3):
-        vectors.append(np.kron(np.kron(vec_a[:, i], vec_b[:, j]), vec_c[:, k]))
-        values.append(val_a[i] * val_b[j] * val_c[k])
-    return np.stack(vectors), np.array(values)
-
-
-class EigenstateProtocol:
-    """Measures pair correlations of a channel via eigenstate preparation.
-
-    Channel outputs are cached per input label: the eight preparations for
-    one input Pauli serve every output observable paired with it.
-    """
-
-    def __init__(self, channel8):
-        self._channel = channel8
-        self._outputs: dict[str, np.ndarray] = {}
-
-    def _outputs_for(self, in_labels: str) -> tuple[np.ndarray, np.ndarray]:
-        _check_labels(in_labels)
-        vectors, values = _product_eigensystem(in_labels)
-        if in_labels not in self._outputs:
-            self._outputs[in_labels] = np.stack(
-                [self._channel(np.outer(v, v.conj())) for v in vectors]
-            )
-        return self._outputs[in_labels], values
-
-    def correlation(
-        self,
-        in_labels: str,
-        out_labels: str,
-        shots: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> float:
-        """(1/8) sum_k lambda_k <B>_k, exactly or from binomial sampling."""
-        outputs, eigenvalues = self._outputs_for(in_labels)
-        b = standard_pauli_stack()[_pauli_index(_check_labels(out_labels))]
-        exact = np.einsum("kab,ba->k", outputs, b).real
-        if shots:
-            if rng is None:
-                raise ValueError("sampling requires a generator")
-            exact = _binomial_readout(rng, shots, exact)
-        return float(np.dot(eigenvalues, exact) / 8.0)
+    for labels in pauli_labels():
+        (vec_a, val_a), (vec_b, val_b), (vec_c, val_c) = (_EIGEN[c] for c in labels)
+        # column (i, j, k) of the Kronecker product is v_a[i] (x) v_b[j] (x) v_c[k]
+        vectors.append(np.kron(np.kron(vec_a, vec_b), vec_c).T)
+        values.append(np.kron(np.kron(val_a, val_b), val_c))
+    vectors = np.stack(vectors)
+    states = np.einsum("mki,mkj->mkij", vectors, vectors.conj()).reshape(512, 64)
+    exact = (states @ unit_readout.reshape(64, 64).T).real.reshape(64, 8, 64)
+    return exact, np.stack(values)
 
 
 @dataclass(frozen=True)
@@ -235,13 +208,12 @@ class FidelityEstimate:
 
 
 def monte_carlo_fidelity(
-    channel8,
+    choi: ChoiMatrix,
     samples: int = 10000,
     seed: int = 0,
     shots: int = 0,
-    target: ChoiMatrix | None = None,
 ) -> FidelityEstimate:
-    """Importance-sampled fidelity between ``channel8`` and the target.
+    """Importance-sampled fidelity between the channel of ``choi`` and the Toffoli.
 
     Pairs are drawn with probability proportional to the squared target
     correlation; each draw contributes X = Q/P.  The estimate is the sample
@@ -251,8 +223,7 @@ def monte_carlo_fidelity(
         raise ValueError("need at least one sample")
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    target = target or ideal_toffoli_choi()
-    relevant = enumerate_relevant_paulis(target)
+    relevant = enumerate_relevant_paulis(ideal_toffoli_choi())
     ideals = np.array([ps.ideal for ps in relevant])
     probs = ideals**2 / 64.0
     probs = probs / probs.sum()
@@ -260,24 +231,25 @@ def monte_carlo_fidelity(
     draw_counts = np.bincount(
         chooser.choice(len(relevant), size=samples, p=probs), minlength=len(relevant)
     )
-    protocol = EigenstateProtocol(channel8)
+    exact, eigenvalues = _eigenstate_readout(choi)
     x_values = []
     contributions = []
     for index, ps in enumerate(relevant):
         n_draws = int(draw_counts[index])
         if n_draws == 0:
             continue
+        m = _pauli_index(ps.in_labels)
+        lam, row = eigenvalues[m], exact[m, :, _pauli_index(ps.out_labels)]
         if shots == 0:
-            measured = protocol.correlation(ps.in_labels, ps.out_labels)
+            measured = float(np.dot(lam, row) / 8.0)
             values = [measured / ps.ideal] * n_draws
             mean_value = measured
         else:
-            rng = task_rng(seed, index + 1)
-            measured_list = [
-                protocol.correlation(ps.in_labels, ps.out_labels, shots=shots, rng=rng)
-                for _ in range(n_draws)
-            ]
-            values = [m / ps.ideal for m in measured_list]
+            sampled = _binomial_readout(
+                task_rng(seed, index + 1), shots, np.broadcast_to(row, (n_draws, 8))
+            )
+            measured_list = [float(np.dot(lam, s) / 8.0) for s in sampled]
+            values = [q / ps.ideal for q in measured_list]
             mean_value = float(np.mean(measured_list))
         x_values.extend(values)
         contributions.append(StringContribution(ps, n_draws, mean_value))
@@ -294,19 +266,15 @@ def monte_carlo_fidelity(
     )
 
 
-def exhaustive_fidelity(
-    channel8,
-    shots: int = 0,
-    seed: int = 0,
-    target: ChoiMatrix | None = None,
-) -> float:
+def exhaustive_fidelity(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> float:
     """Deterministic variant measuring every relevant pair exactly once."""
-    target = target or ideal_toffoli_choi()
-    relevant = enumerate_relevant_paulis(target)
-    protocol = EigenstateProtocol(channel8)
+    relevant = enumerate_relevant_paulis(ideal_toffoli_choi())
+    exact, eigenvalues = _eigenstate_readout(choi)
     total = 0.0
     for index, ps in enumerate(relevant):
-        rng = task_rng(seed, index + 1) if shots else None
-        measured = protocol.correlation(ps.in_labels, ps.out_labels, shots=shots, rng=rng)
-        total += ps.ideal * measured
+        m = _pauli_index(ps.in_labels)
+        lam, row = eigenvalues[m], exact[m, :, _pauli_index(ps.out_labels)]
+        if shots:
+            row = _binomial_readout(task_rng(seed, index + 1), shots, row)
+        total += ps.ideal * float(np.dot(lam, row) / 8.0)
     return total / 64.0

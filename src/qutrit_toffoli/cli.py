@@ -47,6 +47,7 @@ from .tomography import (
     restrict_to_qubits,
 )
 from .certify import (
+    choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
     ideal_toffoli_choi,
@@ -210,10 +211,10 @@ def _run_process_tomo(config: RunConfig) -> str:
 
 
 def _run_certify(config: RunConfig) -> str:
-    channel8 = restrict_to_qubits(_toffoli_channel(config))
+    choi = choi_of_channel(restrict_to_qubits(_toffoli_channel(config)))
     payload = _common_meta(config)
     if config.exhaustive:
-        fidelity = exhaustive_fidelity(channel8, shots=config.shots, seed=config.seed)
+        fidelity = exhaustive_fidelity(choi, shots=config.shots, seed=config.seed)
         n_relevant = len(enumerate_relevant_paulis(ideal_toffoli_choi()))
         payload |= {
             "mode": "exhaustive",
@@ -223,7 +224,7 @@ def _run_certify(config: RunConfig) -> str:
         summary = f"certify: estimate={fidelity:.6f} (exhaustive, {n_relevant} strings)"
     else:
         result = monte_carlo_fidelity(
-            channel8, samples=config.samples, seed=config.seed, shots=config.shots
+            choi, samples=config.samples, seed=config.seed, shots=config.shots
         )
         payload |= {
             "mode": "monte-carlo",

@@ -25,6 +25,7 @@ default) before and after the sequence.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,7 +95,11 @@ class DeviceParams:
 
 
 def parse_config_file(path: str | Path) -> dict[str, float]:
-    """Read ``key = value`` lines; '#' starts a comment; unknown keys error."""
+    """Read ``key = value`` lines into a dict; '#' starts a comment.
+
+    An unknown or duplicate key, or a value that is not a finite number,
+    raises ValueError naming the file and line.
+    """
     values: dict[str, float] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -110,9 +115,12 @@ def parse_config_file(path: str | Path) -> dict[str, float]:
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = float(val.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid number {val.strip()!r}") from exc
+            number = float(val.strip())
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ValueError(f"{path}:{lineno}: invalid number {val.strip()!r}")
+        values[key] = number
     return values
 
 

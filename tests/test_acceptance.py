@@ -5,6 +5,8 @@ lines alongside the pytest verdicts.
 """
 
 import contextlib
+import functools
+import itertools
 import time
 
 import numpy as np
@@ -12,10 +14,10 @@ import pytest
 
 import qutrit_toffoli.cli as cli
 from qutrit_toffoli.certify import (
+    _eigenstate_readout,
     choi_expectation_direct,
     choi_of_channel,
     enumerate_relevant_paulis,
-    EigenstateProtocol,
     exhaustive_fidelity,
     ideal_toffoli_choi,
     monte_carlo_fidelity,
@@ -40,7 +42,7 @@ from qutrit_toffoli.noise import (
     dephasing_qutrit,
     tphi_from_t2star,
 )
-from qutrit_toffoli.register import StateVector
+from qutrit_toffoli.register import PAULI, StateVector
 from qutrit_toffoli.tomography import (
     chi_from_records,
     chi_of_unitary,
@@ -71,8 +73,8 @@ def device_channel27():
 
 
 @pytest.fixture(scope="module")
-def device_channel8(device_channel27):
-    return restrict_to_qubits(device_channel27)
+def device_choi(device_channel27):
+    return choi_of_channel(restrict_to_qubits(device_channel27))
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +142,8 @@ def test_criterion_4_noiseless_pipeline_consistency(chi_ideal):
         channel = circuit_channel(toffoli_circuit(), None)
         chi = process_tomography(channel)
         assert abs(process_fidelity(chi, chi_ideal) - 1.0) < 1e-8
-        assert abs(exhaustive_fidelity(restrict_to_qubits(channel)) - 1.0) < 1e-9
+        choi = choi_of_channel(restrict_to_qubits(channel))
+        assert abs(exhaustive_fidelity(choi) - 1.0) < 1e-9
         assert abs(chi_ideal.matrix[0, 0] - 0.5625) < 1e-10
         assert abs(chi.matrix[0, 0] - 0.5625) < 1e-10
 
@@ -163,15 +166,25 @@ def test_criterion_5_device_noise_headline_numbers(device_channel27, chi_ideal):
         assert elapsed < 120.0
 
 
-def test_criterion_6_estimator_agreement(device_channel27, device_channel8, chi_ideal):
+def test_criterion_6_estimator_agreement(device_channel27, device_choi, chi_ideal):
     with criterion(6, "Monte Carlo matches tomography within 3 sigma, 9 of 10 seeds"):
         reference = process_fidelity(process_tomography(device_channel27), chi_ideal)
         passes = 0
         for seed in range(10):
-            result = monte_carlo_fidelity(device_channel8, samples=10000, seed=seed)
+            result = monte_carlo_fidelity(device_choi, samples=10000, seed=seed)
             if abs(result.estimate - reference) <= 3.0 * result.stderr:
                 passes += 1
         assert passes >= 9
+
+
+def product_eigenstates(labels):
+    """Product eigenvectors of a Pauli string, each site's +1 eigenvector first."""
+    sites = {"I": ([1, 0], [0, 1]), "X": ([1, 1], [1, -1]),
+             "Y": ([1, 1j], [1, -1j]), "Z": ([1, 0], [0, 1])}
+    for combo in itertools.product(*(sites[c] for c in labels)):
+        yield functools.reduce(
+            np.kron, [np.array(x, dtype=complex) / np.linalg.norm(x) for x in combo]
+        )
 
 
 def test_criterion_7_eigenstate_oracle_equivalence():
@@ -188,11 +201,18 @@ def test_criterion_7_eigenstate_oracle_equivalence():
                 return sum(k @ rho @ k.conj().T for k in kraus)
 
             choi = choi_of_channel(channel)
-            protocol = EigenstateProtocol(channel)
+            exact, eigenvalues = _eigenstate_readout(choi)
             for _ in range(50):
                 m, n = string_rng.integers(64), string_rng.integers(64)
+                a = functools.reduce(np.kron, [PAULI[c] for c in labels[m]])
+                b = functools.reduce(np.kron, [PAULI[c] for c in labels[n]])
+                for k, v in enumerate(product_eigenstates(labels[m])):
+                    assert np.max(np.abs(a @ v - eigenvalues[m, k] * v)) < 1e-12
+                    oracle = np.trace(b @ channel(np.outer(v, v.conj()))).real
+                    assert abs(exact[m, k, n] - oracle) < 1e-9
                 direct = choi_expectation_direct(choi, labels[m], labels[n])
-                assert abs(protocol.correlation(labels[m], labels[n]) - direct) < 1e-9
+                via_states = np.dot(eigenvalues[m], exact[m, :, n]) / 8.0
+                assert abs(via_states - direct) < 1e-9
 
 
 def test_criterion_8_physicality_projection(device_channel27):

@@ -1,12 +1,13 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
 from qutrit_toffoli.certify import (
     ChoiMatrix,
-    EigenstateProtocol,
     PauliString,
+    _eigenstate_readout,
     choi_expectation_direct,
     choi_of_channel,
     enumerate_relevant_paulis,
@@ -18,6 +19,7 @@ from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_channel
 from qutrit_toffoli.register import PAULI
 from qutrit_toffoli.tomography import (
+    _binomial_readout,
     chi_of_unitary,
     pauli_labels,
     process_fidelity,
@@ -54,11 +56,40 @@ def pauli_product(labels):
     return mat
 
 
+# Eigenvectors of each single-site Pauli, the +1 eigenvector first.
+SITE_EIGENVECTORS = {
+    "I": ([1, 0], [0, 1]),
+    "X": ([1, 1], [1, -1]),
+    "Y": ([1, 1j], [1, -1j]),
+    "Z": ([1, 0], [0, 1]),
+}
+
+
+def oracle_readout(channel, in_labels, out_labels):
+    """Tr[B E(|v_k><v_k|)] and eigenvalue of each product eigenstate v_k of A."""
+    a, b = pauli_product(in_labels), pauli_product(out_labels)
+    readout, eigenvalues = [], []
+    for combo in itertools.product(*(SITE_EIGENVECTORS[c] for c in in_labels)):
+        v = functools.reduce(
+            np.kron, [np.array(x, dtype=complex) / np.linalg.norm(x) for x in combo]
+        )
+        eigenvalue = np.vdot(v, a @ v).real
+        assert np.max(np.abs(a @ v - eigenvalue * v)) < 1e-12
+        eigenvalues.append(eigenvalue)
+        readout.append(np.trace(b @ channel(np.outer(v, v.conj()))).real)
+    return np.array(readout), np.array(eigenvalues)
+
+
 @functools.lru_cache(maxsize=1)
 def device_channel8():
     return restrict_to_qubits(
         circuit_channel(toffoli_circuit(), NoiseModel.from_device())
     )
+
+
+@functools.lru_cache(maxsize=1)
+def device_choi():
+    return choi_of_channel(device_channel8())
 
 
 def test_ideal_choi_is_pure_and_normalized():
@@ -141,53 +172,51 @@ def test_eigenstate_protocol_matches_direct_contraction():
     for trial in range(5):
         channel = random_cptp_channel(np.random.default_rng(100 + trial))
         choi = choi_of_channel(channel)
-        protocol = EigenstateProtocol(channel)
+        exact, eigenvalues = _eigenstate_readout(choi)
         for _ in range(50):
             m, n = rng.integers(64), rng.integers(64)
+            oracle, oracle_eigenvalues = oracle_readout(channel, labels[m], labels[n])
+            assert np.max(np.abs(exact[m, :, n] - oracle)) < 1e-9
+            assert np.allclose(eigenvalues[m], oracle_eigenvalues, atol=1e-12)
             direct = choi_expectation_direct(choi, labels[m], labels[n])
-            via_states = protocol.correlation(labels[m], labels[n])
+            via_states = np.dot(eigenvalues[m], exact[m, :, n]) / 8.0
             assert abs(direct - via_states) < 1e-9
 
 
 def test_eigenstate_protocol_identity_factors():
     channel = device_channel8()
-    choi = choi_of_channel(channel)
-    protocol = EigenstateProtocol(channel)
+    choi = device_choi()
+    exact, eigenvalues = _eigenstate_readout(choi)
+    labels = pauli_labels()
     for in_labels, out_labels in [("III", "IZZ"), ("IZI", "IZI"), ("XII", "XII")]:
+        m, n = labels.index(in_labels), labels.index(out_labels)
+        oracle, oracle_eigenvalues = oracle_readout(channel, in_labels, out_labels)
+        assert np.max(np.abs(exact[m, :, n] - oracle)) < 1e-10
+        assert np.allclose(eigenvalues[m], oracle_eigenvalues, atol=1e-12)
         direct = choi_expectation_direct(choi, in_labels, out_labels)
-        assert protocol.correlation(in_labels, out_labels) == pytest.approx(
+        assert np.dot(eigenvalues[m], exact[m, :, n]) / 8.0 == pytest.approx(
             direct, abs=1e-10
         )
 
 
-def test_eigenstate_protocol_caches_by_input(monkeypatch):
-    calls = {"n": 0}
-    base = device_channel8()
-
-    def counting(rho):
-        calls["n"] += 1
-        return base(rho)
-
-    protocol = EigenstateProtocol(counting)
-    protocol.correlation("IXZ", "ZZZ")
-    after_first = calls["n"]
-    protocol.correlation("IXZ", "XII")
-    assert calls["n"] == after_first == 8
-
-
 def test_eigenstate_protocol_shot_mode():
-    protocol = EigenstateProtocol(device_channel8())
+    exact, eigenvalues = _eigenstate_readout(device_choi())
+    m = n = pauli_labels().index("IIZ")
+    lam, row = eigenvalues[m], exact[m, :, n]
+    # One batched readout of a repeated row draws what repeated readouts draw.
+    batch = _binomial_readout(
+        np.random.default_rng(33), 4000, np.broadcast_to(row, (5, 8))
+    )
     rng = np.random.default_rng(33)
-    exact = protocol.correlation("IIZ", "IIZ")
-    sampled = protocol.correlation("IIZ", "IIZ", shots=4000, rng=rng)
-    assert abs(sampled - exact) < 0.1
-    with pytest.raises(ValueError):
-        protocol.correlation("IIZ", "IIZ", shots=10)
+    assert np.array_equal(batch, [_binomial_readout(rng, 4000, row) for _ in range(5)])
+    exact_value = np.dot(lam, row) / 8.0
+    for sampled in batch:
+        assert abs(np.dot(lam, sampled) / 8.0 - exact_value) < 0.1
 
 
 def test_monte_carlo_ideal_channel_is_exact():
     result = monte_carlo_fidelity(
-        unitary_channel8(ideal_toffoli_unitary()), samples=500, seed=1
+        choi_of_channel(unitary_channel8(ideal_toffoli_unitary())), samples=500, seed=1
     )
     assert result.estimate == pytest.approx(1.0, abs=1e-12)
     assert result.stderr < 1e-12
@@ -195,37 +224,50 @@ def test_monte_carlo_ideal_channel_is_exact():
 
 
 def test_monte_carlo_device_channel_matches_exhaustive():
-    channel = device_channel8()
-    exhaustive = exhaustive_fidelity(channel)
-    result = monte_carlo_fidelity(channel, samples=4000, seed=2)
+    choi = device_choi()
+    exhaustive = exhaustive_fidelity(choi)
+    result = monte_carlo_fidelity(choi, samples=4000, seed=2)
     assert abs(result.estimate - exhaustive) < 3.5 * result.stderr
     assert 0.0 < result.stderr < 0.01
 
 
 def test_monte_carlo_determinism():
-    channel = device_channel8()
-    a = monte_carlo_fidelity(channel, samples=300, seed=5)
-    b = monte_carlo_fidelity(channel, samples=300, seed=5)
+    choi = device_choi()
+    a = monte_carlo_fidelity(choi, samples=300, seed=5)
+    b = monte_carlo_fidelity(choi, samples=300, seed=5)
     assert a.estimate == b.estimate and a.stderr == b.stderr
-    c = monte_carlo_fidelity(channel, samples=300, seed=6)
+    c = monte_carlo_fidelity(choi, samples=300, seed=6)
     assert a.estimate != c.estimate
 
 
 def test_monte_carlo_shot_mode():
-    channel = device_channel8()
-    a = monte_carlo_fidelity(channel, samples=200, seed=7, shots=400)
-    b = monte_carlo_fidelity(channel, samples=200, seed=7, shots=400)
+    choi = device_choi()
+    a = monte_carlo_fidelity(choi, samples=200, seed=7, shots=400)
+    b = monte_carlo_fidelity(choi, samples=200, seed=7, shots=400)
     assert a.estimate == b.estimate
     assert 0.5 < a.estimate < 0.95
     assert a.shots == 400
 
 
 def test_monte_carlo_input_validation():
-    channel = device_channel8()
+    choi = device_choi()
     with pytest.raises(ValueError):
-        monte_carlo_fidelity(channel, samples=0)
+        monte_carlo_fidelity(choi, samples=0)
     with pytest.raises(ValueError):
-        monte_carlo_fidelity(channel, samples=10, shots=-1)
+        monte_carlo_fidelity(choi, samples=10, shots=-1)
+
+
+def test_certification_reference_values():
+    # Device-channel reference numbers: shot mode draws only integer counts,
+    # so it must match bit for bit; exact mode may differ in rounding.
+    choi = device_choi()
+    sampled = monte_carlo_fidelity(choi, samples=10000, seed=5, shots=1000)
+    assert sampled.estimate == 0.7281890000000001
+    assert sampled.stderr == 0.0010025669270399458
+    assert exhaustive_fidelity(choi, shots=1000, seed=5) == 0.727982421875
+    exact = monte_carlo_fidelity(choi, samples=10000, seed=0)
+    assert exact.estimate == pytest.approx(0.7275412318962139, abs=1e-12)
+    assert exhaustive_fidelity(choi) == pytest.approx(0.7272702017500594, abs=1e-12)
 
 
 def test_exhaustive_fidelity_equals_tomographic_overlap():
@@ -235,12 +277,13 @@ def test_exhaustive_fidelity_equals_tomographic_overlap():
     chi_exp = process_tomography(channel27)
     chi_ideal = chi_of_unitary(ideal_toffoli_unitary())
     tomographic = process_fidelity(chi_exp, chi_ideal)
-    certified = exhaustive_fidelity(restrict_to_qubits(channel27))
+    certified = exhaustive_fidelity(choi_of_channel(restrict_to_qubits(channel27)))
     assert certified == pytest.approx(tomographic, abs=1e-9)
 
 
 def test_exhaustive_fidelity_ideal_is_one():
-    value = exhaustive_fidelity(unitary_channel8(ideal_toffoli_unitary()))
+    choi = choi_of_channel(unitary_channel8(ideal_toffoli_unitary()))
+    value = exhaustive_fidelity(choi)
     assert value == pytest.approx(1.0, abs=1e-10)
 
 

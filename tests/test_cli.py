@@ -206,6 +206,54 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     assert "t1_q_us" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("t1_a_us = nan\n", 1),
+        ("t1_b_us = 0.7\nt2star_a_us = nan\n", 2),
+        ("# rate scales\ndeph_scale2 = 1.0\nrelax_scale2 = inf\n", 3),
+    ],
+)
+def test_non_finite_config_value_exits_2(text, lineno, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    code = run_cli(
+        [
+            "truth-table",
+            "--output",
+            str(tmp_path / "o"),
+            "--noise",
+            "custom",
+            "--config",
+            str(config),
+        ]
+    )
+    assert code == 2
+    assert f"{config}:{lineno}: invalid number" in capsys.readouterr().err
+
+
+def test_certify_evaluates_the_channel_64_times(tmp_path, monkeypatch):
+    calls = []
+    build = cli.circuit_channel
+
+    def counting_circuit_channel(*args, **kwargs):
+        channel = build(*args, **kwargs)
+
+        def counted(rho):
+            calls.append(1)
+            return channel(rho)
+
+        return counted
+
+    monkeypatch.setattr(cli, "circuit_channel", counting_circuit_channel)
+    for extra in ([], ["--exhaustive"], ["--shots", "100"]):
+        calls.clear()
+        out = tmp_path / f"cert{len(extra)}"
+        argv = ["certify", "--output", str(out), "--samples", "500"] + extra
+        assert run_cli(argv) == 0
+        assert len(calls) == 64
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["frobnicate"])

@@ -1,9 +1,4 @@
-"""Smoke test: the demo scripts run to completion against the package.
-
-``04_certification.py`` is left out: it takes about 17 s, because every
-Monte Carlo sample re-simulates the pulse sequence.  It can join the list
-once the channel is compiled into a single linear map.
-"""
+"""Smoke test: the demo scripts run to completion against the package."""
 
 import os
 import subprocess
@@ -17,6 +12,7 @@ DEMOS = (
     "01_pulse_trajectories.py",
     "02_truth_table.py",
     "03_process_tomography.py",
+    "04_certification.py",
 )
 
 

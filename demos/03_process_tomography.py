@@ -1,7 +1,7 @@
 import numpy as np
 
 from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
-from qutrit_toffoli.noise import NoiseModel, circuit_channel
+from qutrit_toffoli.noise import NoiseModel, circuit_choi
 from qutrit_toffoli.tomography import (
     bootstrap_ci,
     chi_from_records,
@@ -15,12 +15,13 @@ from qutrit_toffoli.tomography import (
 # Process tomography reconstructs the full chi matrix of the gate from 64
 # input preparations crossed with 64 Pauli observables.  In exact mode the
 # expectation values are computed without sampling, which is the cleanest
-# way to see what the noise model does to the gate.
+# way to see what the noise model does to the gate.  Every expectation is
+# read off the gate's Choi matrix, compiled once from the pulse sequence.
 
-channel = circuit_channel(toffoli_circuit(), NoiseModel.from_device())
+choi = circuit_choi(toffoli_circuit(), NoiseModel.from_device())
 chi_ideal = chi_of_unitary(ideal_toffoli_unitary())
 
-chi_exact = process_tomography(channel)
+chi_exact = process_tomography(choi)
 print(f"exact-mode process fidelity: {process_fidelity(chi_exact, chi_ideal):.4f}")
 print(f"trace deficit (leakage):     {chi_exact.trace_deficit:.2e}")
 print()
@@ -28,7 +29,7 @@ print()
 # With a finite shot budget the linear-inversion estimate is noisy and
 # usually leaves the physical set: some eigenvalues dip below zero.
 shots = 1000
-records = measure_output_records(channel, shots=shots, seed=7)
+records = measure_output_records(choi, shots=shots, seed=7)
 chi_raw = chi_from_records(records)
 print(f"{shots} shots per setting:")
 print(f"  raw fidelity:       {process_fidelity(chi_raw, chi_ideal):.4f}")

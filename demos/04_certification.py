@@ -1,15 +1,13 @@
 import numpy as np
 
 from qutrit_toffoli.certify import (
-    choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
     ideal_toffoli_choi,
     monte_carlo_fidelity,
 )
 from qutrit_toffoli.gates import toffoli_circuit
-from qutrit_toffoli.noise import NoiseModel, circuit_channel
-from qutrit_toffoli.tomography import restrict_to_qubits
+from qutrit_toffoli.noise import NoiseModel, circuit_choi
 
 # Full tomography needs 64 x 64 settings.  Certification gets the same
 # fidelity from far fewer measurements by only looking at Pauli pairs whose
@@ -22,11 +20,9 @@ magnitudes = sorted({round(abs(ps.ideal), 9) for ps in relevant})
 print(f"ideal correlation magnitudes: {magnitudes}")
 print()
 
-# The channel enters every estimator through its Choi matrix, built once
-# from 64 channel evaluations; each eigenstate readout is a lookup into it.
-choi = choi_of_channel(
-    restrict_to_qubits(circuit_channel(toffoli_circuit(), NoiseModel.from_device()))
-)
+# The channel enters every estimator through its Choi matrix, compiled once
+# from the noisy pulse sequence; each eigenstate readout is a lookup into it.
+choi = circuit_choi(toffoli_circuit(), NoiseModel.from_device())
 
 # Measuring every relevant pair once gives the deterministic reference.
 reference = exhaustive_fidelity(choi)

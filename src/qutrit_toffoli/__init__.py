@@ -9,6 +9,7 @@ handful of Pauli correlations.
 """
 
 from .register import (
+    ChoiMatrix,
     DensityOperator,
     LocalOperator,
     RegisterLayout,
@@ -38,7 +39,7 @@ from .noise import (
     KrausChannel,
     NoiseModel,
     amplitude_damping_qutrit,
-    circuit_channel,
+    circuit_choi,
     dephasing_qutrit,
     noisy_apply,
     tphi_from_t2star,
@@ -55,11 +56,9 @@ from .tomography import (
     ml_projection,
     process_fidelity,
     process_tomography,
-    restrict_to_qubits,
     state_tomography,
 )
 from .certify import (
-    ChoiMatrix,
     FidelityEstimate,
     PauliString,
     choi_of_channel,
@@ -96,7 +95,7 @@ __all__ = [
     "chi_from_records",
     "chi_of_unitary",
     "choi_of_channel",
-    "circuit_channel",
+    "circuit_choi",
     "computational_block",
     "computational_indices",
     "dephasing_qutrit",
@@ -113,7 +112,6 @@ __all__ = [
     "partial_trace",
     "process_fidelity",
     "process_tomography",
-    "restrict_to_qubits",
     "rotation_single",
     "state_tomography",
     "subspace_rotation",

@@ -19,8 +19,9 @@ averaging X = Q_n / P_n gives an unbiased fidelity estimate whose error
 shrinks with the sample count alone.
 
 Q_n is linear in the channel's Choi state, so the estimators take the
-``ChoiMatrix`` of the channel under test and read every eigenstate output
-off it: the channel itself is evaluated only by ``choi_of_channel``.
+``ChoiMatrix`` of the channel under test (``noise.circuit_choi`` for the
+simulated gate, ``choi_of_channel`` for any other callable) and read every
+eigenstate output off it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import ideal_toffoli_unitary
-from .register import ATOL
-from .tomography import _binomial_readout, pauli_labels, standard_pauli_stack, task_rng
+from .register import ChoiMatrix
+from .tomography import (
+    _binomial_readout,
+    _unit_readout,
+    pauli_labels,
+    standard_pauli_stack,
+    task_rng,
+)
 
 RELEVANCE_CUTOFF = 1e-9
 
@@ -76,39 +83,6 @@ class PauliString:
         _check_labels(self.out_labels)
 
 
-class ChoiMatrix:
-    """Normalized input (x) output state of a three-qubit channel."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix, *, atol: float = ATOL):
-        mat = np.array(matrix, dtype=complex)
-        if mat.shape != (64, 64):
-            raise ValueError("expected a 64x64 matrix")
-        if np.max(np.abs(mat - mat.conj().T)) >= atol:
-            raise ValueError("matrix must be Hermitian")
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo <= -atol:
-            raise ValueError(f"matrix must be positive semidefinite, min eig {lo}")
-        tr = float(mat.trace().real)
-        if tr >= 1.0 + atol:
-            raise ValueError(f"trace {tr} exceeds 1")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChoiMatrix is immutable")
-
-    def __repr__(self) -> str:
-        return f"ChoiMatrix(trace={self.trace():.6f}, purity={self.purity():.6f})"
-
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
-
-    def purity(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
-
-
 def choi_of_channel(channel8) -> ChoiMatrix:
     """Evaluate the channel on all matrix units; input factor first."""
     # kron(|i><j|, E(|i><j|)) places the output block at rows 8i.., cols 8j..
@@ -135,7 +109,7 @@ def _correlations(choi: ChoiMatrix) -> np.ndarray:
     """All 4096 pair correlations Tr[rho (A^T x B)], indexed (in, out)."""
     tensor = choi.matrix.reshape(8, 8, 8, 8)
     stack = standard_pauli_stack()
-    vals = np.einsum("abcd,mac,ndb->mn", tensor, stack, stack)
+    vals = np.einsum("abcd,mac,ndb->mn", tensor, stack, stack, optimize=True)
     if np.max(np.abs(vals.imag)) >= 1e-9:
         raise ValueError("correlations of a Hermitian state must be real")
     return vals.real
@@ -167,12 +141,10 @@ def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``exact[m, k, n] = Tr[P_n E(|v_mk><v_mk|)]``, where v_mk is the
     k-th product eigenvector of input Pauli m and P_n the output Pauli, and
-    the ``(64, 8)`` eigenvalues of the v_mk.  The channel is read off its
-    Choi matrix C, reshaped to (8, 8, 8, 8): E(M) = 8 sum_ij M_ij C[i, :, j, :].
+    the ``(64, 8)`` eigenvalues of the v_mk, contracted from the
+    matrix-unit readout of ``choi``.
     """
-    tensor = choi.matrix.reshape(8, 8, 8, 8)
-    # unit_readout[n, i, j] = Tr[P_n E(|i><j|)]
-    unit_readout = 8.0 * np.einsum("iajb,nba->nij", tensor, standard_pauli_stack())
+    unit_readout = _unit_readout(choi)
     vectors = []
     values = []
     for labels in pauli_labels():

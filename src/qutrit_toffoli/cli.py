@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .gates import (
     QUTRIT3,
@@ -30,7 +28,7 @@ from .gates import (
 )
 from .noise import (
     NoiseModel,
-    circuit_channel,
+    circuit_choi,
     device_params_from_config,
     parse_config_file,
 )
@@ -44,10 +42,8 @@ from .tomography import (
     pauli_labels,
     process_fidelity,
     ProjectionError,
-    restrict_to_qubits,
 )
 from .certify import (
-    choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
     ideal_toffoli_choi,
@@ -105,9 +101,9 @@ def _noise_model(config: RunConfig) -> NoiseModel | None:
     return NoiseModel.from_device(params, relax_scale2=relax2, deph_scale2=deph2)
 
 
-def _toffoli_channel(config: RunConfig):
+def _toffoli_choi(config: RunConfig):
     window = XY_PULSE_NS if config.spam_windows else 0.0
-    return circuit_channel(
+    return circuit_choi(
         toffoli_circuit(),
         _noise_model(config),
         prep_window_ns=window,
@@ -130,7 +126,7 @@ def _common_meta(config: RunConfig) -> dict:
 
 
 def _run_truth_table(config: RunConfig) -> str:
-    table = truth_table(_toffoli_channel(config))
+    table = truth_table(_toffoli_choi(config))
     fidelity = truth_table_fidelity(table)
     labels = table.column_labels()
     csv_lines = ["output\\input," + ",".join(labels)]
@@ -173,7 +169,7 @@ def _run_table1_trace(config: RunConfig) -> str:
 
 def _run_process_tomo(config: RunConfig) -> str:
     records = measure_output_records(
-        _toffoli_channel(config), shots=config.shots, seed=config.seed
+        _toffoli_choi(config), shots=config.shots, seed=config.seed
     )
     raw = chi_from_records(records)
     projected = ml_projection(raw)
@@ -211,7 +207,7 @@ def _run_process_tomo(config: RunConfig) -> str:
 
 
 def _run_certify(config: RunConfig) -> str:
-    choi = choi_of_channel(restrict_to_qubits(_toffoli_channel(config)))
+    choi = _toffoli_choi(config)
     payload = _common_meta(config)
     if config.exhaustive:
         fidelity = exhaustive_fidelity(choi, shots=config.shots, seed=config.seed)

@@ -29,7 +29,7 @@ import numpy as np
 from .register import (
     ATOL,
     PAULI,
-    DensityOperator,
+    ChoiMatrix,
     LocalOperator,
     RegisterLayout,
     StateVector,
@@ -250,19 +250,13 @@ class TruthTable:
         return QUBIT3.all_basis_labels()
 
 
-def truth_table(channel) -> TruthTable:
-    """Populate the table by sending every computational ket through ``channel``.
+def truth_table(choi: ChoiMatrix) -> TruthTable:
+    """Output populations of every computational ket, read off ``choi``.
 
-    ``channel`` maps a 27x27 density matrix to a 27x27 density matrix.
+    Diagonal entry 8j + i of the Choi matrix is <i|E(|j><j|)|i> / 8.
     """
-    idx = computational_indices(QUTRIT3)
-    cols = []
-    for j in range(8):
-        rho_in = np.zeros((27, 27), dtype=complex)
-        rho_in[idx[j], idx[j]] = 1.0
-        rho_out = channel(rho_in)
-        cols.append(np.real(np.diag(rho_out)[idx]).clip(min=0.0))
-    return TruthTable(np.stack(cols, axis=1))
+    populations = 8.0 * np.real(np.diag(choi.matrix)).reshape(8, 8)
+    return TruthTable(populations.T.clip(min=0.0))
 
 
 def ideal_truth_table() -> np.ndarray:

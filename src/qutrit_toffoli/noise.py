@@ -20,6 +20,12 @@ Pulses are treated as instantaneous unitaries followed by the decoherence
 accumulated over the pulse duration.  State preparation and measurement are
 modelled as extra decoherence-only windows (one x/y pulse time each by
 default) before and after the sequence.
+
+Each site's relaxation then dephasing over one interval is applied as one
+local 9x9 superoperator on that site's ket and bra axes (the vectorized
+form of Wood, Biamonte & Cory, arXiv:1111.6950).  ``circuit_choi`` runs the
+64 qubit matrix units through the noisy sequence as one batch, so the whole
+gate is compiled once into its ``ChoiMatrix``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .register import ATOL, DensityOperator, LocalOperator, RegisterLayout, embed
+from .register import (
+    ATOL,
+    ChoiMatrix,
+    DensityOperator,
+    RegisterLayout,
+    computational_indices,
+    embed,
+)
 from .gates import XY_PULSE_NS, Circuit
 
 # Measured coherence times, microseconds, sites (A, B, C).
@@ -280,49 +293,35 @@ class NoiseModel:
         return relax, deph
 
 
-@functools.lru_cache(maxsize=4096)
-def _embedded_site_kraus(
-    dims: tuple[int, ...],
-    site: int,
-    duration_ns: float,
-    t1_us: float,
-    tphi_us: float,
-    relax_scale2: float,
-    deph_scale2: float,
-) -> tuple[np.ndarray, ...]:
-    """Full-register Kraus operators of one site's relaxation then dephasing."""
-    layout = RegisterLayout(dims)
-    relax = amplitude_damping_qutrit(duration_ns, t1_us, relax_scale2)
-    deph = dephasing_qutrit(duration_ns, tphi_us, deph_scale2)
-    ops = []
-    for d in deph.operators:
-        for r in relax.operators:
-            full = embed(LocalOperator((site,), d @ r), layout)
-            full.setflags(write=False)
-            ops.append(full)
-    return tuple(ops)
+def _site_superoperator(model: NoiseModel, site: int, duration_ns: float) -> np.ndarray:
+    """Relaxation then dephasing of one site as a (3, 3, 3, 3) superoperator.
+
+    ``sup[a, b, c, d] = sum_K K[a, c] K*[b, d]`` over the products K = D R
+    of dephasing and relaxation Kraus operators: it maps input entry (c, d)
+    to output entry (a, b).
+    """
+    relax, deph = model.site_channels(site, duration_ns)
+    kraus = np.array([d @ r for d in deph.operators for r in relax.operators])
+    return np.einsum("kac,kbd->abcd", kraus, kraus.conj())
 
 
 def decohere(matrix: np.ndarray, layout: RegisterLayout, model: NoiseModel, duration_ns: float) -> np.ndarray:
-    """Apply every site's relaxation then dephasing over one interval."""
+    """Apply every site's relaxation then dephasing over one interval.
+
+    ``matrix`` is one register matrix or a stack of them along leading axes.
+    """
     if duration_ns == 0.0:
         return matrix
-    out = matrix
-    for site in range(layout.n_sites):
-        ops = _embedded_site_kraus(
-            layout.dims,
-            site,
-            float(duration_ns),
-            model.t1_us[site],
-            model.tphi_us[site],
-            model.relax_scale2,
-            model.deph_scale2,
-        )
-        acc = np.zeros_like(out)
-        for k in ops:
-            acc += k @ out @ k.conj().T
-        out = acc
-    return out
+    n = layout.n_sites
+    ket, bra = "abcdef"[:n], "ghijkl"[:n]
+    out = matrix.reshape(matrix.shape[:-2] + layout.dims + layout.dims)
+    for site in range(n):
+        sup = _site_superoperator(model, site, float(duration_ns))
+        new_ket = ket[:site] + "x" + ket[site + 1 :]
+        new_bra = bra[:site] + "y" + bra[site + 1 :]
+        sub = f"xy{ket[site]}{bra[site]},...{ket}{bra}->...{new_ket}{new_bra}"
+        out = np.einsum(sub, sup, out, optimize=True)
+    return out.reshape(matrix.shape)
 
 
 def _evolve(
@@ -360,25 +359,28 @@ def noisy_apply(
     return DensityOperator(circuit.layout, out, subnormalized=state.subnormalized)
 
 
-def circuit_channel(
+def circuit_choi(
     circuit: Circuit,
     model: NoiseModel | None = None,
     *,
     prep_window_ns: float = XY_PULSE_NS,
     meas_window_ns: float = XY_PULSE_NS,
-):
-    """Matrix-in, matrix-out channel for the full experimental cycle.
+) -> ChoiMatrix:
+    """Choi matrix of the qubit block of the full experimental cycle.
 
+    The 64 qubit matrix units |i><j| run through the sequence as one batch.
     With a noise model the preparation and measurement windows contribute
     decoherence-only intervals before and after the pulse sequence; without
-    one the channel is the bare circuit unitary.
+    one the channel is the bare circuit unitary.  Weight left outside the
+    qubit block at the end shows up as a Choi trace below one.
     """
     if prep_window_ns < 0 or meas_window_ns < 0:
         raise ValueError("windows must be non-negative")
-
-    def channel(matrix: np.ndarray) -> np.ndarray:
-        if matrix.shape != (circuit.layout.dim,) * 2:
-            raise ValueError(f"expected a {circuit.layout.dim}x{circuit.layout.dim} matrix")
-        return _evolve(matrix, circuit, model, prep_window_ns, meas_window_ns)
-
-    return channel
+    idx = computational_indices(circuit.layout)
+    d, dim = len(idx), circuit.layout.dim
+    units = np.zeros((d, d, dim, dim), dtype=complex)  # units[i, j] = |i><j|
+    units[np.arange(d)[:, None], np.arange(d), idx[:, None], idx] = 1.0
+    out = _evolve(units.reshape(-1, dim, dim), circuit, model, prep_window_ns, meas_window_ns)
+    # Block (i, j) of the Choi matrix is E(|i><j|) / d.
+    blocks = out[:, idx[:, None], idx].reshape(d, d, d, d)
+    return ChoiMatrix(blocks.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d)

@@ -281,6 +281,43 @@ class DensityOperator:
         return float(self.matrix[i, i].real)
 
 
+class ChoiMatrix:
+    """Normalized input (x) output state of a three-qubit channel.
+
+    Entry ``[8i + a, 8j + b]`` is ``E(|i><j|)[a, b] / 8``; weight the
+    channel loses out of the qubit block shows up as a trace below one.
+    """
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix, *, atol: float = ATOL):
+        mat = np.array(matrix, dtype=complex)
+        if mat.shape != (64, 64):
+            raise ValueError("expected a 64x64 matrix")
+        if np.max(np.abs(mat - mat.conj().T)) >= atol:
+            raise ValueError("matrix must be Hermitian")
+        lo = float(np.linalg.eigvalsh(mat)[0])
+        if lo <= -atol:
+            raise ValueError(f"matrix must be positive semidefinite, min eig {lo}")
+        tr = float(mat.trace().real)
+        if tr >= 1.0 + atol:
+            raise ValueError(f"trace {tr} exceeds 1")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChoiMatrix is immutable")
+
+    def __repr__(self) -> str:
+        return f"ChoiMatrix(trace={self.trace():.6f}, purity={self.purity():.6f})"
+
+    def trace(self) -> float:
+        return float(self.matrix.trace().real)
+
+    def purity(self) -> float:
+        return float(np.vdot(self.matrix, self.matrix).real)
+
+
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out all sites except ``keep``; kept sites stay in register order."""
     layout = rho.layout

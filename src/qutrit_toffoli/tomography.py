@@ -27,8 +27,8 @@ from .gates import QUBIT3, QUTRIT3, ideal_toffoli_unitary, rotation_matrix_qutri
 from .register import (
     ATOL,
     PAULI,
+    ChoiMatrix,
     DensityOperator,
-    RegisterLayout,
     StateVector,
     computational_indices,
 )
@@ -155,8 +155,18 @@ class Records:
         object.__setattr__(self, "values", values)
 
 
-def measure_output_records(channel, shots: int = 0, seed: int = 0) -> Records:
-    """Measure all 64 x 64 Pauli expectations behind ``channel``.
+def _unit_readout(choi: ChoiMatrix) -> np.ndarray:
+    """``table[n, i, j] = Tr[P_n E(|i><j|)]`` for the channel E of ``choi``.
+
+    With C the Choi matrix reshaped to (8, 8, 8, 8),
+    E(M) = 8 sum_ij M_ij C[i, :, j, :].
+    """
+    tensor = choi.matrix.reshape(8, 8, 8, 8)
+    return 8.0 * np.einsum("iajb,nba->nij", tensor, standard_pauli_stack())
+
+
+def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> Records:
+    """Measure all 64 x 64 Pauli expectations behind the channel of ``choi``.
 
     ``shots=0`` stores exact expectations; otherwise each value is a
     binomial estimate from ``shots`` single-shot outcomes, and row ``i``
@@ -164,14 +174,8 @@ def measure_output_records(channel, shots: int = 0, seed: int = 0) -> Records:
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    idx = computational_indices(QUTRIT3)
-    blocks = np.stack(
-        [
-            channel(np.outer(state.amplitudes, state.amplitudes.conj()))[np.ix_(idx, idx)]
-            for state in input_states()
-        ]
-    )
-    values = np.einsum("iab,pba->ip", blocks, standard_pauli_stack()).real
+    preparations = _input_qubit_matrices().reshape(64, 64)
+    values = (preparations @ _unit_readout(choi).reshape(64, 64).T).real
     if shots:
         values = np.stack(
             [_binomial_readout(task_rng(seed, i), shots, row) for i, row in enumerate(values)]
@@ -300,21 +304,9 @@ def chi_from_records(records: Records) -> ChiMatrix:
     return ChiMatrix(chi, trace_deficit=1.0 - float(chi.trace().real))
 
 
-def process_tomography(channel, shots: int = 0, seed: int = 0) -> ChiMatrix:
-    """Full tomography of a 27x27-matrix channel, returning the raw chi."""
-    return chi_from_records(measure_output_records(channel, shots=shots, seed=seed))
-
-
-def restrict_to_qubits(channel):
-    """View a 27x27 channel as an 8x8 channel via embed, apply, truncate."""
-    idx = computational_indices(QUTRIT3)
-
-    def channel8(rho8: np.ndarray) -> np.ndarray:
-        full = np.zeros((27, 27), dtype=complex)
-        full[np.ix_(idx, idx)] = rho8
-        return channel(full)[np.ix_(idx, idx)]
-
-    return channel8
+def process_tomography(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> ChiMatrix:
+    """Full tomography of the channel of ``choi``, returning the raw chi."""
+    return chi_from_records(measure_output_records(choi, shots=shots, seed=seed))
 
 
 def process_fidelity(chi_a: ChiMatrix | np.ndarray, chi_b: ChiMatrix | np.ndarray) -> float:

@@ -38,7 +38,7 @@ from qutrit_toffoli.noise import (
     DEVICE_T2STAR_US,
     NoiseModel,
     amplitude_damping_qutrit,
-    circuit_channel,
+    circuit_choi,
     dephasing_qutrit,
     tphi_from_t2star,
 )
@@ -51,7 +51,6 @@ from qutrit_toffoli.tomography import (
     pauli_labels,
     process_fidelity,
     process_tomography,
-    restrict_to_qubits,
 )
 
 
@@ -68,13 +67,8 @@ def criterion(number, description):
 
 
 @pytest.fixture(scope="module")
-def device_channel27():
-    return circuit_channel(toffoli_circuit(), NoiseModel.from_device())
-
-
-@pytest.fixture(scope="module")
-def device_choi(device_channel27):
-    return choi_of_channel(restrict_to_qubits(device_channel27))
+def device_choi():
+    return circuit_choi(toffoli_circuit(), NoiseModel.from_device())
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +117,7 @@ def test_criterion_2_ideal_gate_exactness():
         )
         assert np.max(np.abs(block - ideal_toffoli_unitary())) < 1e-10
         fidelity = truth_table_fidelity(
-            truth_table(circuit_channel(toffoli_circuit(), None))
+            truth_table(circuit_choi(toffoli_circuit(), None))
         )
         assert abs(fidelity - 1.0) < 1e-12
 
@@ -139,21 +133,20 @@ def test_criterion_3_relevant_pauli_count():
 
 def test_criterion_4_noiseless_pipeline_consistency(chi_ideal):
     with criterion(4, "noiseless tomography and certification both give 1"):
-        channel = circuit_channel(toffoli_circuit(), None)
-        chi = process_tomography(channel)
+        choi = circuit_choi(toffoli_circuit(), None)
+        chi = process_tomography(choi)
         assert abs(process_fidelity(chi, chi_ideal) - 1.0) < 1e-8
-        choi = choi_of_channel(restrict_to_qubits(channel))
         assert abs(exhaustive_fidelity(choi) - 1.0) < 1e-9
         assert abs(chi_ideal.matrix[0, 0] - 0.5625) < 1e-10
         assert abs(chi.matrix[0, 0] - 0.5625) < 1e-10
 
 
-def test_criterion_5_device_noise_headline_numbers(device_channel27, chi_ideal):
+def test_criterion_5_device_noise_headline_numbers(device_choi, chi_ideal):
     with criterion(5, "device-noise fidelities in band, worst inputs have A excited"):
         start = time.perf_counter()
-        table = truth_table(device_channel27)
+        table = truth_table(device_choi)
         tt_fidelity = truth_table_fidelity(table)
-        chi = process_tomography(device_channel27)
+        chi = process_tomography(device_choi)
         proc_fidelity = process_fidelity(chi, chi_ideal)
         elapsed = time.perf_counter() - start
         assert 0.70 <= tt_fidelity <= 0.92
@@ -166,9 +159,9 @@ def test_criterion_5_device_noise_headline_numbers(device_channel27, chi_ideal):
         assert elapsed < 120.0
 
 
-def test_criterion_6_estimator_agreement(device_channel27, device_choi, chi_ideal):
+def test_criterion_6_estimator_agreement(device_choi, chi_ideal):
     with criterion(6, "Monte Carlo matches tomography within 3 sigma, 9 of 10 seeds"):
-        reference = process_fidelity(process_tomography(device_channel27), chi_ideal)
+        reference = process_fidelity(process_tomography(device_choi), chi_ideal)
         passes = 0
         for seed in range(10):
             result = monte_carlo_fidelity(device_choi, samples=10000, seed=seed)
@@ -215,9 +208,9 @@ def test_criterion_7_eigenstate_oracle_equivalence():
                 assert abs(via_states - direct) < 1e-9
 
 
-def test_criterion_8_physicality_projection(device_channel27):
+def test_criterion_8_physicality_projection(device_choi):
     with criterion(8, "ML projection restores PSD and TP, idempotent"):
-        records = measure_output_records(device_channel27, shots=1000, seed=0)
+        records = measure_output_records(device_choi, shots=1000, seed=0)
         raw = chi_from_records(records)
         projected = ml_projection(raw)
         assert projected.min_eigenvalue() > -1e-10

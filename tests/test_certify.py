@@ -15,16 +15,15 @@ from qutrit_toffoli.certify import (
     ideal_toffoli_choi,
     monte_carlo_fidelity,
 )
-from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
-from qutrit_toffoli.noise import NoiseModel, circuit_channel
-from qutrit_toffoli.register import PAULI
+from qutrit_toffoli.gates import QUTRIT3, XY_PULSE_NS, ideal_toffoli_unitary, toffoli_circuit
+from qutrit_toffoli.noise import NoiseModel, circuit_choi, noisy_apply
+from qutrit_toffoli.register import PAULI, DensityOperator, computational_indices
 from qutrit_toffoli.tomography import (
     _binomial_readout,
     chi_of_unitary,
     pauli_labels,
     process_fidelity,
     process_tomography,
-    restrict_to_qubits,
 )
 
 
@@ -80,16 +79,24 @@ def oracle_readout(channel, in_labels, out_labels):
     return np.array(readout), np.array(eigenvalues)
 
 
-@functools.lru_cache(maxsize=1)
-def device_channel8():
-    return restrict_to_qubits(
-        circuit_channel(toffoli_circuit(), NoiseModel.from_device())
+def device_channel8(rho8):
+    """Qubit block of the noisy cycle, evolved state by state."""
+    idx = computational_indices(QUTRIT3)
+    rho27 = np.zeros((27, 27), dtype=complex)
+    rho27[np.ix_(idx, idx)] = rho8
+    out = noisy_apply(
+        toffoli_circuit(),
+        DensityOperator(QUTRIT3, rho27),
+        NoiseModel.from_device(),
+        prep_window_ns=XY_PULSE_NS,
+        meas_window_ns=XY_PULSE_NS,
     )
+    return out.matrix[np.ix_(idx, idx)]
 
 
 @functools.lru_cache(maxsize=1)
 def device_choi():
-    return choi_of_channel(device_channel8())
+    return circuit_choi(toffoli_circuit(), NoiseModel.from_device())
 
 
 def test_ideal_choi_is_pure_and_normalized():
@@ -184,7 +191,7 @@ def test_eigenstate_protocol_matches_direct_contraction():
 
 
 def test_eigenstate_protocol_identity_factors():
-    channel = device_channel8()
+    channel = device_channel8
     choi = device_choi()
     exact, eigenvalues = _eigenstate_readout(choi)
     labels = pauli_labels()
@@ -273,11 +280,11 @@ def test_certification_reference_values():
 def test_exhaustive_fidelity_equals_tomographic_overlap():
     # certification and tomography measure the same number through
     # completely different pipelines
-    channel27 = circuit_channel(toffoli_circuit(), NoiseModel.from_device())
-    chi_exp = process_tomography(channel27)
+    choi = device_choi()
+    chi_exp = process_tomography(choi)
     chi_ideal = chi_of_unitary(ideal_toffoli_unitary())
     tomographic = process_fidelity(chi_exp, chi_ideal)
-    certified = exhaustive_fidelity(choi_of_channel(restrict_to_qubits(channel27)))
+    certified = exhaustive_fidelity(choi)
     assert certified == pytest.approx(tomographic, abs=1e-9)
 
 

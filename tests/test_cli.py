@@ -232,26 +232,36 @@ def test_non_finite_config_value_exits_2(text, lineno, tmp_path, capsys):
     assert f"{config}:{lineno}: invalid number" in capsys.readouterr().err
 
 
-def test_certify_evaluates_the_channel_64_times(tmp_path, monkeypatch):
+def test_each_pipeline_compiles_the_channel_once(tmp_path, monkeypatch):
     calls = []
-    build = cli.circuit_channel
+    build = cli.circuit_choi
 
-    def counting_circuit_channel(*args, **kwargs):
-        channel = build(*args, **kwargs)
+    def counting_circuit_choi(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
 
-        def counted(rho):
-            calls.append(1)
-            return channel(rho)
-
-        return counted
-
-    monkeypatch.setattr(cli, "circuit_channel", counting_circuit_channel)
-    for extra in ([], ["--exhaustive"], ["--shots", "100"]):
+    monkeypatch.setattr(cli, "circuit_choi", counting_circuit_choi)
+    runs = (
+        ["truth-table"],
+        ["process-tomo", "--shots", "100", "--bootstrap", "10"],
+        ["certify", "--samples", "500"],
+        ["certify", "--exhaustive"],
+    )
+    for index, argv in enumerate(runs):
         calls.clear()
-        out = tmp_path / f"cert{len(extra)}"
-        argv = ["certify", "--output", str(out), "--samples", "500"] + extra
-        assert run_cli(argv) == 0
-        assert len(calls) == 64
+        assert run_cli(argv + ["--output", str(tmp_path / f"run{index}")]) == 0
+        assert len(calls) == 1
+
+
+def test_exact_mode_device_reference_values(tmp_path):
+    # device-noise headline numbers of the closure-per-input implementation
+    assert run_cli(["truth-table", "--output", str(tmp_path / "tt")]) == 0
+    table = read_json(tmp_path / "tt" / "truth_table.json")
+    assert table["fidelity"] == pytest.approx(0.8291283143984639, abs=1e-12)
+    assert run_cli(["process-tomo", "--output", str(tmp_path / "pt")]) == 0
+    tomo = read_json(tmp_path / "pt" / "process_tomo.json")
+    assert tomo["fidelity_raw"] == pytest.approx(0.72727020175006, abs=1e-12)
+    assert tomo["fidelity_ml"] == pytest.approx(0.7272702017500599, abs=1e-12)
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -4,6 +4,7 @@ from math import pi
 import numpy as np
 import pytest
 
+from qutrit_toffoli.certify import choi_of_channel
 from qutrit_toffoli.gates import (
     QUBIT3,
     QUTRIT3,
@@ -194,8 +195,8 @@ def test_ccphase_per_pulse_trajectories(digits):
 
 
 def test_truth_table_of_ideal_channel():
-    unitary = toffoli_circuit().unitary()
-    table = truth_table(lambda rho: unitary @ rho @ unitary.conj().T)
+    block = computational_block(toffoli_circuit().unitary())
+    table = truth_table(choi_of_channel(lambda rho: block @ rho @ block.conj().T))
     assert np.allclose(table.matrix, ideal_truth_table(), atol=1e-12)
     assert truth_table_fidelity(table) == pytest.approx(1.0, abs=1e-12)
 

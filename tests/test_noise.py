@@ -11,7 +11,7 @@ from qutrit_toffoli.noise import (
     KrausChannel,
     NoiseModel,
     amplitude_damping_qutrit,
-    circuit_channel,
+    circuit_choi,
     decohere,
     dephasing_qutrit,
     device_params_from_config,
@@ -19,8 +19,17 @@ from qutrit_toffoli.noise import (
     parse_config_file,
     tphi_from_t2star,
 )
-from qutrit_toffoli.gates import QUTRIT3, truth_table, truth_table_fidelity
-from qutrit_toffoli.register import DensityOperator, StateVector
+from qutrit_toffoli.gates import QUTRIT3, computational_block, truth_table, truth_table_fidelity
+from qutrit_toffoli.register import (
+    DensityOperator,
+    LocalOperator,
+    StateVector,
+    computational_indices,
+    embed,
+)
+
+# Rate scales off their defaults, so the level-2 terms are exercised.
+CUSTOM_MODEL = NoiseModel((0.4, 0.9, 1.3), (0.5, 0.8, 1.1), relax_scale2=1.3, deph_scale2=2.5)
 
 
 def superoperator(channel: KrausChannel) -> np.ndarray:
@@ -35,6 +44,31 @@ def random_qutrit_density(rng) -> np.ndarray:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = a @ a.conj().T
     return rho / rho.trace()
+
+
+def random_density8(rng) -> np.ndarray:
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    return rho / rho.trace()
+
+
+def full_register_decohere(matrix, model, duration_ns):
+    """Each site's Kraus products D R embedded in the register and sandwiched."""
+    out = matrix
+    for site in range(3):
+        relax, deph = model.site_channels(site, duration_ns)
+        ops = [
+            embed(LocalOperator((site,), d @ r), QUTRIT3)
+            for d in deph.operators
+            for r in relax.operators
+        ]
+        out = sum(k @ out @ k.conj().T for k in ops)
+    return out
+
+
+def choi_apply(choi, rho8):
+    """E(rho) = 8 sum_ij rho_ij C[i, :, j, :]."""
+    return 8.0 * np.einsum("ij,iajb->ab", rho8, choi.matrix.reshape(8, 8, 8, 8))
 
 
 def test_tphi_device_site_a_exact_fraction():
@@ -202,6 +236,19 @@ def test_decohere_zero_duration_is_identity():
     assert decohere(mat, QUTRIT3, model, 0.0) is mat
 
 
+@pytest.mark.parametrize("model", [NoiseModel.from_device(), CUSTOM_MODEL], ids=["device", "custom"])
+def test_decohere_matches_full_register_kraus_sandwich(model):
+    rng = np.random.default_rng(7)
+    mat = rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27))
+    stack = rng.normal(size=(5, 27, 27)) + 1j * rng.normal(size=(5, 27, 27))
+    for duration in (8.0, 23.0):
+        for matrix in (mat, stack):
+            local = decohere(matrix, QUTRIT3, model, duration)
+            oracle = full_register_decohere(matrix, model, duration)
+            assert local.shape == matrix.shape
+            assert np.max(np.abs(local - oracle)) < 1e-13
+
+
 def test_noisy_apply_yields_valid_state():
     model = NoiseModel.from_device()
     circuit = toffoli_circuit()
@@ -211,23 +258,45 @@ def test_noisy_apply_yields_valid_state():
         assert abs(out.trace() - 1.0) < 1e-10  # validation also checks positivity
 
 
-def test_circuit_channel_without_model_is_unitary_conjugation():
+def test_circuit_choi_without_model_is_unitary_conjugation():
     rng = np.random.default_rng(8)
     circuit = toffoli_circuit()
-    channel = circuit_channel(circuit, None)
-    unitary = circuit.unitary()
-    a = rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27))
-    rho = a @ a.conj().T
-    rho /= rho.trace()
-    assert np.allclose(channel(rho), unitary @ rho @ unitary.conj().T, atol=1e-12)
+    choi = circuit_choi(circuit, None)
+    block = computational_block(circuit.unitary())
+    rho = random_density8(rng)
+    assert np.allclose(choi_apply(choi, rho), block @ rho @ block.conj().T, atol=1e-12)
 
 
-def test_circuit_channel_window_validation():
-    with pytest.raises(ValueError):
-        circuit_channel(toffoli_circuit(), None, prep_window_ns=-1.0)
-    channel = circuit_channel(toffoli_circuit(), None)
-    with pytest.raises(ValueError):
-        channel(np.eye(8))
+@pytest.mark.parametrize("window", [0.0, 8.0])
+@pytest.mark.parametrize(
+    "model", [None, NoiseModel.from_device(), CUSTOM_MODEL], ids=["none", "device", "custom"]
+)
+def test_circuit_choi_matches_noisy_apply(model, window):
+    # the compiled qubit block equals single-state evolution of each input
+    circuit = toffoli_circuit()
+    choi = circuit_choi(circuit, model, prep_window_ns=window, meas_window_ns=window)
+    idx = computational_indices(QUTRIT3)
+    rng = np.random.default_rng(10)
+    for _ in range(3):
+        rho8 = random_density8(rng)
+        rho27 = np.zeros((27, 27), dtype=complex)
+        rho27[np.ix_(idx, idx)] = rho8
+        state = DensityOperator(QUTRIT3, rho27)
+        out = noisy_apply(circuit, state, model, prep_window_ns=window, meas_window_ns=window)
+        oracle = out.matrix[np.ix_(idx, idx)]
+        assert np.max(np.abs(choi_apply(choi, rho8) - oracle)) < 1e-12
+
+
+def test_circuit_choi_of_device_is_psd_and_trace_preserving():
+    choi = circuit_choi(toffoli_circuit(), NoiseModel.from_device())
+    assert np.linalg.eigvalsh(choi.matrix)[0] > -1e-12
+    assert abs(choi.trace() - 1.0) < 1e-12
+
+
+def test_circuit_choi_window_validation():
+    for window in ({"prep_window_ns": -1.0}, {"meas_window_ns": -1.0}):
+        with pytest.raises(ValueError):
+            circuit_choi(toffoli_circuit(), NoiseModel.from_device(), **window)
 
 
 def test_truth_table_fidelity_decreases_with_spam_exposure():
@@ -235,10 +304,10 @@ def test_truth_table_fidelity_decreases_with_spam_exposure():
     model = NoiseModel.from_device()
     fidelities = []
     for window in (0.0, 8.0, 40.0):
-        channel = circuit_channel(circuit, model, prep_window_ns=window, meas_window_ns=window)
-        fidelities.append(truth_table_fidelity(truth_table(channel)))
+        choi = circuit_choi(circuit, model, prep_window_ns=window, meas_window_ns=window)
+        fidelities.append(truth_table_fidelity(truth_table(choi)))
     assert fidelities[0] > fidelities[1] > fidelities[2]
-    noiseless = truth_table_fidelity(truth_table(circuit_channel(circuit, None)))
+    noiseless = truth_table_fidelity(truth_table(circuit_choi(circuit, None)))
     assert noiseless == pytest.approx(1.0, abs=1e-12)
     assert fidelities[0] < 1.0
 

@@ -1,14 +1,17 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+from qutrit_toffoli.certify import choi_of_channel
 from qutrit_toffoli.gates import (
     QUTRIT3,
+    XY_PULSE_NS,
     ideal_toffoli_unitary,
     toffoli_circuit,
 )
-from qutrit_toffoli.noise import NoiseModel, circuit_channel
+from qutrit_toffoli.noise import NoiseModel, circuit_choi, noisy_apply
 from qutrit_toffoli.register import (
     PAULI,
     DensityOperator,
@@ -30,7 +33,6 @@ from qutrit_toffoli.tomography import (
     pauli_labels,
     process_fidelity,
     process_tomography,
-    restrict_to_qubits,
     standard_pauli_stack,
     state_tomography,
     _input_qubit_matrices,
@@ -56,25 +58,28 @@ def random_cptp_kraus(dim, n_kraus, rng):
     return [q[k * dim : (k + 1) * dim, :] for k in range(n_kraus)]
 
 
-def embed_as_qutrit_channel(apply8):
-    """Lift an 8x8 map to the qutrit register, acting only on the qubit block."""
+def unitary_choi(unitary8):
+    return choi_of_channel(lambda block: unitary8 @ block @ unitary8.conj().T)
+
+
+@functools.lru_cache(maxsize=1)
+def device_toffoli_choi():
+    return circuit_choi(toffoli_circuit(), NoiseModel.from_device())
+
+
+def device_qubit_block(rho8):
+    """Single-state oracle: the qubit block of the noisy cycle on ``rho8``."""
     idx = computational_indices(QUTRIT3)
-
-    def channel(rho27):
-        out = np.array(rho27, dtype=complex)
-        block = rho27[np.ix_(idx, idx)]
-        out[np.ix_(idx, idx)] = apply8(block)
-        return out
-
-    return channel
-
-
-def unitary_channel27(unitary8):
-    return embed_as_qutrit_channel(lambda block: unitary8 @ block @ unitary8.conj().T)
-
-
-def device_toffoli_channel():
-    return circuit_channel(toffoli_circuit(), NoiseModel.from_device())
+    rho27 = np.zeros((27, 27), dtype=complex)
+    rho27[np.ix_(idx, idx)] = rho8
+    out = noisy_apply(
+        toffoli_circuit(),
+        DensityOperator(QUTRIT3, rho27),
+        NoiseModel.from_device(),
+        prep_window_ns=XY_PULSE_NS,
+        meas_window_ns=XY_PULSE_NS,
+    )
+    return out.matrix[np.ix_(idx, idx)]
 
 
 def test_basis_orthogonality_and_reality():
@@ -162,7 +167,7 @@ def test_apply_chi_reproduces_unitary_conjugation():
 
 
 def test_process_tomography_identity_channel():
-    chi = process_tomography(embed_as_qutrit_channel(lambda b: b))
+    chi = process_tomography(choi_of_channel(lambda b: b))
     expected = np.zeros((64, 64))
     expected[0, 0] = 1.0
     assert np.max(np.abs(chi.matrix - expected)) < 1e-10
@@ -172,7 +177,7 @@ def test_process_tomography_identity_channel():
 def test_process_tomography_random_unitary_round_trip():
     rng = np.random.default_rng(22)
     unitary = random_unitary(8, rng)
-    chi = process_tomography(unitary_channel27(unitary))
+    chi = process_tomography(unitary_choi(unitary))
     direct = chi_of_unitary(unitary)
     assert np.max(np.abs(chi.matrix - direct.matrix)) < 1e-8
     assert process_fidelity(chi, direct) == pytest.approx(1.0, abs=1e-8)
@@ -187,17 +192,15 @@ def test_process_tomography_recovers_generic_cptp_action():
     def apply8(block):
         return sum(k @ block @ k.conj().T for k in kraus)
 
-    chi = process_tomography(embed_as_qutrit_channel(apply8))
+    chi = process_tomography(choi_of_channel(apply8))
     for _ in range(10):
         rho = random_density(8, rng)
         assert np.allclose(apply_chi(chi, rho), apply8(rho), atol=1e-9)
 
-    leaky = device_toffoli_channel()
-    chi_dev = process_tomography(leaky)
-    restricted = restrict_to_qubits(leaky)
+    chi_dev = process_tomography(device_toffoli_choi())
     for _ in range(5):
         rho = random_density(8, rng)
-        assert np.allclose(apply_chi(chi_dev, rho), restricted(rho), atol=1e-9)
+        assert np.allclose(apply_chi(chi_dev, rho), device_qubit_block(rho), atol=1e-9)
 
 
 def record_value(records, input_label, pauli_label):
@@ -207,7 +210,7 @@ def record_value(records, input_label, pauli_label):
 
 
 def test_measurement_records_exact_values():
-    records = measure_output_records(embed_as_qutrit_channel(lambda b: b))
+    records = measure_output_records(choi_of_channel(lambda b: b))
     assert record_value(records, "id.id.id", "ZZZ") == pytest.approx(1.0)
     assert record_value(records, "id.id.id", "ZII") == pytest.approx(1.0)
     assert record_value(records, "x180.id.id", "ZII") == pytest.approx(-1.0)
@@ -218,14 +221,14 @@ def test_measurement_records_exact_values():
 
 
 def test_records_shot_mode_is_deterministic_and_consistent():
-    channel = device_toffoli_channel()
-    a = measure_output_records(channel, shots=400, seed=9)
-    b = measure_output_records(channel, shots=400, seed=9)
+    choi = device_toffoli_choi()
+    a = measure_output_records(choi, shots=400, seed=9)
+    b = measure_output_records(choi, shots=400, seed=9)
     assert np.array_equal(a.values, b.values)
     assert a.shots == b.shots == 400
-    c = measure_output_records(channel, shots=400, seed=10)
+    c = measure_output_records(choi, shots=400, seed=10)
     assert not np.array_equal(a.values, c.values)
-    exact = measure_output_records(channel)
+    exact = measure_output_records(choi)
     # 6 sigma with sigma <= 1/sqrt(400)
     worst = np.max(np.abs(a.values - exact.values))
     assert worst < 6.0 / np.sqrt(400)
@@ -267,7 +270,7 @@ def test_ml_projection_fixed_point_on_physical_chi():
 
 
 def test_ml_projection_restores_physicality():
-    chi = process_tomography(device_toffoli_channel(), shots=1000, seed=12)
+    chi = process_tomography(device_toffoli_choi(), shots=1000, seed=12)
     assert chi.min_eigenvalue() < -1e-3  # raw estimate is genuinely unphysical
     projected = ml_projection(chi)
     assert projected.min_eigenvalue() > -1e-10
@@ -279,7 +282,7 @@ def test_ml_projection_restores_physicality():
 def test_ml_projection_trace_change_on_tp_class_input():
     from qutrit_toffoli.tomography import _project_tp
 
-    chi = process_tomography(device_toffoli_channel(), shots=700, seed=13)
+    chi = process_tomography(device_toffoli_choi(), shots=700, seed=13)
     tp_input = _project_tp(np.array(chi.matrix))
     before = float(tp_input.trace().real)
     projected = ml_projection(tp_input, tol=1e-10)
@@ -289,7 +292,7 @@ def test_ml_projection_trace_change_on_tp_class_input():
 def test_ml_projection_is_nearest_feasible_point():
     # variational inequality: <x0 - x*, y - x*> <= 0 for feasible y
     rng = np.random.default_rng(26)
-    chi_raw = process_tomography(device_toffoli_channel(), shots=300, seed=14)
+    chi_raw = process_tomography(device_toffoli_choi(), shots=300, seed=14)
     x0 = np.array(chi_raw.matrix)
     x_star = np.array(ml_projection(chi_raw).matrix)
     gap = x0 - x_star
@@ -307,7 +310,7 @@ def test_ml_projection_is_nearest_feasible_point():
 
 
 def test_ml_projection_nonconvergence_raises():
-    chi = process_tomography(device_toffoli_channel(), shots=200, seed=15)
+    chi = process_tomography(device_toffoli_choi(), shots=200, seed=15)
     with pytest.raises(ProjectionError):
         ml_projection(chi, max_iter=2)
 
@@ -322,16 +325,8 @@ def test_process_fidelity_unitary_overlap_formula():
         assert got == pytest.approx(expected, abs=1e-10)
 
 
-def test_restrict_to_qubits_identity():
-    rng = np.random.default_rng(28)
-    channel8 = restrict_to_qubits(embed_as_qutrit_channel(lambda b: b))
-    rho = random_density(8, rng)
-    assert np.allclose(channel8(rho), rho, atol=1e-12)
-
-
 def test_bootstrap_ci_brackets_the_estimate():
-    channel = device_toffoli_channel()
-    records = measure_output_records(channel, shots=1000, seed=16)
+    records = measure_output_records(device_toffoli_choi(), shots=1000, seed=16)
     lo, hi = bootstrap_ci(records, resamples=120, seed=17)
     assert lo < hi
     point = process_fidelity(
@@ -344,13 +339,13 @@ def test_bootstrap_ci_brackets_the_estimate():
 
 
 def test_bootstrap_rejects_exact_records():
-    records = measure_output_records(device_toffoli_channel())
+    records = measure_output_records(device_toffoli_choi())
     with pytest.raises(ValueError):
         bootstrap_ci(records)
 
 
 def test_bootstrap_rejects_bad_confidence_and_resamples():
-    records = measure_output_records(device_toffoli_channel(), shots=200, seed=18)
+    records = measure_output_records(device_toffoli_choi(), shots=200, seed=18)
     for confidence in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             bootstrap_ci(records, confidence=confidence)
@@ -360,7 +355,7 @@ def test_bootstrap_rejects_bad_confidence_and_resamples():
 
 def test_bootstrap_matches_reference_interval():
     # interval written by the record-object implementation for these inputs
-    records = measure_output_records(device_toffoli_channel(), shots=1000, seed=5)
+    records = measure_output_records(device_toffoli_choi(), shots=1000, seed=5)
     lo, hi = bootstrap_ci(records, resamples=200, seed=5)
     assert lo == pytest.approx(0.7255533203125, abs=1e-12)
     assert hi == pytest.approx(0.7369654296875, abs=1e-12)
@@ -381,7 +376,7 @@ def test_record_validation():
 
 
 def test_chi_from_records_requires_complete_coverage():
-    values = measure_output_records(device_toffoli_channel()).values
+    values = measure_output_records(device_toffoli_choi()).values
     with pytest.raises(ValueError):
         chi_from_records(Records(values[:-1]))
     with pytest.raises(ValueError):

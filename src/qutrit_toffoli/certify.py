@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import ideal_toffoli_unitary
-from .register import ChoiMatrix
+from .register import ChoiMatrix, choi_of_unitary
 from .tomography import (
+    PAULI_AXES,
     _binomial_readout,
     _unit_readout,
     pauli_labels,
@@ -57,16 +58,12 @@ _EIGEN = {
     "Z": (np.eye(2, dtype=complex), np.array([1.0, -1.0])),
 }
 
-_LABEL_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-
-
-def _pauli_index(labels: str) -> int:
-    return 16 * _LABEL_INDEX[labels[0]] + 4 * _LABEL_INDEX[labels[1]] + _LABEL_INDEX[labels[2]]
+_PAULI_INDEX = {labels: n for n, labels in enumerate(pauli_labels())}
 
 
 def _check_labels(labels: str) -> str:
-    if len(labels) != 3 or any(c not in _LABEL_INDEX for c in labels):
-        raise ValueError(f"expected three letters from IXYZ, got {labels!r}")
+    if labels not in _PAULI_INDEX:
+        raise ValueError(f"expected three letters from {PAULI_AXES}, got {labels!r}")
     return labels
 
 
@@ -97,12 +94,7 @@ def choi_of_channel(channel8) -> ChoiMatrix:
 
 def ideal_toffoli_choi() -> ChoiMatrix:
     """Pure target state built from the ideal gate."""
-    unitary = ideal_toffoli_unitary()
-    phi = np.zeros(64, dtype=complex)
-    for i in range(8):
-        phi[i * 8 : (i + 1) * 8] = unitary[:, i]
-    phi /= np.sqrt(8.0)
-    return ChoiMatrix(np.outer(phi, phi.conj()))
+    return choi_of_unitary(ideal_toffoli_unitary())
 
 
 def _correlations(choi: ChoiMatrix) -> np.ndarray:
@@ -118,8 +110,8 @@ def _correlations(choi: ChoiMatrix) -> np.ndarray:
 def choi_expectation_direct(choi: ChoiMatrix, in_labels: str, out_labels: str) -> float:
     """Single pair correlation by direct contraction."""
     stack = standard_pauli_stack()
-    a = stack[_pauli_index(_check_labels(in_labels))]
-    b = stack[_pauli_index(_check_labels(out_labels))]
+    a = stack[_PAULI_INDEX[_check_labels(in_labels)]]
+    b = stack[_PAULI_INDEX[_check_labels(out_labels)]]
     tensor = choi.matrix.reshape(8, 8, 8, 8)
     val = complex(np.einsum("abcd,ac,db->", tensor, a, b))
     return float(val.real)
@@ -210,8 +202,8 @@ def monte_carlo_fidelity(
         n_draws = int(draw_counts[index])
         if n_draws == 0:
             continue
-        m = _pauli_index(ps.in_labels)
-        lam, row = eigenvalues[m], exact[m, :, _pauli_index(ps.out_labels)]
+        m = _PAULI_INDEX[ps.in_labels]
+        lam, row = eigenvalues[m], exact[m, :, _PAULI_INDEX[ps.out_labels]]
         if shots == 0:
             measured = float(np.dot(lam, row) / 8.0)
             values = [measured / ps.ideal] * n_draws
@@ -244,8 +236,8 @@ def exhaustive_fidelity(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> floa
     exact, eigenvalues = _eigenstate_readout(choi)
     total = 0.0
     for index, ps in enumerate(relevant):
-        m = _pauli_index(ps.in_labels)
-        lam, row = eigenvalues[m], exact[m, :, _pauli_index(ps.out_labels)]
+        m = _PAULI_INDEX[ps.in_labels]
+        lam, row = eigenvalues[m], exact[m, :, _PAULI_INDEX[ps.out_labels]]
         if shots:
             row = _binomial_readout(task_rng(seed, index + 1), shots, row)
         total += ps.ideal * float(np.dot(lam, row) / 8.0)

@@ -318,6 +318,15 @@ class ChoiMatrix:
         return float(np.vdot(self.matrix, self.matrix).real)
 
 
+def choi_of_unitary(unitary8) -> ChoiMatrix:
+    """Pure Choi matrix of an 8x8 unitary: entry ``8i + a`` of its vector is U[a, i]/sqrt(8)."""
+    unitary = np.asarray(unitary8, dtype=complex)
+    if unitary.shape != (8, 8):
+        raise ValueError("expected an 8x8 unitary")
+    phi = unitary.T.reshape(-1) / np.sqrt(8.0)
+    return ChoiMatrix(np.outer(phi, phi.conj()))
+
+
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out all sites except ``keep``; kept sites stay in register order."""
     layout = rho.layout

@@ -1,17 +1,20 @@
 """Process tomography of three-qubit channels carried by the qutrit register.
 
-The channel expansion E(rho) = sum_mn chi_mn B_m rho B_n^dag uses a basis of
-64 real three-fold products built from {1, sigma_x, -i sigma_y, sigma_z};
-replacing sigma_y by its real counterpart keeps every basis matrix real
-while preserving orthogonality, Tr[B_m^dag B_n] = 8 delta_mn.  Site A is the
-slowest label, and per site the factor order is I, X, Y, Z, so the string
-"XZI" sits at index 16*1 + 4*3 + 0.
-
 Preparation uses all 64 products of the per-site pulses {none, x90, y90,
 x180} applied to |000>; readout measures the 64 standard Pauli products on
 the two lowest levels of each site.  Populations that leak out of those
 levels reduce the reconstructed trace, and the deficit is reported rather
 than renormalized away.
+
+The estimators (linear inversion, the physicality projection, the
+bootstrap) are array algebra on the normalized Choi matrix J of
+``register.ChoiMatrix``.  Results are reported as the process matrix chi of
+E(rho) = sum_mn chi_mn B_m rho B_n^dag, in a basis of 64 real three-fold
+products of {1, sigma_x, -i sigma_y, sigma_z}; replacing sigma_y by its real
+counterpart keeps every basis matrix real while preserving orthogonality,
+Tr[B_m^dag B_n] = 8 delta_mn.  Site A is the slowest label, and per site the
+factor order is I, X, Y, Z, so the string "XZI" sits at index 16*1 + 4*3 + 0.
+The two are related by one unitary, chi = W^dag J W.
 """
 
 from __future__ import annotations
@@ -30,31 +33,12 @@ from .register import (
     ChoiMatrix,
     DensityOperator,
     StateVector,
+    choi_of_unitary,
     computational_indices,
 )
 
 PREP_LABELS = ("id", "x90", "y90", "x180")
 PAULI_AXES = "IXYZ"
-
-_REAL_Y = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # -i sigma_y
-
-
-@functools.lru_cache(maxsize=1)
-def chi_basis() -> np.ndarray:
-    """Stack of the 64 basis matrices, shape (64, 8, 8), index A-major."""
-    singles = {
-        "I": PAULI["I"],
-        "X": PAULI["X"],
-        "Y": _REAL_Y,
-        "Z": PAULI["Z"],
-    }
-    mats = []
-    for a, b, c in itertools.product(PAULI_AXES, repeat=3):
-        mats.append(np.kron(np.kron(singles[a], singles[b]), singles[c]))
-    stack = np.stack(mats)
-    stack.setflags(write=False)
-    return stack
-
 
 @functools.lru_cache(maxsize=1)
 def pauli_labels() -> tuple[str, ...]:
@@ -68,6 +52,15 @@ def standard_pauli_stack() -> np.ndarray:
     for a, b, c in itertools.product(PAULI_AXES, repeat=3):
         mats.append(np.kron(np.kron(PAULI[a], PAULI[b]), PAULI[c]))
     stack = np.stack(mats)
+    stack.setflags(write=False)
+    return stack
+
+
+@functools.lru_cache(maxsize=1)
+def chi_basis() -> np.ndarray:
+    """The 64 real basis matrices: readout products with each sigma_y as -i sigma_y."""
+    phases = np.array([(-1j) ** labels.count("Y") for labels in pauli_labels()])
+    stack = standard_pauli_stack() * phases[:, None, None]
     stack.setflags(write=False)
     return stack
 
@@ -183,15 +176,6 @@ def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> R
     return Records(values, shots)
 
 
-def _outputs_of(values: np.ndarray) -> np.ndarray:
-    return np.einsum("ip,pab->iab", values, standard_pauli_stack()) / 8.0
-
-
-def reconstruct_outputs(records: Records) -> np.ndarray:
-    """Per-input output estimates rho_i = (1/8) sum_p <P_p> P_p, shape (64, 8, 8)."""
-    return _outputs_of(records.values)
-
-
 def state_tomography(
     state: DensityOperator, shots: int = 0, seed: int = 0
 ) -> DensityOperator:
@@ -254,8 +238,7 @@ class ChiMatrix:
 
     def tp_residual(self) -> float:
         """Frobenius distance of sum_mn chi_mn B_n^dag B_m from the identity."""
-        m, vec_id, _ = _tp_projector_data()
-        return float(np.linalg.norm(m @ self.matrix.reshape(-1) - vec_id))
+        return _tp_residual(_choi_basis() @ self.matrix @ _choi_basis().conj().T)
 
 
 def apply_chi(chi: ChiMatrix | np.ndarray, rho8: np.ndarray) -> np.ndarray:
@@ -265,43 +248,48 @@ def apply_chi(chi: ChiMatrix | np.ndarray, rho8: np.ndarray) -> np.ndarray:
     return np.einsum("mn,mab,bc,ndc->ad", mat, basis, rho8, basis.conj())
 
 
+@functools.lru_cache(maxsize=1)
+def _choi_basis() -> np.ndarray:
+    """Unitary W with J = W chi W^dag; column m is vec(B_m^T)/sqrt(8), input-major."""
+    w = chi_basis().transpose(0, 2, 1).reshape(64, 64).T / np.sqrt(8.0)
+    w.setflags(write=False)
+    return w
+
+
+def chi_of_choi(choi_matrix: np.ndarray) -> ChiMatrix:
+    """Process matrix W^dag J W of a normalized Choi matrix J; no positivity enforced."""
+    w = _choi_basis()
+    chi = w.conj().T @ choi_matrix @ w
+    chi = (chi + chi.conj().T) / 2.0
+    return ChiMatrix(chi, trace_deficit=1.0 - float(chi.trace().real))
+
+
 def chi_of_unitary(unitary8: np.ndarray) -> ChiMatrix:
     """Rank-one process matrix of an 8x8 unitary."""
-    if unitary8.shape != (8, 8):
-        raise ValueError("expected an 8x8 unitary")
-    coeffs = np.einsum("mab,ab->m", chi_basis().conj(), unitary8) / 8.0
-    return ChiMatrix(np.outer(coeffs, coeffs.conj()))
+    return chi_of_choi(choi_of_unitary(unitary8).matrix)
 
 
 @functools.lru_cache(maxsize=1)
-def _inversion_data() -> tuple[np.ndarray, np.ndarray]:
-    """Inverse input Gram (vec basis) and the vec'd chi basis."""
-    inputs = _input_qubit_matrices()
-    p_stack = inputs.reshape(64, 64).T  # column i = vec(rho_i)
-    p_inv = np.linalg.inv(p_stack)
-    v_basis = chi_basis().reshape(64, 64).T  # column m = vec(B_m)
-    return p_inv, v_basis
+def _preparation_inverse() -> np.ndarray:
+    inverse = np.linalg.inv(_input_qubit_matrices().reshape(64, 64))
+    inverse.setflags(write=False)
+    return inverse
 
 
-def chi_from_outputs(outputs: np.ndarray) -> np.ndarray:
-    """Linear-inversion chi from the 64 output matrices (input order fixed)."""
-    if outputs.shape != (64, 8, 8):
-        raise ValueError("expected 64 output matrices of shape 8x8")
-    p_inv, v_basis = _inversion_data()
-    e_stack = outputs.reshape(64, 64).T
-    # Row-major vec turns E(rho) = S vec(rho) into S = E P^{-1}; regrouping
-    # S[(i,k),(j,l)] as R[(i,j),(k,l)] expresses the same data as
-    # R = sum_mn chi_mn vec(B_m) vec(B_n)^dag, inverted via the Gram factor 8.
-    s_mat = e_stack @ p_inv
-    r_mat = s_mat.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3).reshape(64, 64)
-    chi = v_basis.conj().T @ r_mat @ v_basis / 64.0
-    return (chi + chi.conj().T) / 2.0
+def _choi_from_values(values: np.ndarray) -> np.ndarray:
+    """Linear-inversion Choi matrix from a (64, 64) record array.
+
+    Undoing the preparations gives ``table[(i, j), n] = Tr[P_n E(|i><j|)]``,
+    and E(|i><j|) = (1/8) sum_n table[(i, j), n] P_n fills block (i, j).
+    """
+    table = (_preparation_inverse() @ values).reshape(8, 8, 64)
+    tensor = np.einsum("ijn,nab->iajb", table, standard_pauli_stack())
+    return tensor.reshape(64, 64) / 64.0
 
 
 def chi_from_records(records: Records) -> ChiMatrix:
     """Linear inversion from measurement records; no positivity enforced."""
-    chi = chi_from_outputs(reconstruct_outputs(records))
-    return ChiMatrix(chi, trace_deficit=1.0 - float(chi.trace().real))
+    return chi_of_choi(_choi_from_values(records.values))
 
 
 def process_tomography(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> ChiMatrix:
@@ -310,34 +298,30 @@ def process_tomography(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> ChiMa
 
 
 def process_fidelity(chi_a: ChiMatrix | np.ndarray, chi_b: ChiMatrix | np.ndarray) -> float:
-    """Overlap Tr[chi_a chi_b]; equals |Tr[U^dag V]/8|^2 for unitary pairs."""
+    """Overlap Tr[a b] of two Hermitian chi (or Choi) matrices; |Tr[U^dag V]/8|^2 if unitary."""
     a = chi_a.matrix if isinstance(chi_a, ChiMatrix) else np.asarray(chi_a)
     b = chi_b.matrix if isinstance(chi_b, ChiMatrix) else np.asarray(chi_b)
-    value = complex(np.trace(a @ b))
-    return float(value.real)
+    return float(np.vdot(a, b).real)
 
 
-@functools.lru_cache(maxsize=1)
-def _tp_projector_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace-map matrix M, vec of the identity, and the pseudoinverse factor."""
-    basis = chi_basis()
-    gram = np.einsum("nca,mcb->mnab", basis.conj(), basis)
-    m = gram.transpose(2, 3, 0, 1).reshape(64, 64 * 64)
-    vec_id = np.eye(8, dtype=complex).reshape(-1)
-    mp = m.conj().T @ np.linalg.inv(m @ m.conj().T)
-    return m, vec_id, mp
+def _trace_out(choi_matrix: np.ndarray) -> np.ndarray:
+    """Partial trace over the output factor, ``Tr_out J``."""
+    return choi_matrix.reshape(8, 8, 8, 8).trace(axis1=1, axis2=3)
 
 
-def _project_tp(chi: np.ndarray) -> np.ndarray:
-    m, vec_id, mp = _tp_projector_data()
-    vec = chi.reshape(-1)
-    shifted = vec - mp @ (m @ vec - vec_id)
-    out = shifted.reshape(64, 64)
-    return (out + out.conj().T) / 2.0
+def _tp_residual(choi_matrix: np.ndarray) -> float:
+    """Frobenius distance of 8 Tr_out J from the identity."""
+    return float(np.linalg.norm(8.0 * _trace_out(choi_matrix) - np.eye(8)))
 
 
-def _project_psd(chi: np.ndarray) -> np.ndarray:
-    herm = (chi + chi.conj().T) / 2.0
+def _project_tp(choi_matrix: np.ndarray) -> np.ndarray:
+    """Nearest J with Tr_out J = I/8: subtract (Tr_out J - I/8) (x) I/8."""
+    excess = _trace_out(choi_matrix) - np.eye(8) / 8.0
+    return choi_matrix - np.kron(excess, np.eye(8) / 8.0)
+
+
+def _project_psd(choi_matrix: np.ndarray) -> np.ndarray:
+    herm = (choi_matrix + choi_matrix.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(herm)
     vals = np.clip(vals, 0.0, None)
     return (vecs * vals) @ vecs.conj().T
@@ -359,15 +343,17 @@ def ml_projection(
     trace-preservation affine space converge to the metric projection onto
     their intersection; the returned iterate comes from the positive side,
     so its eigenvalues are exactly non-negative while the trace constraint
-    holds to within ``tol``.
+    holds to within ``tol``.  The iterates are Choi matrices J = W chi W^dag:
+    W is unitary, so the Frobenius metric and the positive cone are the same
+    in both bases, and trace preservation reads Tr_out J = I/8.
     """
     start = chi.matrix if isinstance(chi, ChiMatrix) else np.asarray(chi, dtype=complex)
     if start.shape != (64, 64):
         raise ValueError("chi matrix must be 64x64")
-    x = (start + start.conj().T) / 2.0
+    w = _choi_basis()
+    x = w @ ((start + start.conj().T) / 2.0) @ w.conj().T
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    m, vec_id, _ = _tp_projector_data()
     y = x
     for _ in range(max_iter):
         y = _project_psd(x + p)
@@ -375,10 +361,10 @@ def ml_projection(
         z = _project_tp(y + q)
         q = y + q - z
         step = float(np.linalg.norm(z - x))
-        residual = float(np.linalg.norm(m @ y.reshape(-1) - vec_id))
+        residual = _tp_residual(y)
         x = z
         if step < tol and residual < tol:
-            return ChiMatrix(y, trace_deficit=1.0 - float(y.trace().real))
+            return chi_of_choi(y)
     raise ProjectionError(
         f"no convergence after {max_iter} iterations (step {step:.2e},"
         f" residual {residual:.2e})"
@@ -405,11 +391,11 @@ def bootstrap_ci(
         raise ValueError("confidence must be in (0, 1)")
     if resamples < 2:
         raise ValueError("need at least two resamples")
-    ideal = chi_of_unitary(ideal_toffoli_unitary())
+    ideal = choi_of_unitary(ideal_toffoli_unitary()).matrix
     stats = []
     for b in range(resamples):
         values = _binomial_readout(task_rng(seed, b), records.shots, records.values)
-        stats.append(process_fidelity(chi_from_outputs(_outputs_of(values)), ideal))
+        stats.append(process_fidelity(_choi_from_values(values), ideal))
     alpha = 1.0 - confidence
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)

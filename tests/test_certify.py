@@ -17,7 +17,7 @@ from qutrit_toffoli.certify import (
 )
 from qutrit_toffoli.gates import QUTRIT3, XY_PULSE_NS, ideal_toffoli_unitary, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_choi, noisy_apply
-from qutrit_toffoli.register import PAULI, DensityOperator, computational_indices
+from qutrit_toffoli.register import PAULI, DensityOperator, choi_of_unitary, computational_indices
 from qutrit_toffoli.tomography import (
     _binomial_readout,
     chi_of_unitary,
@@ -111,6 +111,16 @@ def test_choi_of_channel_matches_ideal_construction():
     assert np.max(np.abs(choi.matrix - ideal_toffoli_choi().matrix)) < 1e-12
 
 
+def test_choi_of_unitary_matches_choi_of_channel():
+    rng = np.random.default_rng(35)
+    for _ in range(3):
+        unitary = random_unitary(8, rng)
+        expected = choi_of_channel(unitary_channel8(unitary)).matrix
+        assert np.max(np.abs(choi_of_unitary(unitary).matrix - expected)) < 1e-12
+    with pytest.raises(ValueError):
+        choi_of_unitary(np.eye(4))
+
+
 def test_choi_validation():
     with pytest.raises(ValueError):
         ChoiMatrix(np.triu(np.ones((64, 64))))  # not Hermitian
@@ -171,6 +181,11 @@ def test_pauli_string_validation():
         PauliString("IIQ", "III", 1.0)
     with pytest.raises(ValueError):
         PauliString("II", "III", 1.0)
+    for bad in ("", "iii", "IIII", "XYW", "I Z"):
+        with pytest.raises(ValueError):
+            PauliString("III", bad, 1.0)
+        with pytest.raises(ValueError):
+            choi_expectation_direct(ideal_toffoli_choi(), bad, "III")
 
 
 def test_eigenstate_protocol_matches_direct_contraction():

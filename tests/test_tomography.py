@@ -18,13 +18,16 @@ from qutrit_toffoli.register import (
     RegisterLayout,
     computational_indices,
 )
+import qutrit_toffoli.tomography as tomography
 from qutrit_toffoli.tomography import (
+    ChiMatrix,
     ProjectionError,
     Records,
     apply_chi,
     bootstrap_ci,
     chi_basis,
     chi_from_records,
+    chi_of_choi,
     chi_of_unitary,
     input_prep_labels,
     input_states,
@@ -35,7 +38,10 @@ from qutrit_toffoli.tomography import (
     process_tomography,
     standard_pauli_stack,
     state_tomography,
+    _choi_basis,
+    _choi_from_values,
     _input_qubit_matrices,
+    _project_tp,
 )
 
 
@@ -56,6 +62,20 @@ def random_cptp_kraus(dim, n_kraus, rng):
     big = rng.normal(size=(dim * n_kraus, dim)) + 1j * rng.normal(size=(dim * n_kraus, dim))
     q, _ = np.linalg.qr(big)  # columns orthonormal: sum_k K_k^dag K_k = 1
     return [q[k * dim : (k + 1) * dim, :] for k in range(n_kraus)]
+
+
+def random_cptp_choi(rng, n_kraus=3):
+    kraus = random_cptp_kraus(8, n_kraus, rng)
+    return choi_of_channel(lambda block: sum(k @ block @ k.conj().T for k in kraus))
+
+
+def random_hermitian(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2.0
+
+
+def trace_out(choi_matrix):
+    return choi_matrix.reshape(8, 8, 8, 8).trace(axis1=1, axis2=3)
 
 
 def unitary_choi(unitary8):
@@ -203,6 +223,58 @@ def test_process_tomography_recovers_generic_cptp_action():
         assert np.allclose(apply_chi(chi_dev, rho), device_qubit_block(rho), atol=1e-9)
 
 
+def test_choi_basis_is_unitary_and_matches_rank_one_chi():
+    w = _choi_basis()
+    assert np.max(np.abs(w.conj().T @ w - np.eye(64))) < 1e-12
+    rng = np.random.default_rng(28)
+    for unitary in (ideal_toffoli_unitary(), random_unitary(8, rng)):
+        coeffs = np.einsum("mab,ab->m", chi_basis().conj(), unitary) / 8.0
+        expected = np.outer(coeffs, coeffs.conj())
+        assert np.max(np.abs(chi_of_unitary(unitary).matrix - expected)) < 1e-12
+
+
+def test_linear_inversion_round_trip_in_both_bases():
+    for choi in (device_toffoli_choi(), random_cptp_choi(np.random.default_rng(29))):
+        records = measure_output_records(choi)
+        assert np.max(np.abs(_choi_from_values(records.values) - choi.matrix)) < 1e-12
+        chi = chi_from_records(records)
+        assert np.max(np.abs(chi.matrix - chi_of_choi(choi.matrix).matrix)) < 1e-12
+        assert chi.trace_deficit == pytest.approx(1.0 - choi.trace(), abs=1e-12)
+
+
+def test_project_tp_is_the_orthogonal_projection_onto_tp_choi_matrices():
+    rng = np.random.default_rng(30)
+    choi = random_hermitian(64, rng) / 64.0
+    out = _project_tp(choi)
+    assert np.max(np.abs(_project_tp(out) - out)) < 1e-12
+    assert np.max(np.abs(trace_out(out) - np.eye(8) / 8.0)) < 1e-12
+    for _ in range(5):
+        direction = random_hermitian(64, rng)
+        direction -= np.kron(trace_out(direction), np.eye(8) / 8.0)
+        assert np.max(np.abs(trace_out(direction))) < 1e-12
+        assert abs(np.vdot(choi - out, direction)) < 1e-12
+
+
+def test_tp_residual_is_the_chi_basis_trace_condition():
+    rng = np.random.default_rng(31)
+    basis = chi_basis()
+    for chi in (random_hermitian(64, rng) / 64.0, chi_of_unitary(random_unitary(8, rng)).matrix):
+        # sum_mn chi_mn B_n^dag B_m is the identity for a trace-preserving chi
+        direct = np.einsum("mn,nba,mbc->ac", chi, basis.conj(), basis)
+        expected = np.linalg.norm(direct - np.eye(8))
+        assert ChiMatrix(chi).tp_residual() == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+
+def test_process_fidelity_is_the_same_in_chi_and_choi_bases():
+    rng = np.random.default_rng(32)
+    a, b = random_cptp_choi(rng, 2), random_cptp_choi(rng, 2)
+    in_choi = process_fidelity(a.matrix, b.matrix)
+    assert in_choi == pytest.approx(np.trace(a.matrix @ b.matrix).real, abs=1e-15)
+    assert process_fidelity(chi_of_choi(a.matrix), chi_of_choi(b.matrix)) == pytest.approx(
+        in_choi, abs=1e-15
+    )
+
+
 def record_value(records, input_label, pauli_label):
     i = input_prep_labels().index(input_label)
     p = pauli_labels().index(pauli_label)
@@ -280,13 +352,24 @@ def test_ml_projection_restores_physicality():
 
 
 def test_ml_projection_trace_change_on_tp_class_input():
-    from qutrit_toffoli.tomography import _project_tp
-
-    chi = process_tomography(device_toffoli_choi(), shots=700, seed=13)
-    tp_input = _project_tp(np.array(chi.matrix))
-    before = float(tp_input.trace().real)
+    records = measure_output_records(device_toffoli_choi(), shots=700, seed=13)
+    tp_input = chi_of_choi(_project_tp(_choi_from_values(records.values)))
+    assert tp_input.tp_residual() < 1e-12
+    before = tp_input.trace()
     projected = ml_projection(tp_input, tol=1e-10)
     assert abs(projected.trace() - before) < 1e-10
+
+
+@pytest.mark.parametrize("shots, iterations", [(1000, 154), (100, 265)])
+def test_ml_projection_iteration_counts(monkeypatch, shots, iterations):
+    # W is unitary, so the loop takes as many steps as it would on chi
+    calls = []
+    project_psd = tomography._project_psd
+    monkeypatch.setattr(
+        tomography, "_project_psd", lambda m: calls.append(None) or project_psd(m)
+    )
+    ml_projection(process_tomography(device_toffoli_choi(), shots=shots, seed=5))
+    assert len(calls) == iterations
 
 
 def test_ml_projection_is_nearest_feasible_point():

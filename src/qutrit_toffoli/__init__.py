@@ -10,15 +10,11 @@ handful of Pauli correlations.
 
 from .register import (
     ChoiMatrix,
-    DensityOperator,
     LocalOperator,
     RegisterLayout,
     StateVector,
     computational_indices,
     embed,
-    expectation,
-    partial_trace,
-    truncate_to_qubits,
 )
 from .gates import (
     Circuit,
@@ -41,14 +37,12 @@ from .noise import (
     amplitude_damping_qutrit,
     circuit_choi,
     dephasing_qutrit,
-    noisy_apply,
     tphi_from_t2star,
 )
 from .tomography import (
     ChiMatrix,
     ProjectionError,
     Records,
-    apply_chi,
     bootstrap_ci,
     chi_of_unitary,
     chi_from_records,
@@ -56,7 +50,6 @@ from .tomography import (
     ml_projection,
     process_fidelity,
     process_tomography,
-    state_tomography,
 )
 from .certify import (
     FidelityEstimate,
@@ -74,7 +67,6 @@ __all__ = [
     "Circuit",
     "ChiMatrix",
     "ChoiMatrix",
-    "DensityOperator",
     "DeviceParams",
     "FidelityEstimate",
     "GateOp",
@@ -89,7 +81,6 @@ __all__ = [
     "TruthTable",
     "align_global_phase",
     "amplitude_damping_qutrit",
-    "apply_chi",
     "bootstrap_ci",
     "ccphase_circuit",
     "chi_from_records",
@@ -102,22 +93,17 @@ __all__ = [
     "embed",
     "enumerate_relevant_paulis",
     "exhaustive_fidelity",
-    "expectation",
     "ideal_toffoli_choi",
     "ideal_toffoli_unitary",
     "measure_output_records",
     "ml_projection",
     "monte_carlo_fidelity",
-    "noisy_apply",
-    "partial_trace",
     "process_fidelity",
     "process_tomography",
     "rotation_single",
-    "state_tomography",
     "subspace_rotation",
     "toffoli_circuit",
     "tphi_from_t2star",
-    "truncate_to_qubits",
     "truth_table",
     "truth_table_fidelity",
 ]

@@ -40,7 +40,6 @@ import numpy as np
 from .register import (
     ATOL,
     ChoiMatrix,
-    DensityOperator,
     RegisterLayout,
     computational_indices,
     embed,
@@ -172,23 +171,6 @@ class KrausChannel:
         if np.max(np.abs(total - np.eye(3))) >= ATOL:
             raise ValueError("Kraus operators do not resolve the identity")
         object.__setattr__(self, "operators", tuple(ops))
-
-    def apply(self, rho3: np.ndarray) -> np.ndarray:
-        out = np.zeros((3, 3), dtype=complex)
-        for k in self.operators:
-            out += k @ rho3 @ k.conj().T
-        return out
-
-    def choi(self) -> np.ndarray:
-        """Normalized input (x) output Choi state; PSD iff the map is CP."""
-        dim = 3
-        choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for i in range(dim):
-            for j in range(dim):
-                unit = np.zeros((dim, dim), dtype=complex)
-                unit[i, j] = 1.0
-                choi += np.kron(unit, self.apply(unit))
-        return choi / dim
 
 
 @functools.lru_cache(maxsize=4096)
@@ -342,21 +324,6 @@ def _evolve(
     if model is not None:
         out = decohere(out, circuit.layout, model, meas_window_ns)
     return out
-
-
-def noisy_apply(
-    circuit: Circuit,
-    state: DensityOperator,
-    model: NoiseModel | None,
-    *,
-    prep_window_ns: float = 0.0,
-    meas_window_ns: float = 0.0,
-) -> DensityOperator:
-    """Run ``state`` through the circuit with decoherence between pulses."""
-    if state.layout != circuit.layout:
-        raise ValueError("state layout does not match circuit layout")
-    out = _evolve(state.matrix, circuit, model, prep_window_ns, meas_window_ns)
-    return DensityOperator(circuit.layout, out, subnormalized=state.subnormalized)
 
 
 def circuit_choi(

@@ -6,8 +6,13 @@ flattened state array (row-major composition).  For a three-qutrit register
 the ket |abc> therefore sits at flat index 9a + 3b + c, and for three qubits
 at 4a + 2b + c.
 
-All operators and states are plain complex numpy arrays wrapped in small
-container types that validate their defining invariants on construction.
+The module holds what the rest of the package builds on: register layouts,
+local operators and their embedding into the full register, normalized pure
+states (used to trace the noiseless pulse sequence), and ``ChoiMatrix``, the
+one representation of a three-qubit channel that truth tables, tomography
+and certification all read.  Operators, states and Choi matrices are plain
+complex numpy arrays wrapped in small container types that validate their
+defining invariants, finiteness included, on construction.
 """
 
 from __future__ import annotations
@@ -21,10 +26,8 @@ import numpy as np
 SITE_NAMES = "ABCDEF"
 MAX_SITES = len(SITE_NAMES)
 
-# Default tolerances: algebraic identities are trusted to ten digits,
-# eigenvalue positivity to eight (matching what eigh delivers at this size).
+# Default tolerance: algebraic identities are trusted to ten digits.
 ATOL = 1e-10
-PSD_ATOL = 1e-8
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -153,9 +156,6 @@ class LocalOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "LocalOperator":
-        return LocalOperator(self.targets, self.matrix.conj().T)
-
 
 def embed(op: LocalOperator, layout: RegisterLayout) -> np.ndarray:
     """Matrix of ``op`` on the full register, identity on untouched sites."""
@@ -212,74 +212,6 @@ class StateVector:
         new = embed(op, self.layout) @ self.amplitudes
         return StateVector(self.layout, new)
 
-    def density(self) -> "DensityOperator":
-        return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def amplitude(self, digits) -> complex:
-        return complex(self.amplitudes[self.layout.basis_index(digits)])
-
-
-class DensityOperator:
-    """Hermitian, positive-semidefinite state matrix on a register.
-
-    ``subnormalized=True`` admits any trace in [0, 1]; otherwise the trace
-    must equal 1.  ``validate=False`` skips the Hermiticity/positivity/trace
-    checks and is reserved for raw statistical estimates that are allowed to
-    sit slightly outside the physical set.
-    """
-
-    __slots__ = ("layout", "matrix", "subnormalized")
-
-    def __init__(
-        self,
-        layout: RegisterLayout,
-        matrix,
-        *,
-        subnormalized: bool = False,
-        validate: bool = True,
-        atol: float = ATOL,
-        psd_atol: float = PSD_ATOL,
-    ):
-        mat = _readonly_complex(matrix, "density matrix")
-        if mat.shape != (layout.dim, layout.dim):
-            raise ValueError(f"expected shape {(layout.dim, layout.dim)}, got {mat.shape}")
-        if validate:
-            if np.max(np.abs(mat - mat.conj().T)) >= atol:
-                raise ValueError("density matrix is not Hermitian")
-            tr = mat.trace()
-            if abs(tr.imag) >= atol:
-                raise ValueError("density matrix trace is not real")
-            if subnormalized:
-                if not -atol < tr.real <= 1.0 + atol:
-                    raise ValueError(f"subnormalized trace {tr.real} outside [0, 1]")
-            elif abs(tr.real - 1.0) >= atol:
-                raise ValueError(f"trace {tr.real} deviates from 1 by >= {atol}")
-            lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo <= -psd_atol:
-                raise ValueError(f"minimum eigenvalue {lo} below -{psd_atol}")
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "subnormalized", bool(subnormalized))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityOperator is immutable")
-
-    def __repr__(self) -> str:
-        return (
-            f"DensityOperator(dims={self.layout.dims}, trace={self.trace():.6f},"
-            f" subnormalized={self.subnormalized})"
-        )
-
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
-
-    def purity(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
-
-    def population(self, digits) -> float:
-        i = self.layout.basis_index(digits)
-        return float(self.matrix[i, i].real)
-
 
 class ChoiMatrix:
     """Normalized input (x) output state of a three-qubit channel.
@@ -291,7 +223,7 @@ class ChoiMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, atol: float = ATOL):
-        mat = np.array(matrix, dtype=complex)
+        mat = _readonly_complex(matrix, "Choi matrix")
         if mat.shape != (64, 64):
             raise ValueError("expected a 64x64 matrix")
         if np.max(np.abs(mat - mat.conj().T)) >= atol:
@@ -302,7 +234,6 @@ class ChoiMatrix:
         tr = float(mat.trace().real)
         if tr >= 1.0 + atol:
             raise ValueError(f"trace {tr} exceeds 1")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     def __setattr__(self, name, value):
@@ -327,28 +258,6 @@ def choi_of_unitary(unitary8) -> ChoiMatrix:
     return ChoiMatrix(np.outer(phi, phi.conj()))
 
 
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out all sites except ``keep``; kept sites stay in register order."""
-    layout = rho.layout
-    kept = sorted({layout.site(s) for s in keep})
-    if not kept:
-        raise ValueError("must keep at least one site")
-    n = layout.n_sites
-    tensor = rho.matrix.reshape(layout.dims + layout.dims)
-    letters = "abcdefghijkl"
-    ket = list(letters[:n])
-    bra = [letters[n + i] if i in kept else letters[i] for i in range(n)]
-    out = [letters[i] for i in kept] + [letters[n + i] for i in kept]
-    sub = "".join(ket + bra) + "->" + "".join(out)
-    d = prod(layout.dims[s] for s in kept)
-    reduced = np.einsum(sub, tensor).reshape(d, d)
-    return DensityOperator(
-        RegisterLayout(tuple(layout.dims[s] for s in kept)),
-        reduced,
-        subnormalized=rho.subnormalized,
-    )
-
-
 def computational_indices(layout: RegisterLayout) -> np.ndarray:
     """Flat indices of basis kets with every site in level 0 or 1.
 
@@ -357,35 +266,3 @@ def computational_indices(layout: RegisterLayout) -> np.ndarray:
     """
     combos = itertools.product(*[range(2) for _ in layout.dims])
     return np.array([layout.basis_index(c) for c in combos], dtype=int)
-
-
-def truncate_to_qubits(rho: DensityOperator) -> tuple[DensityOperator, float]:
-    """Project onto the two lowest levels of every site.
-
-    Returns the (generally subnormalized) qubit-register block together with
-    the leaked weight 1 - Tr[block].
-    """
-    layout = rho.layout
-    if any(d != 3 for d in layout.dims):
-        raise ValueError("truncation requires a register of three-level sites")
-    idx = computational_indices(layout)
-    block = rho.matrix[np.ix_(idx, idx)]
-    leakage = max(0.0, 1.0 - float(block.trace().real))
-    reduced = DensityOperator(
-        RegisterLayout.qubits(layout.n_sites),
-        block,
-        subnormalized=True,
-    )
-    return reduced, leakage
-
-
-def expectation(rho: DensityOperator, observable: LocalOperator, *, atol: float = ATOL) -> float:
-    """Real expectation value Tr[rho O] of a Hermitian observable."""
-    mat = observable.matrix
-    if np.max(np.abs(mat - mat.conj().T)) >= atol:
-        raise ValueError("observable is not Hermitian")
-    full = embed(observable, rho.layout)
-    value = complex(np.trace(rho.matrix @ full))
-    if abs(value.imag) >= 1e-10:
-        raise ValueError(f"expectation value has imaginary part {value.imag}")
-    return float(value.real)

@@ -26,16 +26,8 @@ from math import pi
 
 import numpy as np
 
-from .gates import QUBIT3, QUTRIT3, ideal_toffoli_unitary, rotation_matrix_qutrit
-from .register import (
-    ATOL,
-    PAULI,
-    ChoiMatrix,
-    DensityOperator,
-    StateVector,
-    choi_of_unitary,
-    computational_indices,
-)
+from .gates import ideal_toffoli_unitary, rotation_matrix_qutrit
+from .register import ATOL, PAULI, ChoiMatrix, _readonly_complex, choi_of_unitary
 
 PREP_LABELS = ("id", "x90", "y90", "x180")
 PAULI_AXES = "IXYZ"
@@ -85,25 +77,15 @@ def _prep_matrix(label: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def input_states() -> tuple[StateVector, ...]:
-    """The 64 preparation states on the qutrit register, A-major order."""
-    states = []
-    for combo in itertools.product(PREP_LABELS, repeat=3):
-        full = np.kron(
-            np.kron(_prep_matrix(combo[0]), _prep_matrix(combo[1])),
-            _prep_matrix(combo[2]),
-        )
-        states.append(StateVector(QUTRIT3, full[:, 0]))
-    return tuple(states)
-
-
-@functools.lru_cache(maxsize=1)
 def _input_qubit_matrices() -> np.ndarray:
-    """Ideal 8x8 input density matrices (preparations never leave levels 0-1)."""
-    idx = computational_indices(QUTRIT3)
+    """Ideal 8x8 input density matrices, A-major order.
+
+    Every preparation pulse maps |0> into levels 0-1, so each input is the
+    product of the pulses' first columns truncated to two levels.
+    """
     mats = []
-    for state in input_states():
-        amps = state.amplitudes[idx]
+    for combo in itertools.product(PREP_LABELS, repeat=3):
+        amps = functools.reduce(np.kron, [_prep_matrix(label)[:2, 0] for label in combo])
         mats.append(np.outer(amps, amps.conj()))
     stack = np.stack(mats)
     stack.setflags(write=False)
@@ -176,30 +158,6 @@ def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> R
     return Records(values, shots)
 
 
-def state_tomography(
-    state: DensityOperator, shots: int = 0, seed: int = 0
-) -> DensityOperator:
-    """Reconstruct the qubit block of ``state`` from Pauli measurements.
-
-    Exact mode reproduces the block itself; with shots the estimate carries
-    statistical noise and is not guaranteed positive, so validation is off.
-    """
-    if state.layout == QUTRIT3:
-        idx = computational_indices(QUTRIT3)
-        block = state.matrix[np.ix_(idx, idx)]
-    elif state.layout == QUBIT3:
-        block = state.matrix
-    else:
-        raise ValueError("expected a three-site qubit or qutrit state")
-    exact = np.einsum("ab,pba->p", block, standard_pauli_stack()).real
-    if shots:
-        exact = _binomial_readout(task_rng(seed, 0), shots, exact)
-    mat = np.einsum("p,pab->ab", exact, standard_pauli_stack()) / 8.0
-    return DensityOperator(
-        QUBIT3, mat, subnormalized=True, validate=(shots == 0)
-    )
-
-
 class ChiMatrix:
     """Process matrix in the real product basis.
 
@@ -213,12 +171,11 @@ class ChiMatrix:
     __slots__ = ("matrix", "trace_deficit")
 
     def __init__(self, matrix, *, trace_deficit: float = 0.0, atol: float = ATOL):
-        mat = np.array(matrix, dtype=complex)
+        mat = _readonly_complex(matrix, "chi matrix")
         if mat.shape != (64, 64):
             raise ValueError("chi matrix must be 64x64")
         if np.max(np.abs(mat - mat.conj().T)) >= atol:
             raise ValueError("chi matrix must be Hermitian")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "trace_deficit", float(trace_deficit))
 
@@ -239,13 +196,6 @@ class ChiMatrix:
     def tp_residual(self) -> float:
         """Frobenius distance of sum_mn chi_mn B_n^dag B_m from the identity."""
         return _tp_residual(_choi_basis() @ self.matrix @ _choi_basis().conj().T)
-
-
-def apply_chi(chi: ChiMatrix | np.ndarray, rho8: np.ndarray) -> np.ndarray:
-    """Evaluate the channel described by ``chi`` on an 8x8 matrix."""
-    mat = chi.matrix if isinstance(chi, ChiMatrix) else np.asarray(chi)
-    basis = chi_basis()
-    return np.einsum("mn,mab,bc,ndc->ad", mat, basis, rho8, basis.conj())
 
 
 @functools.lru_cache(maxsize=1)
@@ -345,9 +295,10 @@ def ml_projection(
     so its eigenvalues are exactly non-negative while the trace constraint
     holds to within ``tol``.  The iterates are Choi matrices J = W chi W^dag:
     W is unitary, so the Frobenius metric and the positive cone are the same
-    in both bases, and trace preservation reads Tr_out J = I/8.
+    in both bases, and trace preservation reads Tr_out J = I/8.  A
+    non-finite input raises ValueError before the first iteration.
     """
-    start = chi.matrix if isinstance(chi, ChiMatrix) else np.asarray(chi, dtype=complex)
+    start = chi.matrix if isinstance(chi, ChiMatrix) else _readonly_complex(chi, "chi matrix")
     if start.shape != (64, 64):
         raise ValueError("chi matrix must be 64x64")
     w = _choi_basis()

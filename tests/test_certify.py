@@ -15,9 +15,9 @@ from qutrit_toffoli.certify import (
     ideal_toffoli_choi,
     monte_carlo_fidelity,
 )
-from qutrit_toffoli.gates import QUTRIT3, XY_PULSE_NS, ideal_toffoli_unitary, toffoli_circuit
-from qutrit_toffoli.noise import NoiseModel, circuit_choi, noisy_apply
-from qutrit_toffoli.register import PAULI, DensityOperator, choi_of_unitary, computational_indices
+from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
+from qutrit_toffoli.noise import NoiseModel, circuit_choi
+from qutrit_toffoli.register import PAULI, choi_of_unitary
 from qutrit_toffoli.tomography import (
     _binomial_readout,
     chi_of_unitary,
@@ -25,6 +25,8 @@ from qutrit_toffoli.tomography import (
     process_fidelity,
     process_tomography,
 )
+
+from _oracle import device_channel8
 
 
 def random_unitary(dim, rng):
@@ -79,21 +81,6 @@ def oracle_readout(channel, in_labels, out_labels):
     return np.array(readout), np.array(eigenvalues)
 
 
-def device_channel8(rho8):
-    """Qubit block of the noisy cycle, evolved state by state."""
-    idx = computational_indices(QUTRIT3)
-    rho27 = np.zeros((27, 27), dtype=complex)
-    rho27[np.ix_(idx, idx)] = rho8
-    out = noisy_apply(
-        toffoli_circuit(),
-        DensityOperator(QUTRIT3, rho27),
-        NoiseModel.from_device(),
-        prep_window_ns=XY_PULSE_NS,
-        meas_window_ns=XY_PULSE_NS,
-    )
-    return out.matrix[np.ix_(idx, idx)]
-
-
 @functools.lru_cache(maxsize=1)
 def device_choi():
     return circuit_choi(toffoli_circuit(), NoiseModel.from_device())
@@ -128,6 +115,16 @@ def test_choi_validation():
         ChoiMatrix(-np.eye(64) / 64)  # negative
     with pytest.raises(ValueError):
         ChoiMatrix(np.eye(64))  # trace 64
+    for bad in (np.nan, np.inf, complex(0, np.inf)):
+        matrix = np.eye(64, dtype=complex) / 64
+        matrix[5, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ChoiMatrix(matrix)
+    choi = ideal_toffoli_choi()
+    with pytest.raises(AttributeError):
+        choi.matrix = np.eye(64) / 64
+    with pytest.raises(ValueError):
+        choi.matrix[0, 0] = 0.5  # read-only
 
 
 def test_choi_trace_below_one_for_leaky_channel():

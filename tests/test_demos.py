@@ -1,4 +1,4 @@
-"""Smoke test: the demo scripts run to completion against the package."""
+"""Smoke tests: the demo scripts and the README tour run against the package."""
 
 import os
 import subprocess
@@ -30,3 +30,10 @@ def test_demo_runs(script):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md#library-tour", "exec"), {})

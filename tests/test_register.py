@@ -1,28 +1,16 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from qutrit_toffoli.register import (
     PAULI,
-    DensityOperator,
     LocalOperator,
     RegisterLayout,
     StateVector,
     computational_indices,
     embed,
-    expectation,
-    partial_trace,
-    truncate_to_qubits,
 )
 
 RNG = np.random.default_rng(20240817)
-
-
-def random_density(dim: int, rng=RNG) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / rho.trace()
 
 
 def random_unitary(dim: int, rng=RNG) -> np.ndarray:
@@ -148,130 +136,9 @@ def test_embed_validation():
         LocalOperator((0,), np.ones((2, 3)))  # not square
 
 
-def test_partial_trace_matches_loop_oracle():
-    layout = RegisterLayout.qutrits(3)
-    rho = DensityOperator(layout, random_density(27))
-    reduced = partial_trace(rho, (0, 2))
-    oracle = np.zeros((9, 9), dtype=complex)
-    for a, c, a2, c2 in itertools.product(range(3), repeat=4):
-        for b in range(3):
-            oracle[3 * a + c, 3 * a2 + c2] += rho.matrix[
-                layout.basis_index((a, b, c)), layout.basis_index((a2, b, c2))
-            ]
-    assert np.allclose(reduced.matrix, oracle, atol=1e-12)
-    assert reduced.layout.dims == (3, 3)
-    assert abs(reduced.trace() - 1.0) < 1e-12
-
-
-def test_partial_trace_product_state():
-    rho_ab = random_density(9)
-    rho_c = random_density(3)
-    rho = DensityOperator(RegisterLayout.qutrits(3), np.kron(rho_ab, rho_c))
-    kept = partial_trace(rho, ("A", "B"))
-    assert np.allclose(kept.matrix, rho_ab, atol=1e-12)
-    kept_c = partial_trace(rho, ("C",))
-    assert np.allclose(kept_c.matrix, rho_c, atol=1e-12)
-
-
-def test_partial_trace_keep_order_is_register_order():
-    rho = DensityOperator(RegisterLayout.qutrits(3), random_density(27))
-    assert np.allclose(
-        partial_trace(rho, (2, 0)).matrix, partial_trace(rho, (0, 2)).matrix
-    )
-    with pytest.raises(ValueError):
-        partial_trace(rho, ())
-
-
 def test_computational_indices_order():
     idx = computational_indices(RegisterLayout.qutrits(3))
     assert idx.tolist() == [0, 1, 3, 4, 9, 10, 12, 13]
-
-
-def test_truncate_subspace_state_is_lossless():
-    block = random_density(8)
-    layout = RegisterLayout.qutrits(3)
-    full = np.zeros((27, 27), dtype=complex)
-    idx = computational_indices(layout)
-    full[np.ix_(idx, idx)] = block
-    reduced, leakage = truncate_to_qubits(DensityOperator(layout, full))
-    assert np.allclose(reduced.matrix, block, atol=1e-12)
-    assert leakage < 1e-12
-
-
-def test_truncate_fully_leaked_state():
-    layout = RegisterLayout.qutrits(3)
-    state = StateVector.computational(layout, (2, 0, 0))
-    # the i|200> intermediate of the |110> trajectory: same populations
-    phased = StateVector(layout, 1j * state.amplitudes)
-    reduced, leakage = truncate_to_qubits(phased.density())
-    assert np.allclose(reduced.matrix, 0.0, atol=1e-12)
-    assert abs(leakage - 1.0) < 1e-12
-
-
-def test_truncate_partial_leakage():
-    layout = RegisterLayout.qutrits(3)
-    half = 0.5 * np.outer(*(2 * [np.eye(27)[0]])) + 0.5 * np.outer(
-        *(2 * [np.eye(27)[18]])
-    )  # |000> and |200>
-    reduced, leakage = truncate_to_qubits(DensityOperator(layout, half))
-    assert abs(leakage - 0.5) < 1e-12
-    assert abs(reduced.trace() - 0.5) < 1e-12
-    assert reduced.subnormalized
-
-
-def test_truncate_requires_qutrits():
-    rho = DensityOperator(RegisterLayout.qubits(3), random_density(8))
-    with pytest.raises(ValueError):
-        truncate_to_qubits(rho)
-
-
-def test_truncate_basis_map():
-    layout = RegisterLayout.qutrits(3)
-    rho = StateVector.computational(layout, (0, 1, 1)).density()
-    reduced, _ = truncate_to_qubits(rho)
-    assert abs(reduced.population((0, 1, 1)) - 1.0) < 1e-12
-
-
-def test_expectation_ghz_correlations():
-    layout = RegisterLayout.qubits(3)
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = amps[7] = 1 / np.sqrt(2)
-    rho = StateVector(layout, amps).density()
-    xxx = LocalOperator((0, 1, 2), np.kron(np.kron(PAULI["X"], PAULI["X"]), PAULI["X"]))
-    zz = LocalOperator((0, 1), np.kron(PAULI["Z"], PAULI["Z"]))
-    z = LocalOperator((0,), PAULI["Z"])
-    yyx = LocalOperator((0, 1, 2), np.kron(np.kron(PAULI["Y"], PAULI["Y"]), PAULI["X"]))
-    assert abs(expectation(rho, xxx) - 1.0) < 1e-12
-    assert abs(expectation(rho, zz) - 1.0) < 1e-12
-    assert abs(expectation(rho, z)) < 1e-12
-    assert abs(expectation(rho, yyx) + 1.0) < 1e-12
-
-
-def test_expectation_rejects_non_hermitian():
-    rho = DensityOperator(RegisterLayout.qubits(1), np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        expectation(rho, LocalOperator((0,), np.array([[0, 1], [0, 0]])))
-
-
-def test_pauli_reconstruction_property():
-    # rho = (1/2^n) sum_P <P> P over the full product-Pauli set
-    rng = np.random.default_rng(7)
-    for n in (2, 3):
-        layout = RegisterLayout.qubits(n)
-        paulis = [
-            tuple(combo)
-            for combo in itertools.product("IXYZ", repeat=n)
-        ]
-        for _ in range(5):
-            rho = DensityOperator(layout, random_density(2**n, rng))
-            acc = np.zeros((2**n, 2**n), dtype=complex)
-            for combo in paulis:
-                mat = np.array([[1]], dtype=complex)
-                for c in combo:
-                    mat = np.kron(mat, PAULI[c])
-                val = expectation(rho, LocalOperator(tuple(range(n)), mat))
-                acc += val * mat
-            assert np.allclose(acc / 2**n, rho.matrix, atol=1e-10)
 
 
 def test_state_vector_normalization_guard():
@@ -286,32 +153,11 @@ def test_state_vector_normalization_guard():
 def test_state_vector_apply_and_density():
     layout = RegisterLayout.qutrits(3)
     state = StateVector.computational(layout, (1, 1, 0))
-    rho = state.density()
-    assert abs(rho.population((1, 1, 0)) - 1.0) < 1e-15
-    assert abs(rho.purity() - 1.0) < 1e-12
-
-
-def test_density_operator_validation():
-    layout = RegisterLayout.qubits(1)
-    with pytest.raises(ValueError):
-        DensityOperator(layout, np.array([[1, 1], [0, 0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityOperator(layout, np.array([[2, 0], [0, -1]]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        DensityOperator(layout, np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        DensityOperator(layout, np.eye(2), subnormalized=True)
-    half = DensityOperator(layout, np.eye(2) / 4, subnormalized=True)
-    assert abs(half.trace() - 0.5) < 1e-12
-    # estimates may violate positivity when explicitly unvalidated
-    skewed = np.array([[1.05, 0], [0, -0.05]])
-    est = DensityOperator(layout, skewed, validate=False)
-    assert abs(est.trace() - 1.0) < 1e-12
-
-
-def test_density_operator_immutable():
-    rho = DensityOperator(RegisterLayout.qubits(1), np.eye(2) / 2)
-    with pytest.raises(AttributeError):
-        rho.matrix = np.eye(2)
-    with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 5.0
+    target = layout.basis_index((1, 1, 0))
+    assert state.amplitudes[target] == 1.0
+    assert np.count_nonzero(state.amplitudes) == 1
+    # a level 0 <-> 1 swap on site C moves the amplitude to |111>
+    swap01 = LocalOperator((2,), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    flipped = state.apply(swap01).amplitudes
+    assert abs(flipped[layout.basis_index((1, 1, 1))] - 1.0) < 1e-15
+    assert np.linalg.norm(flipped) == pytest.approx(1.0, abs=1e-12)

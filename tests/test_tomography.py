@@ -1,48 +1,38 @@
 import functools
-import itertools
 
 import numpy as np
 import pytest
 
 from qutrit_toffoli.certify import choi_of_channel
-from qutrit_toffoli.gates import (
-    QUTRIT3,
-    XY_PULSE_NS,
-    ideal_toffoli_unitary,
-    toffoli_circuit,
-)
-from qutrit_toffoli.noise import NoiseModel, circuit_choi, noisy_apply
-from qutrit_toffoli.register import (
-    PAULI,
-    DensityOperator,
-    RegisterLayout,
-    computational_indices,
-)
+from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
+from qutrit_toffoli.noise import NoiseModel, circuit_choi
+from qutrit_toffoli.register import PAULI
 import qutrit_toffoli.tomography as tomography
 from qutrit_toffoli.tomography import (
+    PREP_LABELS,
     ChiMatrix,
     ProjectionError,
     Records,
-    apply_chi,
     bootstrap_ci,
     chi_basis,
     chi_from_records,
     chi_of_choi,
     chi_of_unitary,
     input_prep_labels,
-    input_states,
     measure_output_records,
     ml_projection,
     pauli_labels,
     process_fidelity,
     process_tomography,
     standard_pauli_stack,
-    state_tomography,
     _choi_basis,
     _choi_from_values,
     _input_qubit_matrices,
+    _prep_matrix,
     _project_tp,
 )
+
+from _oracle import device_channel8
 
 
 def random_unitary(dim, rng):
@@ -87,19 +77,10 @@ def device_toffoli_choi():
     return circuit_choi(toffoli_circuit(), NoiseModel.from_device())
 
 
-def device_qubit_block(rho8):
-    """Single-state oracle: the qubit block of the noisy cycle on ``rho8``."""
-    idx = computational_indices(QUTRIT3)
-    rho27 = np.zeros((27, 27), dtype=complex)
-    rho27[np.ix_(idx, idx)] = rho8
-    out = noisy_apply(
-        toffoli_circuit(),
-        DensityOperator(QUTRIT3, rho27),
-        NoiseModel.from_device(),
-        prep_window_ns=XY_PULSE_NS,
-        meas_window_ns=XY_PULSE_NS,
-    )
-    return out.matrix[np.ix_(idx, idx)]
+def chi_apply(chi, rho8):
+    """E(rho) = sum_mn chi_mn B_m rho B_n^dag over the ``chi_basis()`` matrices."""
+    basis = chi_basis()
+    return np.einsum("mn,mab,bc,ndc->ad", chi.matrix, basis, rho8, basis.conj())
 
 
 def test_basis_orthogonality_and_reality():
@@ -135,20 +116,17 @@ def test_standard_stack_differs_only_in_y():
 
 
 def test_input_states_cover_all_preparations():
-    states = input_states()
+    stack = _input_qubit_matrices()
     labels = input_prep_labels()
-    assert len(states) == 64 and len(labels) == 64
-    # x180 on site A only: |100> up to the rotation's global phase
-    idx = labels.index("x180.id.id")
-    amps = states[idx].amplitudes
-    target = QUTRIT3.basis_index((1, 0, 0))
-    assert abs(abs(amps[target]) - 1.0) < 1e-12
-    assert np.linalg.norm(np.delete(amps, target)) < 1e-12
+    assert stack.shape == (64, 8, 8) and len(labels) == 64
+    # x180 on site A only: |100><100|, the rotation's global phase cancels
+    rho = stack[labels.index("x180.id.id")]
+    target = np.zeros((8, 8))
+    target[4, 4] = 1.0
+    assert np.max(np.abs(rho - target)) < 1e-12
     # preparations never populate level 2
-    for state in states:
-        for i, a in enumerate(state.amplitudes):
-            if 2 in QUTRIT3.basis_digits(i):
-                assert abs(a) < 1e-15
+    for label in PREP_LABELS:
+        assert _prep_matrix(label)[2, 0] == 0
 
 
 def test_input_matrices_are_well_conditioned():
@@ -182,7 +160,7 @@ def test_apply_chi_reproduces_unitary_conjugation():
         chi = chi_of_unitary(unitary)
         rho = random_density(8, rng)
         assert np.allclose(
-            apply_chi(chi, rho), unitary @ rho @ unitary.conj().T, atol=1e-10
+            chi_apply(chi, rho), unitary @ rho @ unitary.conj().T, atol=1e-10
         )
 
 
@@ -215,12 +193,12 @@ def test_process_tomography_recovers_generic_cptp_action():
     chi = process_tomography(choi_of_channel(apply8))
     for _ in range(10):
         rho = random_density(8, rng)
-        assert np.allclose(apply_chi(chi, rho), apply8(rho), atol=1e-9)
+        assert np.allclose(chi_apply(chi, rho), apply8(rho), atol=1e-9)
 
     chi_dev = process_tomography(device_toffoli_choi())
     for _ in range(5):
         rho = random_density(8, rng)
-        assert np.allclose(apply_chi(chi_dev, rho), device_qubit_block(rho), atol=1e-9)
+        assert np.allclose(chi_apply(chi_dev, rho), device_channel8(rho), atol=1e-9)
 
 
 def test_choi_basis_is_unitary_and_matches_rank_one_chi():
@@ -306,26 +284,6 @@ def test_records_shot_mode_is_deterministic_and_consistent():
     assert worst < 6.0 / np.sqrt(400)
 
 
-def test_state_tomography_exact_matches_block():
-    rng = np.random.default_rng(24)
-    rho27 = random_density(27, rng)
-    state = DensityOperator(QUTRIT3, rho27)
-    estimate = state_tomography(state)
-    idx = computational_indices(QUTRIT3)
-    assert np.allclose(estimate.matrix, rho27[np.ix_(idx, idx)], atol=1e-10)
-    assert estimate.subnormalized
-
-
-def test_state_tomography_shot_mode():
-    rng = np.random.default_rng(25)
-    state = DensityOperator(RegisterLayout.qubits(3), random_density(8, rng))
-    est1 = state_tomography(state, shots=500, seed=4)
-    est2 = state_tomography(state, shots=500, seed=4)
-    assert np.allclose(est1.matrix, est2.matrix)
-    assert np.max(np.abs(est1.matrix - state.matrix)) < 0.2
-    assert np.max(np.abs(est1.matrix - est1.matrix.conj().T)) < 1e-12
-
-
 def test_chi_hermiticity_guard():
     from qutrit_toffoli.tomography import ChiMatrix
 
@@ -333,6 +291,25 @@ def test_chi_hermiticity_guard():
         ChiMatrix(np.triu(np.ones((64, 64))))
     with pytest.raises(ValueError):
         ChiMatrix(np.eye(8))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "imag-nan"]
+)
+def test_non_finite_chi_fails_at_once(monkeypatch, bad):
+    matrix = np.zeros((64, 64), dtype=complex)
+    matrix[3, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ChiMatrix(matrix)
+    calls = []
+    project_psd = tomography._project_psd
+    monkeypatch.setattr(
+        tomography, "_project_psd", lambda m: calls.append(None) or project_psd(m)
+    )
+    for start in (matrix, np.full((64, 64), bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            ml_projection(start)
+    assert len(calls) == 0
 
 
 def test_ml_projection_fixed_point_on_physical_chi():

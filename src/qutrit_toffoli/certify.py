@@ -81,15 +81,10 @@ class PauliString:
 
 
 def choi_of_channel(channel8) -> ChoiMatrix:
-    """Evaluate the channel on all matrix units; input factor first."""
-    # kron(|i><j|, E(|i><j|)) places the output block at rows 8i.., cols 8j..
-    mat = np.zeros((64, 64), dtype=complex)
-    for i in range(8):
-        for j in range(8):
-            unit = np.zeros((8, 8), dtype=complex)
-            unit[i, j] = 1.0
-            mat[i * 8 : (i + 1) * 8, j * 8 : (j + 1) * 8] = channel8(unit)
-    return ChoiMatrix(mat / 8.0)
+    """Evaluate the channel on all matrix units; block (i, j) is E(|i><j|) / 8."""
+    units = np.eye(64, dtype=complex).reshape(64, 8, 8)  # units[8i + j] = |i><j|
+    blocks = np.stack([channel8(unit.copy()) for unit in units]).reshape(8, 8, 8, 8)
+    return ChoiMatrix(blocks.transpose(0, 2, 1, 3).reshape(64, 64) / 8.0)
 
 
 def ideal_toffoli_choi() -> ChoiMatrix:

@@ -20,7 +20,6 @@ as an exact X on C when A and B are in |0> and |1> respectively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import pi
 
@@ -170,9 +169,6 @@ class Circuit:
                 for op in self.ops
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def ccphase_circuit() -> Circuit:

@@ -138,12 +138,8 @@ def parse_config_file(path: str | Path) -> dict[str, float]:
 
 def device_params_from_config(values: dict[str, float]) -> tuple["DeviceParams", float, float]:
     """Device parameters plus the two rate scales, falling back to defaults."""
-    t1 = tuple(
-        values.get(f"t1_{s}_us", d) for s, d in zip("abc", DEVICE_T1_US)
-    )
-    t2 = tuple(
-        values.get(f"t2star_{s}_us", d) for s, d in zip("abc", DEVICE_T2STAR_US)
-    )
+    t1 = tuple(values.get(f"t1_{s}_us", d) for s, d in zip("abc", DEVICE_T1_US))
+    t2 = tuple(values.get(f"t2star_{s}_us", d) for s, d in zip("abc", DEVICE_T2STAR_US))
     relax2 = values.get("relax_scale2", DEFAULT_RELAX_SCALE2)
     deph2 = values.get("deph_scale2", DEFAULT_DEPH_SCALE2)
     if relax2 < 0 or deph2 < 0:
@@ -156,7 +152,6 @@ class KrausChannel:
     """Trace-preserving channel on one three-level site."""
 
     operators: tuple[np.ndarray, ...]
-    duration_ns: float
 
     def __post_init__(self) -> None:
         ops = []
@@ -201,7 +196,7 @@ def amplitude_damping_qutrit(
     k3 = np.zeros((3, 3), dtype=complex)
     k3[0, 2] = np.sqrt(to_ground)
     ops = [k for k in (k0, k1, k2, k3) if np.max(np.abs(k)) > 1e-15]
-    return KrausChannel(tuple(ops), duration_ns=t)
+    return KrausChannel(tuple(ops))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -234,7 +229,7 @@ def dephasing_qutrit(
         if lam < 1e-15:
             continue
         ops.append(np.diag(np.sqrt(lam) * vecs[:, i]).astype(complex))
-    return KrausChannel(tuple(ops), duration_ns=float(duration_ns))
+    return KrausChannel(tuple(ops))
 
 
 @dataclass(frozen=True)

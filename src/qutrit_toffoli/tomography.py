@@ -40,10 +40,9 @@ def pauli_labels() -> tuple[str, ...]:
 @functools.lru_cache(maxsize=1)
 def standard_pauli_stack() -> np.ndarray:
     """The 64 ordinary Pauli products used for readout, shape (64, 8, 8)."""
-    mats = []
-    for a, b, c in itertools.product(PAULI_AXES, repeat=3):
-        mats.append(np.kron(np.kron(PAULI[a], PAULI[b]), PAULI[c]))
-    stack = np.stack(mats)
+    stack = np.stack(
+        [functools.reduce(np.kron, [PAULI[p] for p in labels]) for labels in pauli_labels()]
+    )
     stack.setflags(write=False)
     return stack
 
@@ -226,6 +225,19 @@ def _preparation_inverse() -> np.ndarray:
     return inverse
 
 
+@functools.lru_cache(maxsize=1)
+def _fidelity_weights() -> np.ndarray:
+    """Real w with ``process_fidelity(_choi_from_values(v), ideal Toffoli) = <w, v>``.
+
+    Both Choi matrices expand in the Pauli tables ``Tr[P_n E(|i><j|)]`` of
+    ``_choi_from_values``, so their overlap is Re <table(v), table_ideal> / 512.
+    """
+    table = _unit_readout(choi_of_unitary(ideal_toffoli_unitary())).reshape(64, 64).T
+    weights = (_preparation_inverse().T @ table.conj()).real / 512.0
+    weights.setflags(write=False)
+    return weights
+
+
 def _choi_from_values(values: np.ndarray) -> np.ndarray:
     """Linear-inversion Choi matrix from a (64, 64) record array.
 
@@ -266,8 +278,9 @@ def _tp_residual(choi_matrix: np.ndarray) -> float:
 
 def _project_tp(choi_matrix: np.ndarray) -> np.ndarray:
     """Nearest J with Tr_out J = I/8: subtract (Tr_out J - I/8) (x) I/8."""
-    excess = _trace_out(choi_matrix) - np.eye(8) / 8.0
-    return choi_matrix - np.kron(excess, np.eye(8) / 8.0)
+    out = choi_matrix.reshape(8, 8, 8, 8).copy()
+    out[:, np.arange(8), :, np.arange(8)] -= (_trace_out(choi_matrix) - np.eye(8) / 8.0) / 8.0
+    return out.reshape(64, 64)
 
 
 def _project_psd(choi_matrix: np.ndarray) -> np.ndarray:
@@ -332,9 +345,10 @@ def bootstrap_ci(
     """Percentile confidence interval under parametric binomial resampling.
 
     Resample ``b`` redraws every setting's outcome count around its observed
-    frequency from ``task_rng(seed, b)`` and re-evaluates the raw
-    linear-inversion process fidelity against the ideal gate.  Exact-mode
-    records carry no sampling distribution and are rejected.
+    frequency from ``task_rng(seed, b)`` and scores the raw linear-inversion
+    process fidelity against the ideal gate, the fixed linear functional
+    ``_fidelity_weights()`` of the redrawn records.  Exact-mode records carry
+    no sampling distribution and are rejected.
     """
     if records.shots == 0:
         raise ValueError("bootstrap requires shot-based records")
@@ -342,11 +356,11 @@ def bootstrap_ci(
         raise ValueError("confidence must be in (0, 1)")
     if resamples < 2:
         raise ValueError("need at least two resamples")
-    ideal = choi_of_unitary(ideal_toffoli_unitary()).matrix
-    stats = []
-    for b in range(resamples):
-        values = _binomial_readout(task_rng(seed, b), records.shots, records.values)
-        stats.append(process_fidelity(_choi_from_values(values), ideal))
+    weights = _fidelity_weights()
+    stats = [
+        np.vdot(weights, _binomial_readout(task_rng(seed, b), records.shots, records.values))
+        for b in range(resamples)
+    ]
     alpha = 1.0 - confidence
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)

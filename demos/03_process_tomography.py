@@ -35,8 +35,8 @@ print(f"{shots} shots per setting:")
 print(f"  raw fidelity:       {process_fidelity(chi_raw, chi_ideal):.4f}")
 print(f"  raw min eigenvalue: {chi_raw.min_eigenvalue():+.4f}")
 
-# Alternating projections between the positive cone and the
-# trace-preserving hyperplane recover the nearest physical estimate.
+# The Frobenius-nearest completely positive trace-preserving map is the
+# physical estimate: a least-squares projection, not a likelihood maximum.
 chi_ml = ml_projection(chi_raw)
 print(f"  ml fidelity:        {process_fidelity(chi_ml, chi_ideal):.4f}")
 print(f"  ml min eigenvalue:  {chi_ml.min_eigenvalue():+.2e}")

@@ -11,6 +11,7 @@ Exit codes: 0 on success, 2 for invalid arguments or configuration files,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -260,6 +261,7 @@ def run(config: RunConfig) -> str:
     return _RUNNERS[config.pipeline](config)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qutrit-toffoli",

@@ -6,9 +6,9 @@ the two lowest levels of each site.  Populations that leak out of those
 levels reduce the reconstructed trace, and the deficit is reported rather
 than renormalized away.
 
-The estimators (linear inversion, the physicality projection, the
-bootstrap) are array algebra on the normalized Choi matrix J of
-``register.ChoiMatrix``.  Results are reported as the process matrix chi of
+The estimators (linear inversion, the least-squares projection onto CPTP
+maps by dual Newton, the bootstrap) are array algebra on the normalized Choi
+matrix J of ``register.ChoiMatrix``, reported as the process matrix chi of
 E(rho) = sum_mn chi_mn B_m rho B_n^dag, in a basis of 64 real three-fold
 products of {1, sigma_x, -i sigma_y, sigma_z}; replacing sigma_y by its real
 counterpart keeps every basis matrix real while preserving orthogonality,
@@ -276,63 +276,86 @@ def _tp_residual(choi_matrix: np.ndarray) -> float:
     return float(np.linalg.norm(8.0 * _trace_out(choi_matrix) - np.eye(8)))
 
 
-def _project_tp(choi_matrix: np.ndarray) -> np.ndarray:
-    """Nearest J with Tr_out J = I/8: subtract (Tr_out J - I/8) (x) I/8."""
-    out = choi_matrix.reshape(8, 8, 8, 8).copy()
-    out[:, np.arange(8), :, np.arange(8)] -= (_trace_out(choi_matrix) - np.eye(8) / 8.0) / 8.0
-    return out.reshape(64, 64)
+def _project_psd(choi_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and positive part of a Hermitian matrix."""
+    vals, vecs = np.linalg.eigh(choi_matrix)
+    return vals, vecs, (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
 
 
-def _project_psd(choi_matrix: np.ndarray) -> np.ndarray:
-    herm = (choi_matrix + choi_matrix.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ vecs.conj().T
+def _newton_direction(vals: np.ndarray, vecs: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """CG solve of (V + 1e-10) d = -grad; V[H] = Tr_out(Q (omega o Q^dag (H (x) I) Q) Q^dag).
+
+    V is the dual's generalized Hessian, Q = vecs, omega = divided differences of max(vals, 0).
+    """
+    plus = np.clip(vals, 0.0, None)
+    gap = np.subtract.outer(vals, vals)
+    tie = gap == 0.0
+    omega = np.where(tie, vals[:, None] > 0.0, np.subtract.outer(plus, plus) / (gap + tie))
+    rows = vecs.reshape(8, 512)
+    direction = np.zeros_like(grad)
+    residual = search = -grad
+    norm2 = np.vdot(residual, residual).real
+    stop = min(0.01, norm2) * norm2  # |residual| <= min(0.1, |grad|) |grad|
+    for _ in range(64):  # exact CG ends within 64 steps, one per real unknown
+        if norm2 <= stop:
+            break
+        inner = vecs.conj().T @ (search @ rows).reshape(64, 64)
+        curved = (vecs @ (omega * inner)).reshape(8, 512) @ rows.conj().T + 1e-10 * search
+        alpha = norm2 / np.vdot(search, curved).real
+        direction, residual = direction + alpha * search, residual - alpha * curved
+        norm2, previous = np.vdot(residual, residual).real, norm2
+        search = residual + (norm2 / previous) * search
+    return direction
 
 
 class ProjectionError(RuntimeError):
-    """Alternating projection failed to converge within the iteration budget."""
+    """The CPTP projection did not converge within its Newton-step budget."""
 
 
 def ml_projection(
-    chi: ChiMatrix | np.ndarray,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
+    chi: ChiMatrix | np.ndarray, *, tol: float = 1e-9, max_iter: int = 50
 ) -> ChiMatrix:
-    """Nearest (Frobenius) completely positive trace-preserving chi.
+    """Frobenius-nearest completely positive trace-preserving chi.
 
-    Dykstra's alternating projections between the positive cone and the
-    trace-preservation affine space converge to the metric projection onto
-    their intersection; the returned iterate comes from the positive side,
-    so its eigenvalues are exactly non-negative while the trace constraint
-    holds to within ``tol``.  The iterates are Choi matrices J = W chi W^dag:
-    W is unitary, so the Frobenius metric and the positive cone are the same
-    in both bases, and trace preservation reads Tr_out J = I/8.  A
-    non-finite input raises ValueError before the first iteration.
+    A least-squares projection, not a likelihood maximum.  On the Choi matrix
+    J0 = W chi W^dag (W unitary) trace preservation reads Tr_out J = I/8, and
+    semismooth Newton on the dual (Malick, SIAM J. Matrix Anal. Appl. 26, 272
+    (2004); Qi & Sun, ibid. 28, 360 (2006)) minimizes F(L) = |X(L)|^2/2 - Tr L/8
+    over Hermitian 8x8 L, with X(L) = P+(J0 + L (x) I) and grad F = Tr_out X - I/8.
+    X is returned, exactly positive semidefinite, once |8 Tr_out X - I| < tol;
+    ProjectionError after ``max_iter`` Newton steps.  Non-finite input, a tol
+    that is not finite and positive, or max_iter < 1 raise ValueError.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     start = chi.matrix if isinstance(chi, ChiMatrix) else _readonly_complex(chi, "chi matrix")
     if start.shape != (64, 64):
         raise ValueError("chi matrix must be 64x64")
     w = _choi_basis()
     x = w @ ((start + start.conj().T) / 2.0) @ w.conj().T
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    y = x
-    for _ in range(max_iter):
-        y = _project_psd(x + p)
-        p = x + p - y
-        z = _project_tp(y + q)
-        q = y + q - z
-        step = float(np.linalg.norm(z - x))
-        residual = _tp_residual(y)
-        x = z
-        if step < tol and residual < tol:
-            return chi_of_choi(y)
-    raise ProjectionError(
-        f"no convergence after {max_iter} iterations (step {step:.2e},"
-        f" residual {residual:.2e})"
-    )
+    base = (x + x.conj().T) / 2.0
+    vals, vecs, proj = _project_psd(base)
+    objective = np.sum(np.clip(vals, 0.0, None) ** 2) / 2.0
+    multiplier, steps = np.zeros((8, 8), dtype=complex), 0
+    while not (residual := _tp_residual(proj)) < tol:
+        if steps >= max_iter:
+            raise ProjectionError(f"{max_iter} Newton steps left residual {residual:.2e}")
+        grad = _trace_out(proj) - np.eye(8) / 8.0
+        direction = _newton_direction(vals, vecs, grad)
+        slope = np.vdot(grad, direction).real
+        for size in 0.5 ** np.arange(60):
+            trial = multiplier + size * direction
+            vals, vecs, proj = _project_psd(base + np.kron(trial, np.eye(8)))
+            plus = np.clip(vals, 0.0, None)
+            value = plus @ plus / 2.0 - trial.trace().real / 8.0
+            if value <= objective + 1e-4 * size * slope or _tp_residual(proj) <= residual / 2:
+                break
+        else:
+            raise ProjectionError(f"line search failed at residual {residual:.2e}")
+        multiplier, objective, steps = trial, value, steps + 1
+    return chi_of_choi(proj)
 
 
 def bootstrap_ci(

@@ -1,10 +1,14 @@
-"""Full-register reference for the compiled noisy gate (not a test module).
+"""Slow independent references for the package's fast paths (not a test module).
 
 ``qubit_block_oracle`` evolves one 27x27 matrix through a circuit the slow
 way: every pulse is its embedded 27x27 unitary sandwiched on both sides, and
 every decoherence interval sandwiches each site's Kraus products D R embedded
 in the full register.  It shares no code with ``noise.decohere``,
 ``noise._evolve`` or ``noise.circuit_choi``, so it checks all three.
+
+``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
+alternating projections, with its own partial trace and TP step.  It shares
+no code with ``tomography.ml_projection``, which solves the dual by Newton.
 """
 
 import numpy as np
@@ -50,3 +54,39 @@ def device_channel8(rho8):
     return qubit_block_oracle(
         rho8, toffoli_circuit(), NoiseModel.from_device(), XY_PULSE_NS, XY_PULSE_NS
     )
+
+
+def trace_out_oracle(choi_matrix):
+    """Tr_out J by an explicit sum over the output index of J[8i + a, 8j + a]."""
+    return sum(choi_matrix[a::8, a::8] for a in range(8))
+
+
+def project_tp(choi_matrix):
+    """Nearest J with Tr_out J = I/8: subtract (Tr_out J - I/8) (x) I/8."""
+    excess = trace_out_oracle(choi_matrix) - np.eye(8) / 8.0
+    return choi_matrix - np.kron(excess, np.eye(8) / 8.0)
+
+
+def dykstra_projection(choi_matrix, tol=1e-13, max_iter=20000):
+    """Frobenius-nearest CPTP Choi matrix by Dykstra's alternating projections.
+
+    Alternates the positive part (an eigendecomposition) with ``project_tp``,
+    carrying Dykstra's two correction terms, until both the step and the TP
+    residual of the positive iterate fall below ``tol``, and returns that
+    positive iterate.
+    """
+    x = (choi_matrix + choi_matrix.conj().T) / 2.0
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for _ in range(max_iter):
+        vals, vecs = np.linalg.eigh((x + p + (x + p).conj().T) / 2.0)
+        y = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+        p = x + p - y
+        z = project_tp(y + q)
+        q = y + q - z
+        step = np.linalg.norm(z - x)
+        residual = np.linalg.norm(8.0 * trace_out_oracle(y) - np.eye(8))
+        x = z
+        if step < tol and residual < tol:
+            return y
+    raise RuntimeError(f"oracle did not converge in {max_iter} iterations")

@@ -253,6 +253,28 @@ def test_each_pipeline_compiles_the_channel_once(tmp_path, monkeypatch):
         assert len(calls) == 1
 
 
+def test_parser_is_built_once_across_main_calls(tmp_path):
+    runs = (
+        ["process-tomo", "--shots", "100", "--bootstrap", "10", "--seed", "3"],
+        ["truth-table"],
+    )
+    cli.build_parser.cache_clear()
+    for index, argv in enumerate(runs):
+        assert run_cli(argv + ["--output", str(tmp_path / f"cached{index}")]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    tomo = read_json(tmp_path / "cached0" / "process_tomo.json")
+    table = read_json(tmp_path / "cached1" / "truth_table.json")
+    assert (tomo["shots"], tomo["seed"], tomo["bootstrap"]["resamples"]) == (100, 3, 10)
+    assert (table["shots"], table["seed"], "bootstrap" in table) == (0, 0, False)
+    assert table["fidelity"] == pytest.approx(0.8291283143984639, abs=1e-12)
+    for index, argv in enumerate(runs):  # a freshly built parser writes the same bytes
+        cli.build_parser.cache_clear()
+        assert run_cli(argv + ["--output", str(tmp_path / f"fresh{index}")]) == 0
+        for cached in (tmp_path / f"cached{index}").iterdir():
+            assert cached.read_bytes() == (tmp_path / f"fresh{index}" / cached.name).read_bytes()
+
+
 def test_exact_mode_device_reference_values(tmp_path):
     # device-noise headline numbers of the closure-per-input implementation
     assert run_cli(["truth-table", "--output", str(tmp_path / "tt")]) == 0

@@ -30,10 +30,9 @@ from qutrit_toffoli.tomography import (
     _fidelity_weights,
     _input_qubit_matrices,
     _prep_matrix,
-    _project_tp,
 )
 
-from _oracle import device_channel8
+from _oracle import device_channel8, dykstra_projection, project_tp
 
 
 def random_unitary(dim, rng):
@@ -63,6 +62,14 @@ def random_cptp_choi(rng, n_kraus=3):
 def random_hermitian(dim, rng):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2.0
+
+
+def count_eigendecompositions(monkeypatch):
+    """Record every ``np.linalg.eigh`` call made while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(tomography.np.linalg, "eigh", lambda m: calls.append(None) or eigh(m))
+    return calls
 
 
 def trace_out(choi_matrix):
@@ -224,8 +231,8 @@ def test_linear_inversion_round_trip_in_both_bases():
 def test_project_tp_is_the_orthogonal_projection_onto_tp_choi_matrices():
     rng = np.random.default_rng(30)
     choi = random_hermitian(64, rng) / 64.0
-    out = _project_tp(choi)
-    assert np.max(np.abs(_project_tp(out) - out)) < 1e-12
+    out = project_tp(choi)
+    assert np.max(np.abs(project_tp(out) - out)) < 1e-12
     assert np.max(np.abs(trace_out(out) - np.eye(8) / 8.0)) < 1e-12
     for _ in range(5):
         direction = random_hermitian(64, rng)
@@ -302,15 +309,36 @@ def test_non_finite_chi_fails_at_once(monkeypatch, bad):
     matrix[3, 3] = bad
     with pytest.raises(ValueError, match="non-finite"):
         ChiMatrix(matrix)
-    calls = []
-    project_psd = tomography._project_psd
-    monkeypatch.setattr(
-        tomography, "_project_psd", lambda m: calls.append(None) or project_psd(m)
-    )
+    calls = count_eigendecompositions(monkeypatch)
     for start in (matrix, np.full((64, 64), bad)):
         with pytest.raises(ValueError, match="non-finite"):
             ml_projection(start)
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": np.nan}, {"tol": -1e-9}, {"tol": 0.0}, {"tol": np.inf}, {"max_iter": 0}],
+    ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max-iter-0"],
+)
+def test_bad_solver_arguments_fail_at_once(monkeypatch, kwargs):
+    chi = chi_of_unitary(ideal_toffoli_unitary())
+    calls = count_eigendecompositions(monkeypatch)
+    with pytest.raises(ValueError, match="tol|max_iter"):
+        ml_projection(chi, **kwargs)
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, -100.0])
+def test_ml_projection_of_a_matrix_without_positive_part(scale):
+    # no positive eigenvalue: the generalized Hessian vanishes and only the
+    # 1e-10 regularization sets the first step, which backtracking shortens
+    # by up to 36 halvings; the nearest CPTP map is the completely
+    # depolarizing one, and every iterate is c I, so |c - 1/64| is the
+    # residual / (64 sqrt 8)
+    projected = ml_projection(scale * np.eye(64))
+    assert projected.tp_residual() < 1e-9
+    assert np.max(np.abs(projected.matrix - np.eye(64) / 64.0)) < 1e-9 / (64 * np.sqrt(8))
 
 
 def test_ml_projection_fixed_point_on_physical_chi():
@@ -331,23 +359,48 @@ def test_ml_projection_restores_physicality():
 
 def test_ml_projection_trace_change_on_tp_class_input():
     records = measure_output_records(device_toffoli_choi(), shots=700, seed=13)
-    tp_input = chi_of_choi(_project_tp(_choi_from_values(records.values)))
+    tp_input = chi_of_choi(project_tp(_choi_from_values(records.values)))
     assert tp_input.tp_residual() < 1e-12
     before = tp_input.trace()
     projected = ml_projection(tp_input, tol=1e-10)
     assert abs(projected.trace() - before) < 1e-10
 
 
-@pytest.mark.parametrize("shots, iterations", [(1000, 154), (100, 265)])
-def test_ml_projection_iteration_counts(monkeypatch, shots, iterations):
-    # W is unitary, so the loop takes as many steps as it would on chi
-    calls = []
-    project_psd = tomography._project_psd
-    monkeypatch.setattr(
-        tomography, "_project_psd", lambda m: calls.append(None) or project_psd(m)
-    )
-    ml_projection(process_tomography(device_toffoli_choi(), shots=shots, seed=5))
-    assert len(calls) == iterations
+@pytest.mark.parametrize(
+    "shots, eigendecompositions",
+    [(1000, 7), (100, 7), (None, 6)],
+    ids=["1000-shots", "100-shots", "far-from-cptp"],
+)
+def test_ml_projection_eigendecomposition_counts(monkeypatch, shots, eigendecompositions):
+    if shots is None:  # far from the CPTP maps, where a step can pass Armijo on F alone
+        chi = random_hermitian(64, np.random.default_rng(33))
+        chi *= 0.1 / np.linalg.norm(chi)
+    else:
+        chi = process_tomography(device_toffoli_choi(), shots=shots, seed=5)
+    calls = count_eigendecompositions(monkeypatch)
+    ml_projection(chi)
+    assert len(calls) == eigendecompositions
+
+
+def perturbed_cptp_chi(seed, n_kraus, noise_norm):
+    rng = np.random.default_rng(seed)
+    choi = random_cptp_choi(rng, n_kraus)
+    noise = random_hermitian(64, rng)
+    return chi_of_choi(choi.matrix).matrix + noise * (noise_norm / np.linalg.norm(noise))
+
+
+def test_ml_projection_matches_the_dykstra_oracle():
+    w = _choi_basis()
+    device = [process_tomography(device_toffoli_choi(), shots=s, seed=5) for s in (1000, 100)]
+    randoms = [perturbed_cptp_chi(40 + k, 1 + k, 0.05) for k in range(3)]
+    # device records at the default tol; random maps at the oracle's own tol, because a
+    # residual anywhere below 1e-9 leaves J up to about 1e-11 from the exact projection
+    for chi, tol in [(c.matrix, 1e-9) for c in device] + [(c, 1e-13) for c in randoms]:
+        expected = dykstra_projection(w @ chi @ w.conj().T, tol=1e-13)
+        projected = ml_projection(chi, tol=tol)
+        assert projected.min_eigenvalue() > -1e-12
+        assert projected.tp_residual() < tol
+        assert np.max(np.abs(w @ projected.matrix @ w.conj().T - expected)) < 1e-12
 
 
 def test_ml_projection_is_nearest_feasible_point():

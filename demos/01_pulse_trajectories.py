@@ -1,7 +1,7 @@
 import numpy as np
 
-from qutrit_toffoli.gates import QUTRIT3, ccphase_circuit, toffoli_circuit
-from qutrit_toffoli.register import StateVector
+from qutrit_toffoli.gates import ccphase_circuit, toffoli_circuit
+from qutrit_toffoli.register import StateVector, basis_label
 
 # The phase core of the gate is three exchange pulses: a pi rotation on the
 # AB pair, a 2pi rotation on the BC pair, then a 3pi rotation on AB again.
@@ -19,7 +19,7 @@ def format_state(state):
     for i, amp in enumerate(state.amplitudes):
         if abs(amp) < 1e-12:
             continue
-        label = QUTRIT3.basis_label(i)
+        label = basis_label(i)
         if abs(amp.imag) < 1e-12:
             parts.append(f"{amp.real:+.0f}|{label}>")
         else:
@@ -34,7 +34,7 @@ header = ["input", "after pi AB", "after 2pi BC", "after 3pi AB"]
 print(f"{header[0]:<8}{header[1]:<16}{header[2]:<16}{header[3]:<16}")
 for index in range(8):
     digits = [int(bit) for bit in f"{index:03b}"]
-    state = StateVector.computational(QUTRIT3, digits)
+    state = StateVector.computational(digits)
     row = [format_state(s) for s in circuit.trajectory(state)]
     print(f"{''.join(map(str, digits)):<8}{row[0]:<16}{row[1]:<16}{row[2]:<16}")
 

@@ -2,20 +2,13 @@
 
 The package covers the full experimental cycle of a three-transmon device
 whose middle levels mediate a doubly-controlled phase: exact gate algebra on
-mixed qubit/qutrit registers, a Markovian decoherence model built from
+its three-qutrit register, a Markovian decoherence model built from
 measured coherence times, standard process tomography with a physicality
 projection, and sampling-based fidelity certification that needs only a
 handful of Pauli correlations.
 """
 
-from .register import (
-    ChoiMatrix,
-    LocalOperator,
-    RegisterLayout,
-    StateVector,
-    computational_indices,
-    embed,
-)
+from .register import ChoiMatrix, LocalOperator, StateVector
 from .gates import (
     Circuit,
     GateOp,
@@ -76,7 +69,6 @@ __all__ = [
     "PauliString",
     "ProjectionError",
     "Records",
-    "RegisterLayout",
     "StateVector",
     "TruthTable",
     "align_global_phase",
@@ -88,9 +80,7 @@ __all__ = [
     "choi_of_channel",
     "circuit_choi",
     "computational_block",
-    "computational_indices",
     "dephasing_qutrit",
-    "embed",
     "enumerate_relevant_paulis",
     "exhaustive_fidelity",
     "ideal_toffoli_choi",

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import __version__
 from .gates import (
-    QUTRIT3,
     XY_PULSE_NS,
     ccphase_circuit,
     ideal_toffoli_unitary,
@@ -33,7 +32,7 @@ from .noise import (
     device_params_from_config,
     parse_config_file,
 )
-from .register import StateVector
+from .register import StateVector, basis_label
 from .tomography import (
     bootstrap_ci,
     chi_of_unitary,
@@ -149,12 +148,12 @@ def _run_table1_trace(config: RunConfig) -> str:
     inputs = {}
     for index in range(8):
         digits = [int(b) for b in f"{index:03b}"]
-        state = StateVector.computational(QUTRIT3, digits)
+        state = StateVector.computational(digits)
         trajectory = (state,) + circuit.trajectory(state)
         entries = []
         for label, snap in zip(steps, trajectory):
             amps = {
-                QUTRIT3.basis_label(i): [float(a.real), float(a.imag)]
+                basis_label(i): [float(a.real), float(a.imag)]
                 for i, a in enumerate(snap.amplitudes)
                 if abs(a) > 1e-12
             }

@@ -27,18 +27,16 @@ import numpy as np
 
 from .register import (
     ATOL,
+    DIM,
+    DIMS,
     PAULI,
+    QUBIT_KETS,
+    SITE_NAMES,
     ChoiMatrix,
     LocalOperator,
-    RegisterLayout,
     StateVector,
-    computational_indices,
-    embed,
     site_index,
 )
-
-QUTRIT3 = RegisterLayout.qutrits(3)
-QUBIT3 = RegisterLayout.qubits(3)
 
 XY_PULSE_NS = 8.0
 # Duration of a theta = pi exchange pulse per adjacent pair.
@@ -61,11 +59,10 @@ def rotation_matrix_qutrit(axis: str, angle: float) -> np.ndarray:
     return mat
 
 
-def exchange_matrix(pair: tuple[int, int], theta: float) -> np.ndarray:
+def exchange_matrix(theta: float) -> np.ndarray:
     """9x9 rotation of the {|11>, |20>} subspace of an adjacent qutrit pair."""
-    pair_layout = RegisterLayout.qutrits(2)
-    i11 = pair_layout.basis_index((1, 1))
-    i20 = pair_layout.basis_index((2, 0))
+    # The pair ket |xy> sits at 3x + y.
+    i11, i20 = 4, 6
     mat = np.eye(9, dtype=complex)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     mat[i11, i11] = c
@@ -115,7 +112,7 @@ def subspace_rotation(pair, theta: float) -> GateOp:
         raise ValueError(f"exchange pulses exist only for adjacent pairs, got {pair!r}")
     if theta < 0:
         raise ValueError("rotation angle must be non-negative")
-    op = LocalOperator(sites, exchange_matrix(sites, theta))
+    op = LocalOperator(sites, exchange_matrix(theta))
     duration = EXCHANGE_PI_NS[sites] * theta / pi
     name = "AB" if sites == (0, 1) else "BC"
     return GateOp(label=f"xx{name}", unitary=op, duration_ns=duration, angle=float(theta))
@@ -123,31 +120,25 @@ def subspace_rotation(pair, theta: float) -> GateOp:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """An ordered pulse sequence on a fixed register layout."""
+    """An ordered pulse sequence on the three-qutrit register."""
 
-    layout: RegisterLayout
     ops: tuple[GateOp, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
-            for t in op.targets:
-                self.layout.site(t)
 
     @property
     def duration_ns(self) -> float:
         return float(sum(op.duration_ns for op in self.ops))
 
     def unitary(self) -> np.ndarray:
-        total = np.eye(self.layout.dim, dtype=complex)
+        total = np.eye(DIM, dtype=complex).reshape(DIMS + (DIM,))
         for op in self.ops:
-            total = embed(op.unitary, self.layout) @ total
-        return total
+            total = op.unitary.on_kets(total)
+        return total.reshape(DIM, DIM)
 
     def trajectory(self, initial: StateVector) -> tuple[StateVector, ...]:
         """States after each pulse, starting from ``initial`` (not included)."""
-        if initial.layout != self.layout:
-            raise ValueError("initial state layout does not match circuit layout")
         states = []
         state = initial
         for op in self.ops:
@@ -157,12 +148,12 @@ class Circuit:
 
     def to_json_dict(self) -> dict:
         return {
-            "dims": list(self.layout.dims),
+            "dims": list(DIMS),
             "total_duration_ns": self.duration_ns,
             "ops": [
                 {
                     "label": op.label,
-                    "targets": [self.layout.labels[t] for t in op.targets],
+                    "targets": [SITE_NAMES[t] for t in op.targets],
                     "angle": op.angle,
                     "duration_ns": op.duration_ns,
                 }
@@ -174,12 +165,11 @@ class Circuit:
 def ccphase_circuit() -> Circuit:
     """Three exchange pulses realizing diag(1,1,1,-1,1,1,1,1) on the qubit block."""
     return Circuit(
-        QUTRIT3,
         (
             subspace_rotation((0, 1), pi),
             subspace_rotation((1, 2), 2 * pi),
             subspace_rotation((0, 1), 3 * pi),
-        ),
+        )
     )
 
 
@@ -191,23 +181,20 @@ def toffoli_circuit() -> Circuit:
         *phase.ops,
         rotation_single(2, "y", pi / 2),
     )
-    return Circuit(QUTRIT3, ops)
+    return Circuit(ops)
 
 
 def computational_block(unitary27: np.ndarray) -> np.ndarray:
     """8x8 block of a 27x27 operator on the all-qubit basis kets."""
     if unitary27.shape != (27, 27):
         raise ValueError("expected a 27x27 matrix")
-    idx = computational_indices(QUTRIT3)
-    return np.ascontiguousarray(unitary27[np.ix_(idx, idx)])
+    return np.ascontiguousarray(unitary27[np.ix_(QUBIT_KETS, QUBIT_KETS)])
 
 
 def ideal_toffoli_unitary() -> np.ndarray:
     """Exact 8x8 target: X on qubit C conditioned on A=0, B=1."""
     mat = np.eye(8, dtype=complex)
-    i010 = QUBIT3.basis_index((0, 1, 0))
-    i011 = QUBIT3.basis_index((0, 1, 1))
-    mat[np.ix_([i010, i011], [i010, i011])] = np.array([[0, 1], [1, 0]])
+    mat[np.ix_([0b010, 0b011], [0b010, 0b011])] = np.array([[0, 1], [1, 0]])
     return mat
 
 
@@ -243,7 +230,7 @@ class TruthTable:
         object.__setattr__(self, "matrix", mat)
 
     def column_labels(self) -> tuple[str, ...]:
-        return QUBIT3.all_basis_labels()
+        return tuple(f"{i:03b}" for i in range(8))
 
 
 def truth_table(choi: ChoiMatrix) -> TruthTable:

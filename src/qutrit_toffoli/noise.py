@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .register import ATOL, ChoiMatrix, LocalOperator
-from .gates import QUTRIT3, XY_PULSE_NS, Circuit
+from .gates import XY_PULSE_NS, Circuit
 
 # Measured coherence times, microseconds, sites (A, B, C).
 DEVICE_T1_US = (0.55, 0.70, 1.10)
@@ -350,8 +350,6 @@ def circuit_choi(
     one the channel is the bare circuit unitary.  Weight left outside the
     qubit block at the end shows up as a Choi trace below one.
     """
-    if circuit.layout != QUTRIT3:
-        raise ValueError(f"expected a three-qutrit circuit, got dims {circuit.layout.dims}")
     if prep_window_ns < 0 or meas_window_ns < 0:
         raise ValueError("windows must be non-negative")
     out = _evolve(circuit, model, prep_window_ns, meas_window_ns)

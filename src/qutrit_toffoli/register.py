@@ -1,30 +1,35 @@
-"""Dense linear algebra for small registers of two- and three-level sites.
+"""Dense linear algebra on the three-qutrit register of the device.
 
-Sites are named A, B, C, ... from left to right.  A basis ket is written with
-site A as the leftmost symbol, and site A is the slowest-varying index of the
-flattened state array (row-major composition).  For a three-qutrit register
-the ket |abc> therefore sits at flat index 9a + 3b + c, and for three qubits
-at 4a + 2b + c.
+The register is fixed: three transmons A, B, C, each a three-level site.  A
+basis ket is written with site A as the leftmost symbol, and site A is the
+slowest-varying index of the flattened state array (row-major composition),
+so the ket |abc> sits at flat index 9a + 3b + c.  The qubit view is the
+eight kets with every site in level 0 or 1, listed in ``QUBIT_KETS`` in the
+order of the three-qubit basis |000>, |001>, ..., |111>.
 
-The module holds what the rest of the package builds on: register layouts,
-local operators and their embedding into the full register, normalized pure
-states (used to trace the noiseless pulse sequence), and ``ChoiMatrix``, the
-one representation of a three-qubit channel that truth tables, tomography
-and certification all read.  Operators, states and Choi matrices are plain
+The module holds what the rest of the package builds on: local operators
+that act on the ket axes of their target sites, normalized pure states (used
+to trace the noiseless pulse sequence), and ``ChoiMatrix``, the one
+representation of a three-qubit channel that truth tables, tomography and
+certification all read.  Operators, states and Choi matrices are plain
 complex numpy arrays wrapped in small container types that validate their
 defining invariants, finiteness included, on construction.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
-SITE_NAMES = "ABCDEF"
-MAX_SITES = len(SITE_NAMES)
+SITE_NAMES = "ABC"
+DIMS = (3, 3, 3)
+DIM = 27
+
+# Flat indices of |000>, |001>, ..., |111>: the qubit block of the register.
+QUBIT_KETS = np.array([0, 1, 3, 4, 9, 10, 12, 13])
+QUBIT_KETS.setflags(write=False)
 
 # Default tolerance: algebraic identities are trusted to ten digits.
 ATOL = 1e-10
@@ -48,85 +53,35 @@ def _readonly_complex(values, name: str) -> np.ndarray:
 
 
 def site_index(site: int | str) -> int:
-    """Resolve a site given either its integer position or its letter name."""
+    """Resolve a site given as its integer position 0-2 or its letter A-C (either case)."""
     if isinstance(site, str):
-        name = site.upper()
-        if name not in SITE_NAMES:
+        if len(site) != 1 or site.upper() not in SITE_NAMES:
             raise ValueError(f"unknown site name {site!r}")
-        return SITE_NAMES.index(name)
-    idx = int(site)
-    if not 0 <= idx < MAX_SITES:
+        return SITE_NAMES.index(site.upper())
+    idx = operator.index(site)
+    if not 0 <= idx < len(SITE_NAMES):
         raise ValueError(f"site index {site} out of range")
     return idx
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Ordered site dimensions of a register, e.g. (3, 3, 3) or (2, 2, 2)."""
+def basis_index(digits) -> int:
+    """Flat index 9a + 3b + c of the basis ket |abc>, with ``digits`` = (a, b, c)."""
+    digits = tuple(int(d) for d in digits)
+    if len(digits) != len(DIMS):
+        raise ValueError("expected one digit per site")
+    idx = 0
+    for d, dim in zip(digits, DIMS):
+        if not 0 <= d < dim:
+            raise ValueError(f"digit {d} out of range for dimension {dim}")
+        idx = idx * dim + d
+    return idx
 
-    dims: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if not 1 <= len(dims) <= MAX_SITES:
-            raise ValueError(f"register must have 1..{MAX_SITES} sites")
-        if any(d not in (2, 3) for d in dims):
-            raise ValueError("site dimensions must be 2 or 3")
-        object.__setattr__(self, "dims", dims)
-
-    @classmethod
-    def qubits(cls, n_sites: int) -> "RegisterLayout":
-        return cls((2,) * n_sites)
-
-    @classmethod
-    def qutrits(cls, n_sites: int) -> "RegisterLayout":
-        return cls((3,) * n_sites)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.dims)
-
-    @property
-    def dim(self) -> int:
-        return prod(self.dims)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(SITE_NAMES[: self.n_sites])
-
-    def site(self, site: int | str) -> int:
-        idx = site_index(site)
-        if idx >= self.n_sites:
-            raise ValueError(f"site {site!r} not in a {self.n_sites}-site register")
-        return idx
-
-    def basis_index(self, digits) -> int:
-        """Flat index of the basis ket whose symbols are ``digits`` (site A first)."""
-        digits = tuple(int(d) for d in digits)
-        if len(digits) != self.n_sites:
-            raise ValueError("digit count does not match register size")
-        idx = 0
-        for d, dim in zip(digits, self.dims):
-            if not 0 <= d < dim:
-                raise ValueError(f"digit {d} out of range for dimension {dim}")
-            idx = idx * dim + d
-        return idx
-
-    def basis_digits(self, index: int) -> tuple[int, ...]:
-        """Inverse of :meth:`basis_index`."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"basis index {index} out of range")
-        digits = []
-        for dim in reversed(self.dims):
-            digits.append(index % dim)
-            index //= dim
-        return tuple(reversed(digits))
-
-    def basis_label(self, index: int) -> str:
-        return "".join(str(d) for d in self.basis_digits(index))
-
-    def all_basis_labels(self) -> tuple[str, ...]:
-        return tuple(self.basis_label(i) for i in range(self.dim))
+def basis_label(index: int) -> str:
+    """Symbols of basis ket ``index``, site A first: 5 gives '012'."""
+    if not 0 <= index < DIM:
+        raise ValueError(f"basis index {index} out of range")
+    return f"{index // 9}{index // 3 % 3}{index % 3}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +102,9 @@ class LocalOperator:
         if not targets:
             raise ValueError("operator needs at least one target site")
         mat = _readonly_complex(self.matrix, "operator matrix")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
+        dim = 3 ** len(targets)
+        if mat.shape != (dim, dim):
+            raise ValueError(f"operator on {targets} must be {dim}x{dim}, not {mat.shape}")
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "matrix", mat)
 
@@ -156,61 +112,45 @@ class LocalOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-
-def embed(op: LocalOperator, layout: RegisterLayout) -> np.ndarray:
-    """Matrix of ``op`` on the full register, identity on untouched sites."""
-    n = layout.n_sites
-    targets = tuple(layout.site(t) for t in op.targets)
-    target_dim = prod(layout.dims[t] for t in targets)
-    if op.dim != target_dim:
-        raise ValueError(
-            f"operator dimension {op.dim} does not match target dims {target_dim}"
-        )
-    rest = [s for s in range(n) if s not in targets]
-    rest_dim = prod(layout.dims[s] for s in rest) if rest else 1
-    full = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
-    # Axis k of the kron product belongs to site order[k]; permute into
-    # register order on both the ket and bra sides.
-    order = list(targets) + rest
-    ax_dims = [layout.dims[s] for s in order]
-    tensor = full.reshape(ax_dims + ax_dims)
-    perm = [order.index(s) for s in range(n)]
-    tensor = tensor.transpose(perm + [p + n for p in perm])
-    return np.ascontiguousarray(tensor.reshape(layout.dim, layout.dim))
+    def on_kets(self, tensor: np.ndarray) -> np.ndarray:
+        """``matrix`` on the target axes of a ``(3, 3, 3, ...)`` array; later axes ride along."""
+        front = range(len(self.targets))
+        moved = np.moveaxis(tensor, self.targets, front)
+        out = self.matrix @ moved.reshape(self.dim, -1)
+        return np.moveaxis(out.reshape(moved.shape), front, self.targets)
 
 
 class StateVector:
-    """Normalized pure state on a register."""
+    """Normalized pure state on the register."""
 
-    __slots__ = ("layout", "amplitudes")
+    __slots__ = ("amplitudes",)
 
-    def __init__(self, layout: RegisterLayout, amplitudes, *, atol: float = ATOL):
+    def __init__(self, amplitudes, *, atol: float = ATOL):
         amps = _readonly_complex(amplitudes, "amplitudes")
-        if amps.shape != (layout.dim,):
-            raise ValueError(f"expected {layout.dim} amplitudes, got {amps.shape}")
+        if amps.shape != (DIM,):
+            raise ValueError(f"expected {DIM} amplitudes, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) >= atol:
             raise ValueError(f"state norm {norm} deviates from 1 by >= {atol}")
-        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amplitudes", amps)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
 
     def __repr__(self) -> str:
-        return f"StateVector(dims={self.layout.dims})"
+        return f"StateVector(dims={DIMS})"
 
     @classmethod
-    def computational(cls, layout: RegisterLayout, digits) -> "StateVector":
+    def computational(cls, digits) -> "StateVector":
         """Basis ket |digits>, e.g. digits (0, 1, 1) for |011>."""
-        amps = np.zeros(layout.dim, dtype=complex)
-        amps[layout.basis_index(digits)] = 1.0
-        return cls(layout, amps)
+        amps = np.zeros(DIM, dtype=complex)
+        amps[basis_index(digits)] = 1.0
+        return cls(amps)
 
     def apply(self, op: LocalOperator) -> "StateVector":
         """Apply a unitary; the constructor re-checks the norm invariant."""
-        new = embed(op, self.layout) @ self.amplitudes
-        return StateVector(self.layout, new)
+        new = op.on_kets(self.amplitudes.reshape(DIMS)).reshape(DIM)
+        return StateVector(new)
 
 
 class ChoiMatrix:
@@ -257,12 +197,3 @@ def choi_of_unitary(unitary8) -> ChoiMatrix:
     phi = unitary.T.reshape(-1) / np.sqrt(8.0)
     return ChoiMatrix(np.outer(phi, phi.conj()))
 
-
-def computational_indices(layout: RegisterLayout) -> np.ndarray:
-    """Flat indices of basis kets with every site in level 0 or 1.
-
-    The indices are ordered so that position k corresponds to the k-th basis
-    ket of the all-qubit register with the same number of sites.
-    """
-    combos = itertools.product(*[range(2) for _ in layout.dims])
-    return np.array([layout.basis_index(c) for c in combos], dtype=int)

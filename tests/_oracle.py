@@ -1,5 +1,9 @@
 """Slow independent references for the package's fast paths (not a test module).
 
+``embed`` builds the dense 27x27 matrix of a local operator by a kron with the
+identity and an axis permutation.  It shares no code with the ``register``
+module, so it checks ``LocalOperator.on_kets`` and everything built on it.
+
 ``qubit_block_oracle`` evolves one 27x27 matrix through a circuit the slow
 way: every pulse is its embedded 27x27 unitary sandwiched on both sides, and
 every decoherence interval sandwiches each site's Kraus products D R embedded
@@ -13,9 +17,23 @@ no code with ``tomography.ml_projection``, which solves the dual by Newton.
 
 import numpy as np
 
-from qutrit_toffoli.gates import QUTRIT3, XY_PULSE_NS, toffoli_circuit
+from qutrit_toffoli.gates import XY_PULSE_NS, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
-from qutrit_toffoli.register import LocalOperator, computational_indices, embed
+
+# Flat register indices 9a + 3b + c of the qubit kets |abc>, in qubit order.
+QUBIT_KETS = [9 * a + 3 * b + c for a in range(2) for b in range(2) for c in range(2)]
+
+
+def embed(targets, matrix):
+    """27x27 matrix of ``matrix`` on sites ``targets`` (its factor order), identity elsewhere."""
+    rest = [s for s in range(3) if s not in targets]
+    full = np.kron(matrix, np.eye(3 ** len(rest)))
+    # Axis k of the kron product belongs to site order[k]; permute into
+    # register order on both the ket and bra sides.
+    order = list(targets) + rest
+    perm = [order.index(s) for s in range(3)]
+    tensor = full.reshape((3,) * 6).transpose(perm + [p + 3 for p in perm])
+    return tensor.reshape(27, 27)
 
 
 def full_register_decohere(matrix, model, duration_ns):
@@ -24,7 +42,7 @@ def full_register_decohere(matrix, model, duration_ns):
     for site in range(3):
         relax, deph = model.site_channels(site, duration_ns)
         ops = [
-            embed(LocalOperator((site,), d @ r), QUTRIT3)
+            embed((site,), d @ r)
             for d in deph.operators
             for r in relax.operators
         ]
@@ -34,13 +52,13 @@ def full_register_decohere(matrix, model, duration_ns):
 
 def qubit_block_oracle(rho8, circuit, model, prep_window_ns, meas_window_ns):
     """Qubit block of the noisy cycle on the 8x8 input ``rho8``."""
-    idx = computational_indices(QUTRIT3)
+    idx = QUBIT_KETS
     out = np.zeros((27, 27), dtype=complex)
     out[np.ix_(idx, idx)] = rho8
     if model is not None:
         out = full_register_decohere(out, model, prep_window_ns)
     for op in circuit.ops:
-        full = embed(op.unitary, QUTRIT3)
+        full = embed(op.targets, op.unitary.matrix)
         out = full @ out @ full.conj().T
         if model is not None:
             out = full_register_decohere(out, model, op.duration_ns)

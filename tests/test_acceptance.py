@@ -23,7 +23,6 @@ from qutrit_toffoli.certify import (
     monte_carlo_fidelity,
 )
 from qutrit_toffoli.gates import (
-    QUTRIT3,
     align_global_phase,
     ccphase_circuit,
     computational_block,
@@ -42,7 +41,7 @@ from qutrit_toffoli.noise import (
     dephasing_qutrit,
     tphi_from_t2star,
 )
-from qutrit_toffoli.register import PAULI, StateVector
+from qutrit_toffoli.register import PAULI, StateVector, basis_index
 from qutrit_toffoli.tomography import (
     chi_from_records,
     chi_of_unitary,
@@ -90,7 +89,7 @@ def expected_trajectory(a, b, c):
 def dense(amplitudes):
     vec = np.zeros(27, dtype=complex)
     for label, value in amplitudes.items():
-        vec[QUTRIT3.basis_index([int(d) for d in label])] = value
+        vec[basis_index([int(d) for d in label])] = value
     return vec
 
 
@@ -101,7 +100,7 @@ def test_criterion_1_pulse_by_pulse_trajectories():
         worst = 0.0
         for index in range(8):
             digits = [int(x) for x in f"{index:03b}"]
-            state = StateVector.computational(QUTRIT3, digits)
+            state = StateVector.computational(digits)
             snaps = (state,) + circuit.trajectory(state)
             for snap, expected in zip(snaps, expected_trajectory(*digits)):
                 worst = max(worst, np.max(np.abs(snap.amplitudes - dense(expected))))

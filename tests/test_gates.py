@@ -6,9 +6,6 @@ import pytest
 
 from qutrit_toffoli.certify import choi_of_channel
 from qutrit_toffoli.gates import (
-    QUBIT3,
-    QUTRIT3,
-    Circuit,
     TruthTable,
     align_global_phase,
     ccphase_circuit,
@@ -23,7 +20,7 @@ from qutrit_toffoli.gates import (
     truth_table,
     truth_table_fidelity,
 )
-from qutrit_toffoli.register import PAULI, StateVector
+from qutrit_toffoli.register import PAULI, StateVector, basis_index
 
 
 def expm_oracle(hermitian: np.ndarray) -> np.ndarray:
@@ -66,7 +63,7 @@ def test_y_conjugation_turns_z_into_x():
 
 
 def test_exchange_matrix_pi_pulse():
-    mat = exchange_matrix((0, 1), pi)
+    mat = exchange_matrix(pi)
     pair = np.zeros(9, dtype=complex)
     pair[4] = 1.0  # |11>
     out = mat @ pair
@@ -77,14 +74,14 @@ def test_exchange_matrix_pi_pulse():
 
 
 def test_exchange_matrix_full_period_phase():
-    mat = exchange_matrix((1, 2), 2 * pi)
+    mat = exchange_matrix(2 * pi)
     expected = np.eye(9, dtype=complex)
     expected[4, 4] = expected[6, 6] = -1.0
     assert np.allclose(mat, expected, atol=1e-12)
 
 
 def test_exchange_matrix_untouched_elsewhere():
-    mat = exchange_matrix((0, 1), 0.987)
+    mat = exchange_matrix(0.987)
     touched = {4, 6}
     for i in range(9):
         for j in range(9):
@@ -95,7 +92,7 @@ def test_exchange_matrix_untouched_elsewhere():
 
 def test_exchange_unitarity():
     for theta in (0.3, pi, 2 * pi, 3 * pi):
-        mat = exchange_matrix((0, 1), theta)
+        mat = exchange_matrix(theta)
         assert np.allclose(mat.conj().T @ mat, np.eye(9), atol=1e-12)
 
 
@@ -176,12 +173,12 @@ def trajectory_deviation(digits, steps) -> float:
     expected_steps = EXPECTED_TRAJECTORIES.get(
         tuple(digits), [{tuple(digits): 1.0}] * 3
     )
-    state = StateVector.computational(QUTRIT3, digits)
+    state = StateVector.computational(digits)
     worst = 0.0
     for snap, expected in zip(ccphase_circuit().trajectory(state), expected_steps):
         target = np.zeros(27, dtype=complex)
         for ket, amp in expected.items():
-            target[QUTRIT3.basis_index(ket)] = amp
+            target[basis_index(ket)] = amp
         worst = max(worst, float(np.max(np.abs(snap.amplitudes - target))))
     return worst
 
@@ -245,12 +242,6 @@ def test_circuit_json_serialization():
     }
     parsed = json.loads(json.dumps(payload))
     assert len(parsed["ops"]) == 5
-
-
-def test_trajectory_rejects_wrong_layout():
-    state = StateVector.computational(QUBIT3, (0, 0, 0))
-    with pytest.raises(ValueError):
-        ccphase_circuit().trajectory(state)
 
 
 def test_computational_block_shape_guard():

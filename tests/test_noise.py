@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-import qutrit_toffoli.gates as gates
 import qutrit_toffoli.noise as noise
-import qutrit_toffoli.register as register
 from qutrit_toffoli.gates import (
-    QUBIT3,
-    QUTRIT3,
     Circuit,
     GateOp,
     computational_block,
-    rotation_matrix_qubit,
     rotation_single,
     subspace_rotation,
     toffoli_circuit,
@@ -33,7 +28,7 @@ from qutrit_toffoli.noise import (
     parse_config_file,
     tphi_from_t2star,
 )
-from qutrit_toffoli.register import LocalOperator, RegisterLayout
+from qutrit_toffoli.register import LocalOperator
 
 from _oracle import full_register_decohere, qubit_block_oracle
 
@@ -305,12 +300,11 @@ def test_circuit_choi_of_a_complex_circuit_matches_the_oracle(model):
     rng = np.random.default_rng(11)
     mixer, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
     circuit = Circuit(
-        QUTRIT3,
         (
             rotation_single("A", "x", 0.7),
             subspace_rotation("BC", 0.5 * math.pi),
             GateOp("mix", LocalOperator((2, 0), mixer), 5.0),
-        ),
+        )
     )
     choi = circuit_choi(circuit, model)
     for _ in range(3):
@@ -325,33 +319,15 @@ def test_circuit_choi_of_device_is_psd_and_trace_preserving():
     assert abs(choi.trace() - 1.0) < 1e-12
 
 
-def test_circuit_choi_uses_local_pulses_and_one_superoperator_per_duration(monkeypatch):
+def test_circuit_choi_uses_local_pulses_and_one_superoperator_per_duration():
     # windows and pulses last 8, 7, 23 and 21 ns: four durations, three sites each
     circuit, model = toffoli_circuit(), NoiseModel.from_device()
-    embeds = []
-    embed = register.embed
-
-    def counting_embed(*args, **kwargs):
-        embeds.append(1)
-        return embed(*args, **kwargs)
-
-    for module in (register, gates):
-        monkeypatch.setattr(module, "embed", counting_embed)
     builds = noise._site_superoperator
     builds.cache_clear()
     circuit_choi(circuit, None)
     assert builds.cache_info().misses == 0 and builds.cache_info().hits == 0
     circuit_choi(circuit, model)
     assert builds.cache_info().misses == 12
-    assert embeds == []
-
-
-def test_circuit_choi_rejects_other_layouts():
-    qubit_x = GateOp("rx", LocalOperator((0,), rotation_matrix_qubit("x", 0.3)), 8.0)
-    for circuit in (Circuit(QUBIT3, (qubit_x,)), Circuit(RegisterLayout.qutrits(2), ())):
-        for model in (None, NoiseModel.from_device()):
-            with pytest.raises(ValueError, match="three-qutrit"):
-                circuit_choi(circuit, model)
 
 
 def test_circuit_choi_window_validation():

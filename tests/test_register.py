@@ -1,14 +1,23 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import qutrit_toffoli
+from qutrit_toffoli.gates import Circuit, GateOp, rotation_matrix_qubit, rotation_single
 from qutrit_toffoli.register import (
-    PAULI,
+    DIM,
+    DIMS,
+    QUBIT_KETS,
+    SITE_NAMES,
     LocalOperator,
-    RegisterLayout,
     StateVector,
-    computational_indices,
-    embed,
+    basis_index,
+    basis_label,
+    site_index,
 )
+
+from _oracle import embed
 
 RNG = np.random.default_rng(20240817)
 
@@ -19,145 +28,169 @@ def random_unitary(dim: int, rng=RNG) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def register_matrix(op: LocalOperator) -> np.ndarray:
+    """27x27 matrix of ``op`` through ``LocalOperator.on_kets``."""
+    return Circuit((GateOp("op", op, 0.0),)).unitary()
+
+
 def test_layout_basics():
-    layout = RegisterLayout.qutrits(3)
-    assert layout.dim == 27
-    assert layout.labels == ("A", "B", "C")
-    assert RegisterLayout.qubits(3).dim == 8
-    assert layout.site("b") == 1
-    assert layout.site(2) == 2
+    assert SITE_NAMES == "ABC"
+    assert DIMS == (3, 3, 3)
+    assert DIM == 27
+    assert site_index("b") == 1
+    assert site_index("C") == 2
+    assert site_index(2) == 2
+
+
+def test_site_index_accepts_one_letter_or_index():
+    for bad in ("", "AB", "bc", "D", "DEF", 3, -1):
+        with pytest.raises(ValueError):
+            site_index(bad)
+    with pytest.raises(TypeError):
+        site_index(1.0)
+    with pytest.raises(ValueError):
+        rotation_single("AB", "x", 1.0)
 
 
 def test_layout_rejects_bad_dims():
-    with pytest.raises(ValueError):
-        RegisterLayout((4, 2))
-    with pytest.raises(ValueError):
-        RegisterLayout((2,) * 7)
-    with pytest.raises(ValueError):
-        RegisterLayout(())
+    # Every site has three levels, so an operator on k sites is 3**k square;
+    # a wrongly sized one fails when built, before any circuit holds it.
+    wrong = [
+        ((0,), rotation_matrix_qubit("x", 0.3)),
+        ((0,), random_unitary(9)),
+        ((0, 1), random_unitary(3)),
+    ]
+    for targets, matrix in wrong:
+        with pytest.raises(ValueError, match="must be"):
+            LocalOperator(targets, matrix)
 
 
 def test_basis_index_site_a_slowest():
-    qutrits = RegisterLayout.qutrits(3)
     # |abc> lives at 9a + 3b + c
-    assert qutrits.basis_index((0, 1, 2)) == 5
-    assert qutrits.basis_index((2, 0, 1)) == 19
-    qubits = RegisterLayout.qubits(3)
-    assert qubits.basis_index((1, 0, 1)) == 5
-    mixed = RegisterLayout((2, 3, 2))
-    assert mixed.basis_index((1, 2, 0)) == 10  # (1*3 + 2)*2 + 0
+    assert basis_index((0, 1, 2)) == 5
+    assert basis_index((2, 0, 1)) == 19
+    assert basis_index("111") == 13
 
 
 def test_basis_index_round_trip():
-    for dims in [(3, 3, 3), (2, 2, 2), (2, 3, 2), (3, 2)]:
-        layout = RegisterLayout(dims)
-        for i in range(layout.dim):
-            assert layout.basis_index(layout.basis_digits(i)) == i
-    assert RegisterLayout.qutrits(3).basis_label(5) == "012"
+    for i in range(DIM):
+        assert basis_index(basis_label(i)) == i
+    assert basis_label(5) == "012"
+    assert basis_label(26) == "222"
 
 
 def test_basis_index_range_checks():
-    layout = RegisterLayout.qubits(2)
-    with pytest.raises(ValueError):
-        layout.basis_index((0, 2))
-    with pytest.raises(ValueError):
-        layout.basis_index((0, 0, 0))
-    with pytest.raises(ValueError):
-        layout.basis_digits(4)
+    for digits in ((0, 3, 0), (0, -1, 0), (0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            basis_index(digits)
+    for index in (-1, DIM):
+        with pytest.raises(ValueError):
+            basis_label(index)
 
 
-def embed_oracle(op: LocalOperator, layout: RegisterLayout) -> np.ndarray:
+def digit_oracle(targets, matrix) -> np.ndarray:
     """Slow reference: place matrix elements digit by digit."""
-    n = layout.n_sites
-    full = np.zeros((layout.dim, layout.dim), dtype=complex)
-    tdims = tuple(layout.dims[t] for t in op.targets)
-    sub = RegisterLayout(tdims) if all(d in (2, 3) for d in tdims) else None
-    for bi in range(layout.dim):
-        di = layout.basis_digits(bi)
-        for bj in range(layout.dim):
-            dj = layout.basis_digits(bj)
-            rest_i = [d for s, d in enumerate(di) if s not in op.targets]
-            rest_j = [d for s, d in enumerate(dj) if s not in op.targets]
-            if rest_i != rest_j:
+    kets = list(itertools.product(range(3), repeat=3))  # site A slowest
+    rest = [s for s in range(3) if s not in targets]
+    full = np.zeros((DIM, DIM), dtype=complex)
+    for bi, di in enumerate(kets):
+        for bj, dj in enumerate(kets):
+            if any(di[s] != dj[s] for s in rest):
                 continue
-            row = sub.basis_index(tuple(di[t] for t in op.targets))
-            col = sub.basis_index(tuple(dj[t] for t in op.targets))
-            full[bi, bj] = op.matrix[row, col]
+            row = int("".join(str(di[t]) for t in targets), 3)
+            col = int("".join(str(dj[t]) for t in targets), 3)
+            full[bi, bj] = matrix[row, col]
     return full
 
 
 @pytest.mark.parametrize(
     "dims,targets",
     [
-        ((3, 3, 3), (0,)),
-        ((3, 3, 3), (1,)),
-        ((3, 3, 3), (0, 1)),
-        ((3, 3, 3), (1, 2)),
-        ((3, 3, 3), (0, 2)),
-        ((2, 3, 2), (0, 2)),
-        ((2, 2, 2), (2, 0)),
-        ((3, 2, 3, 2), (3, 1)),
+        (DIMS, (0,)),
+        (DIMS, (1,)),
+        (DIMS + (DIM,), (0, 1)),
+        (DIMS + (4,), (1, 2)),
+        (DIMS + (2, 5), (0, 2)),
+        (DIMS, (2,)),
+        (DIMS + (DIM,), (2, 0)),
+        (DIMS + (3,), (2, 0, 1)),
     ],
 )
 def test_embed_matches_digit_oracle(dims, targets):
-    layout = RegisterLayout(dims)
-    d = int(np.prod([dims[t] for t in targets]))
-    op = LocalOperator(targets, random_unitary(d))
-    assert np.allclose(embed(op, layout), embed_oracle(op, layout), atol=1e-12)
+    # the oracle's dense embed, the circuit unitary, the state update and
+    # on_kets on an array of shape ``dims`` (batch axes after the three
+    # sites) all agree with the element-by-element placement
+    op = LocalOperator(targets, random_unitary(3 ** len(targets)))
+    expected = digit_oracle(targets, op.matrix)
+    columns = [StateVector(ket).apply(op).amplitudes for ket in np.eye(DIM)]
+    assert np.allclose(embed(targets, op.matrix), expected, atol=1e-12)
+    assert np.allclose(register_matrix(op), expected, atol=1e-12)
+    assert np.allclose(np.stack(columns, axis=1), expected, atol=1e-12)
+    batch = RNG.normal(size=dims) + 1j * RNG.normal(size=dims)
+    out = op.on_kets(batch)
+    assert out.shape == dims
+    assert np.allclose(out.reshape(DIM, -1), expected @ batch.reshape(DIM, -1), atol=1e-12)
 
 
 def test_embed_single_site_kron_structure():
-    layout = RegisterLayout.qubits(2)
-    x = LocalOperator((1,), PAULI["X"])
-    assert np.allclose(embed(x, layout), np.kron(np.eye(2), PAULI["X"]))
-    x0 = LocalOperator((0,), PAULI["X"])
-    assert np.allclose(embed(x0, layout), np.kron(PAULI["X"], np.eye(2)))
+    u = random_unitary(3)
+    eye3 = np.eye(3)
+    assert np.allclose(register_matrix(LocalOperator((0,), u)), np.kron(u, np.eye(9)))
+    assert np.allclose(register_matrix(LocalOperator((1,), u)), np.kron(np.kron(eye3, u), eye3))
+    assert np.allclose(register_matrix(LocalOperator(("C",), u)), np.kron(np.eye(9), u))
 
 
 def test_embed_respects_target_order():
-    layout = RegisterLayout.qubits(2)
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    forward = embed(LocalOperator((0, 1), cnot), layout)
-    # control on site 1 instead: same matrix with swapped tensor factors
-    reversed_ = embed(LocalOperator((1, 0), cnot), layout)
-    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    pair = random_unitary(9)
+    forward = register_matrix(LocalOperator((0, 1), pair))
+    # the same matrix with its factors on (B, A): conjugate by the A <-> B swap
+    reversed_ = register_matrix(LocalOperator((1, 0), pair))
+    swap9 = np.eye(9)[[3 * y + x for x in range(3) for y in range(3)]]
+    swap = register_matrix(LocalOperator((0, 1), swap9))
     assert np.allclose(reversed_, swap @ forward @ swap)
 
 
 def test_embed_validation():
-    layout = RegisterLayout.qutrits(3)
     with pytest.raises(ValueError):
-        embed(LocalOperator((0,), np.eye(2)), layout)  # dim mismatch on a qutrit
-    with pytest.raises(ValueError):
-        embed(LocalOperator((3,), np.eye(3)), layout)  # site not in register
+        LocalOperator((3,), np.eye(3))  # site not in register
     with pytest.raises(ValueError):
         LocalOperator((0, 0), np.eye(9))  # duplicate targets
     with pytest.raises(ValueError):
         LocalOperator((0,), np.ones((2, 3)))  # not square
+    with pytest.raises(ValueError):
+        LocalOperator((), np.eye(1))  # no target
 
 
 def test_computational_indices_order():
-    idx = computational_indices(RegisterLayout.qutrits(3))
-    assert idx.tolist() == [0, 1, 3, 4, 9, 10, 12, 13]
+    assert QUBIT_KETS.tolist() == [0, 1, 3, 4, 9, 10, 12, 13]
+    assert QUBIT_KETS.tolist() == [basis_index(f"{k:03b}") for k in range(8)]
+    assert not QUBIT_KETS.flags.writeable
 
 
 def test_state_vector_normalization_guard():
-    layout = RegisterLayout.qubits(1)
     with pytest.raises(ValueError):
-        StateVector(layout, [1.0, 1.0])
-    state = StateVector(layout, [1.0, 0.0])
+        StateVector(np.ones(DIM))
     with pytest.raises(ValueError):
-        state.apply(LocalOperator((0,), np.array([[2, 0], [0, 2]])))
+        StateVector(np.eye(8)[0])  # a qubit-register state
+    state = StateVector.computational((0, 0, 0))
+    with pytest.raises(ValueError):
+        state.apply(LocalOperator((0,), 2 * np.eye(3)))
 
 
 def test_state_vector_apply_and_density():
-    layout = RegisterLayout.qutrits(3)
-    state = StateVector.computational(layout, (1, 1, 0))
-    target = layout.basis_index((1, 1, 0))
+    state = StateVector.computational((1, 1, 0))
+    target = basis_index((1, 1, 0))
     assert state.amplitudes[target] == 1.0
     assert np.count_nonzero(state.amplitudes) == 1
     # a level 0 <-> 1 swap on site C moves the amplitude to |111>
     swap01 = LocalOperator((2,), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     flipped = state.apply(swap01).amplitudes
-    assert abs(flipped[layout.basis_index((1, 1, 1))] - 1.0) < 1e-15
+    assert abs(flipped[basis_index((1, 1, 1))] - 1.0) < 1e-15
     assert np.linalg.norm(flipped) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_public_exports_resolve():
+    namespace = {}
+    exec("from qutrit_toffoli import *", namespace)
+    for name in qutrit_toffoli.__all__:
+        assert namespace[name] is getattr(qutrit_toffoli, name)

@@ -32,6 +32,12 @@ from .register import ATOL, PAULI, ChoiMatrix, _readonly_complex, choi_of_unitar
 PREP_LABELS = ("id", "x90", "y90", "x180")
 PAULI_AXES = "IXYZ"
 
+# Exact expectations below this size are float-noise zeros, which are at most
+# about 1e-15 on the shipped channels while the smallest true nonzero
+# expectation is 2.8e-5.  Sampling them as exact zeros keeps each binomial
+# draw from depending on the rounding of the channel's arithmetic.
+READOUT_ZERO_TOL = 1e-12
+
 @functools.lru_cache(maxsize=1)
 def pauli_labels() -> tuple[str, ...]:
     return tuple("".join(p) for p in itertools.product(PAULI_AXES, repeat=3))
@@ -99,7 +105,11 @@ def task_rng(master_seed: int, task_index: int) -> np.random.Generator:
 def _binomial_readout(
     rng: np.random.Generator, shots: int, expectations: np.ndarray
 ) -> np.ndarray:
-    """Pauli expectations re-estimated from ``shots`` single-shot outcomes each."""
+    """Pauli expectations re-estimated from ``shots`` single-shot outcomes each.
+
+    Expectations below ``READOUT_ZERO_TOL`` in size are read as exact zeros.
+    """
+    expectations = np.where(np.abs(expectations) < READOUT_ZERO_TOL, 0.0, expectations)
     prob = np.clip((1.0 + expectations) / 2.0, 0.0, 1.0)
     return 2.0 * rng.binomial(shots, prob) / shots - 1.0
 

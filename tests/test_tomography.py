@@ -522,6 +522,20 @@ def test_bootstrap_draws_once_per_resample_and_never_inverts(monkeypatch):
     assert len(inversions) == 0
 
 
+def test_binomial_readout_reads_float_noise_as_exact_zero():
+    # the sizes of the float-noise zeros of the shipped channels, both signs;
+    # above 1.1e-16, (1 + x) / 2 rounds off 0.5 and numpy draws n - B(n, 1 - p)
+    noise = np.array([1e-16, -1e-16, 4e-16, -4e-16, 8e-16, -8e-16] * 8)
+    rows = [tomography._binomial_readout(np.random.default_rng(21), 1000, x)
+            for x in (noise, np.zeros_like(noise))]
+    assert np.array_equal(rows[0], rows[1])
+    # true expectations, the smallest of which is 2.8e-5, are sampled as given
+    small = np.full(48, 2.8e-5)
+    kept = tomography._binomial_readout(np.random.default_rng(21), 1000, small)
+    unsnapped = np.random.default_rng(21).binomial(1000, (1.0 + small) / 2.0)
+    assert np.array_equal(kept, 2.0 * unsnapped / 1000 - 1.0)
+
+
 def test_record_validation():
     values = np.zeros((64, 64))
     assert Records(values, 10).shots == 10

@@ -24,12 +24,8 @@ from .gates import (
     truth_table_fidelity,
 )
 from .noise import (
-    DeviceParams,
-    KrausChannel,
     NoiseModel,
-    amplitude_damping_qutrit,
     circuit_choi,
-    dephasing_qutrit,
     tphi_from_t2star,
 )
 from .tomography import (
@@ -60,10 +56,8 @@ __all__ = [
     "Circuit",
     "ChiMatrix",
     "ChoiMatrix",
-    "DeviceParams",
     "FidelityEstimate",
     "GateOp",
-    "KrausChannel",
     "LocalOperator",
     "NoiseModel",
     "PauliString",
@@ -72,7 +66,6 @@ __all__ = [
     "StateVector",
     "TruthTable",
     "align_global_phase",
-    "amplitude_damping_qutrit",
     "bootstrap_ci",
     "ccphase_circuit",
     "chi_from_records",
@@ -80,7 +73,6 @@ __all__ = [
     "choi_of_channel",
     "circuit_choi",
     "computational_block",
-    "dephasing_qutrit",
     "enumerate_relevant_paulis",
     "exhaustive_fidelity",
     "ideal_toffoli_choi",

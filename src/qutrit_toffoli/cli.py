@@ -29,7 +29,7 @@ from .gates import (
 from .noise import (
     NoiseModel,
     circuit_choi,
-    device_params_from_config,
+    noise_model_from_config,
     parse_config_file,
 )
 from .register import StateVector, basis_label
@@ -95,10 +95,7 @@ def _noise_model(config: RunConfig) -> NoiseModel | None:
         return None
     if config.noise == "device":
         return NoiseModel.from_device()
-    params, relax2, deph2 = device_params_from_config(
-        parse_config_file(config.config_path)
-    )
-    return NoiseModel.from_device(params, relax_scale2=relax2, deph_scale2=deph2)
+    return noise_model_from_config(parse_config_file(config.config_path))
 
 
 def _toffoli_choi(config: RunConfig):

@@ -21,7 +21,7 @@ as an exact X on C when A and B are in |0> and |1> respectively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -85,8 +85,8 @@ class GateOp:
         mat = self.unitary.matrix
         if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) >= ATOL:
             raise ValueError(f"gate {self.label!r} is not unitary")
-        if self.duration_ns < 0:
-            raise ValueError("duration must be non-negative")
+        if not isfinite(self.duration_ns) or self.duration_ns < 0:
+            raise ValueError("duration must be finite and non-negative")
 
     @property
     def targets(self) -> tuple[int, ...]:

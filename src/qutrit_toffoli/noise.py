@@ -13,8 +13,10 @@ Each site decoheres independently through two single-site channels:
 * **Pure dephasing.**  The 0-1 coherence decays at 1/Tphi with
   1/Tphi = 1/T2* - 1/(2 T1); the 1-2 coherence decays at ``deph_scale2``
   times that rate and the 0-2 coherence at the product of both factors.
-  The correlation matrix of those factors is positive semidefinite, so its
-  eigendecomposition yields a diagonal Kraus set.
+  The channel multiplies coherence (a, b) by entry (a, b) of the correlation
+  matrix [[1, x, xy], [x, 1, y], [xy, y, 1]] of those factors, x for 0-1 and
+  y for 1-2; the matrix is positive semidefinite, so the map is completely
+  positive.
 
 Pulses are treated as instantaneous unitaries followed by the decoherence
 accumulated over the pulse duration.  State preparation and measurement are
@@ -26,8 +28,9 @@ default) before and after the sequence.
 layout, axes (a, a', b, b', c, c', batch), each site's ket axis beside its
 bra axis.  A pulse applies its local unitary to its target ket axes and the
 conjugate to their bra axes.  An interval applies each site's relaxation
-then dephasing as one real 9x9 superoperator on that site's axis pair (the
-vectorized form of Wood, Biamonte & Cory, arXiv:1111.6950).
+then dephasing as one real 9x9 superoperator on that site's axis pair, built
+in closed form (the vectorized form of Wood, Biamonte & Cory,
+arXiv:1111.6950).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .register import ATOL, ChoiMatrix, LocalOperator
+from .register import ChoiMatrix, LocalOperator
 from .gates import XY_PULSE_NS, Circuit
 
 # Measured coherence times, microseconds, sites (A, B, C).
@@ -76,32 +79,6 @@ def tphi_from_t2star(t1_us: float, t2star_us: float) -> float:
     return 1.0 / rate
 
 
-@dataclass(frozen=True)
-class DeviceParams:
-    """Per-site coherence times in microseconds, sites ordered (A, B, C)."""
-
-    t1_us: tuple[float, float, float]
-    t2star_us: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        t1 = tuple(float(v) for v in self.t1_us)
-        t2 = tuple(float(v) for v in self.t2star_us)
-        if len(t1) != 3 or len(t2) != 3:
-            raise ValueError("expected three sites")
-        for a, b in zip(t1, t2):
-            tphi_from_t2star(a, b)  # validates positivity and the 2*T1 limit
-        object.__setattr__(self, "t1_us", t1)
-        object.__setattr__(self, "t2star_us", t2)
-
-    @classmethod
-    def default(cls) -> "DeviceParams":
-        return cls(DEVICE_T1_US, DEVICE_T2STAR_US)
-
-    @property
-    def tphi_us(self) -> tuple[float, float, float]:
-        return tuple(tphi_from_t2star(a, b) for a, b in zip(self.t1_us, self.t2star_us))
-
-
 def parse_config_file(path: str | Path) -> dict[str, float]:
     """Read ``key = value`` lines into a dict; '#' starts a comment.
 
@@ -132,98 +109,16 @@ def parse_config_file(path: str | Path) -> dict[str, float]:
     return values
 
 
-def device_params_from_config(values: dict[str, float]) -> tuple["DeviceParams", float, float]:
-    """Device parameters plus the two rate scales, falling back to defaults."""
+def noise_model_from_config(values: dict[str, float]) -> "NoiseModel":
+    """The device model with the values of a parsed config file in place of its defaults."""
     t1 = tuple(values.get(f"t1_{s}_us", d) for s, d in zip("abc", DEVICE_T1_US))
     t2 = tuple(values.get(f"t2star_{s}_us", d) for s, d in zip("abc", DEVICE_T2STAR_US))
-    relax2 = values.get("relax_scale2", DEFAULT_RELAX_SCALE2)
-    deph2 = values.get("deph_scale2", DEFAULT_DEPH_SCALE2)
-    if relax2 < 0 or deph2 < 0:
-        raise ValueError("rate scales must be non-negative")
-    return DeviceParams(t1, t2), relax2, deph2
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Trace-preserving channel on one three-level site."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        ops = []
-        total = np.zeros((3, 3), dtype=complex)
-        for op in self.operators:
-            arr = np.array(op, dtype=complex)
-            if arr.shape != (3, 3):
-                raise ValueError("Kraus operators must be 3x3")
-            arr.setflags(write=False)
-            ops.append(arr)
-            total += arr.conj().T @ arr
-        if np.max(np.abs(total - np.eye(3))) >= ATOL:
-            raise ValueError("Kraus operators do not resolve the identity")
-        object.__setattr__(self, "operators", tuple(ops))
-
-
-def amplitude_damping_qutrit(
-    duration_ns: float, t1_us: float, relax_scale2: float = DEFAULT_RELAX_SCALE2
-) -> KrausChannel:
-    """Relaxation cascade 2 -> 1 -> 0 accumulated over ``duration_ns``."""
-    if duration_ns < 0:
-        raise ValueError("duration must be non-negative")
-    if t1_us <= 0:
-        raise ValueError("T1 must be positive")
-    g1 = 1.0 / (t1_us * NS_PER_US)
-    g2 = relax_scale2 * g1
-    t = float(duration_ns)
-    e1 = np.exp(-g1 * t)
-    e2 = np.exp(-g2 * t)
-    # Weight that left level 2 and still sits in level 1 at time t.
-    if abs(g2 - g1) < 1e-18:
-        via1 = g2 * t * e1
-    else:
-        via1 = g2 * (e1 - e2) / (g2 - g1)
-    to_ground = max(0.0, 1.0 - e2 - via1)
-    k0 = np.diag([1.0, np.sqrt(e1), np.sqrt(e2)]).astype(complex)
-    k1 = np.zeros((3, 3), dtype=complex)
-    k1[0, 1] = np.sqrt(max(0.0, 1.0 - e1))
-    k2 = np.zeros((3, 3), dtype=complex)
-    k2[1, 2] = np.sqrt(max(0.0, via1))
-    k3 = np.zeros((3, 3), dtype=complex)
-    k3[0, 2] = np.sqrt(to_ground)
-    ops = [k for k in (k0, k1, k2, k3) if np.max(np.abs(k)) > 1e-15]
-    return KrausChannel(tuple(ops))
-
-
-def dephasing_qutrit(
-    duration_ns: float, tphi_us: float, deph_scale2: float = DEFAULT_DEPH_SCALE2
-) -> KrausChannel:
-    """Diagonal channel damping coherences by per-pair decay factors.
-
-    The 0-1 factor is exp(-t/Tphi), the 1-2 factor exp(-t deph_scale2/Tphi)
-    and the 0-2 factor their product; eigendecomposing the resulting
-    correlation matrix gives diagonal Kraus operators.
-    """
-    if duration_ns < 0:
-        raise ValueError("duration must be non-negative")
-    if tphi_us <= 0:
-        raise ValueError("Tphi must be positive")
-    t = float(duration_ns) / (tphi_us * NS_PER_US)
-    x = np.exp(-t)
-    y = np.exp(-t * deph_scale2)
-    corr = np.array(
-        [
-            [1.0, x, x * y],
-            [x, 1.0, y],
-            [x * y, y, 1.0],
-        ]
+    return NoiseModel.from_device(
+        t1,
+        t2,
+        relax_scale2=values.get("relax_scale2", DEFAULT_RELAX_SCALE2),
+        deph_scale2=values.get("deph_scale2", DEFAULT_DEPH_SCALE2),
     )
-    vals, vecs = np.linalg.eigh(corr)
-    ops = []
-    for i, lam in enumerate(vals):
-        if lam < 1e-15:
-            continue
-        ops.append(np.diag(np.sqrt(lam) * vecs[:, i]).astype(complex))
-    return KrausChannel(tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -240,28 +135,35 @@ class NoiseModel:
         tphi = tuple(float(v) for v in self.tphi_us)
         if len(t1) != 3 or len(tphi) != 3:
             raise ValueError("expected three sites")
-        if any(v <= 0 for v in t1 + tphi):
+        if not all(v > 0 for v in t1 + tphi):
             raise ValueError("decay times must be positive")
-        if self.relax_scale2 < 0 or self.deph_scale2 < 0:
-            raise ValueError("rate scales must be non-negative")
+        scales = (self.relax_scale2, self.deph_scale2)
+        if not all(0 <= s < math.inf for s in scales):
+            raise ValueError("rate scales must be finite and non-negative")
+        for times, scale in zip((t1, tphi), scales):
+            if not all(math.isfinite(g) for v in times for g in _rates_per_ns(v, scale)):
+                raise ValueError("decay times too short for a finite decay rate")
         object.__setattr__(self, "t1_us", t1)
         object.__setattr__(self, "tphi_us", tphi)
 
     @classmethod
     def from_device(
         cls,
-        params: DeviceParams | None = None,
+        t1_us: tuple[float, float, float] = DEVICE_T1_US,
+        t2star_us: tuple[float, float, float] = DEVICE_T2STAR_US,
         *,
         relax_scale2: float = DEFAULT_RELAX_SCALE2,
         deph_scale2: float = DEFAULT_DEPH_SCALE2,
     ) -> "NoiseModel":
-        params = params or DeviceParams.default()
-        return cls(params.t1_us, params.tphi_us, relax_scale2, deph_scale2)
+        """Model from measured T1 and T2* per site, Tphi by ``tphi_from_t2star``."""
+        tphi = tuple(tphi_from_t2star(a, b) for a, b in zip(t1_us, t2star_us, strict=True))
+        return cls(t1_us, tphi, relax_scale2, deph_scale2)
 
-    def site_channels(self, site: int, duration_ns: float) -> tuple[KrausChannel, KrausChannel]:
-        relax = amplitude_damping_qutrit(duration_ns, self.t1_us[site], self.relax_scale2)
-        deph = dephasing_qutrit(duration_ns, self.tphi_us[site], self.deph_scale2)
-        return relax, deph
+
+def _rates_per_ns(time_us: float, scale: float) -> tuple[float, float]:
+    """The decay rate 1/T in 1/ns and its level-2 multiple ``scale / T``."""
+    rate = 1.0 / (time_us * NS_PER_US)
+    return rate, scale * rate
 
 
 # 16 holds every (site, duration) of one compile: 12 for the Toffoli with windows.
@@ -269,17 +171,30 @@ class NoiseModel:
 def _site_superoperator(model: NoiseModel, site: int, duration_ns: float) -> np.ndarray:
     """Relaxation then dephasing of one site as a real, read-only 9x9 matrix.
 
-    ``sup[(a, b), (c, d)] = sum_K K[a, c] K*[b, d]`` over the products K = D R
-    of dephasing and relaxation Kraus operators: it maps input entry (c, d)
-    to output entry (a, b).  Both Kraus sets are real, so the imaginary part
-    is exactly zero.
+    ``sup[3a + b, 3c + d]`` maps input entry (c, d) to output entry (a, b).
+    Relaxation leaves level a occupied with probability e_a (e_0 = 1), so
+    coherence (a, b) keeps sqrt(e_a e_b) and the decayed population moves
+    down the ladder.  Dephasing then multiplies entry (a, b) by ``corr[a, b]``.
     """
-    relax, deph = model.site_channels(site, duration_ns)
-    kraus = np.array([d @ r for d in deph.operators for r in relax.operators])
-    sup = np.einsum("kac,kbd->abcd", kraus, kraus.conj()).reshape(9, 9)
-    if np.any(sup.imag != 0.0):
-        raise ValueError("site superoperator is not real")
-    sup = sup.real.copy()
+    t = float(duration_ns)
+    g1, g2 = _rates_per_ns(model.t1_us[site], model.relax_scale2)
+    e1, e2 = math.exp(-g1 * t), math.exp(-g2 * t)
+    # Weight that left level 2 and still sits in level 1 at time t,
+    # g2 (e1 - e2) / (g2 - g1), with the difference taken by expm1 so that
+    # nearly equal rates do not cancel.
+    if g2 == g1:
+        via1 = g2 * t * e1
+    else:
+        slow, gap = min(g1, g2), abs(g2 - g1)
+        via1 = g2 * math.exp(-slow * t) * -math.expm1(-gap * t) / gap
+    keep = np.sqrt([1.0, e1, e2])
+    relax = np.diag(np.outer(keep, keep).ravel())
+    relax[0, 4] = 1.0 - e1  # |1><1| -> |0><0|
+    relax[4, 8] = via1  # |2><2| -> |1><1|
+    relax[0, 8] = max(0.0, 1.0 - e2 - via1)  # |2><2| -> |0><0|
+    x, y = (math.exp(-g * t) for g in _rates_per_ns(model.tphi_us[site], model.deph_scale2))
+    corr = np.array([[1.0, x, x * y], [x, 1.0, y], [x * y, y, 1.0]])
+    sup = corr.ravel()[:, None] * relax
     sup.setflags(write=False)
     return sup
 
@@ -350,8 +265,8 @@ def circuit_choi(
     one the channel is the bare circuit unitary.  Weight left outside the
     qubit block at the end shows up as a Choi trace below one.
     """
-    if prep_window_ns < 0 or meas_window_ns < 0:
-        raise ValueError("windows must be non-negative")
+    if not all(math.isfinite(w) and w >= 0 for w in (prep_window_ns, meas_window_ns)):
+        raise ValueError("windows must be finite and non-negative")
     out = _evolve(circuit, model, prep_window_ns, meas_window_ns)
     # Block (i, j) of the Choi matrix is E(|i><j|) / 8.
     blocks = out[:2, :2, :2, :2, :2, :2].transpose(6, 0, 2, 4, 7, 1, 3, 5)

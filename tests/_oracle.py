@@ -4,11 +4,18 @@
 identity and an axis permutation.  It shares no code with the ``register``
 module, so it checks ``LocalOperator.on_kets`` and everything built on it.
 
+``amplitude_damping_kraus`` and ``dephasing_kraus`` build each site's
+decoherence as Kraus operators: the relaxation cascade as four jump
+operators, and dephasing from the eigendecomposition of its correlation
+matrix.  The package builds the same maps in closed form and owns no Kraus
+construction, so these check ``noise._site_superoperator``.
+
 ``qubit_block_oracle`` evolves one 27x27 matrix through a circuit the slow
 way: every pulse is its embedded 27x27 unitary sandwiched on both sides, and
 every decoherence interval sandwiches each site's Kraus products D R embedded
 in the full register.  It shares no code with ``noise.decohere``,
-``noise._evolve`` or ``noise.circuit_choi``, so it checks all three.
+``noise._evolve``, ``noise._site_superoperator`` or ``noise.circuit_choi``,
+so it checks all four.
 
 ``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
 alternating projections, with its own partial trace and TP step.  It shares
@@ -36,16 +43,58 @@ def embed(targets, matrix):
     return tensor.reshape(27, 27)
 
 
+def amplitude_damping_kraus(duration_ns, t1_us, relax_scale2):
+    """Kraus operators of the relaxation cascade 2 -> 1 -> 0 over ``duration_ns``."""
+    g1 = 1.0 / (t1_us * 1e3)
+    g2 = relax_scale2 * g1
+    t = float(duration_ns)
+    e1 = np.exp(-g1 * t)
+    e2 = np.exp(-g2 * t)
+    # Weight that left level 2 and still sits in level 1 at time t.
+    if abs(g2 - g1) < 1e-18:
+        via1 = g2 * t * e1
+    else:
+        via1 = g2 * (e1 - e2) / (g2 - g1)
+    k0 = np.diag([1.0, np.sqrt(e1), np.sqrt(e2)]).astype(complex)
+    k1 = np.zeros((3, 3), dtype=complex)
+    k1[0, 1] = np.sqrt(max(0.0, 1.0 - e1))
+    k2 = np.zeros((3, 3), dtype=complex)
+    k2[1, 2] = np.sqrt(max(0.0, via1))
+    k3 = np.zeros((3, 3), dtype=complex)
+    k3[0, 2] = np.sqrt(max(0.0, 1.0 - e2 - via1))
+    return (k0, k1, k2, k3)
+
+
+def dephasing_kraus(duration_ns, tphi_us, deph_scale2):
+    """Diagonal Kraus operators from the eigendecomposition of the correlation matrix.
+
+    The 0-1 coherence decays by exp(-t/Tphi), the 1-2 coherence by
+    exp(-t deph_scale2/Tphi) and the 0-2 coherence by their product.
+    """
+    t = float(duration_ns) / (tphi_us * 1e3)
+    x = np.exp(-t)
+    y = np.exp(-t * deph_scale2)
+    corr = np.array([[1.0, x, x * y], [x, 1.0, y], [x * y, y, 1.0]])
+    vals, vecs = np.linalg.eigh(corr)
+    return tuple(
+        np.diag(np.sqrt(lam) * vecs[:, i]).astype(complex)
+        for i, lam in enumerate(vals)
+        if lam > 0
+    )
+
+
+def site_kraus(model, site, duration_ns):
+    """Kraus products D R of one site's relaxation then dephasing."""
+    relax = amplitude_damping_kraus(duration_ns, model.t1_us[site], model.relax_scale2)
+    deph = dephasing_kraus(duration_ns, model.tphi_us[site], model.deph_scale2)
+    return [d @ r for d in deph for r in relax]
+
+
 def full_register_decohere(matrix, model, duration_ns):
     """Each site's Kraus products D R embedded in the register and sandwiched."""
     out = matrix
     for site in range(3):
-        relax, deph = model.site_channels(site, duration_ns)
-        ops = [
-            embed((site,), d @ r)
-            for d in deph.operators
-            for r in relax.operators
-        ]
+        ops = [embed((site,), k) for k in site_kraus(model, site, duration_ns)]
         out = sum(k @ out @ k.conj().T for k in ops)
     return out
 

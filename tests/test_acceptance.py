@@ -7,12 +7,14 @@ lines alongside the pytest verdicts.
 import contextlib
 import functools
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 
 import qutrit_toffoli.cli as cli
+import qutrit_toffoli.noise as noise
 from qutrit_toffoli.certify import (
     _eigenstate_readout,
     choi_expectation_direct,
@@ -36,9 +38,7 @@ from qutrit_toffoli.noise import (
     DEVICE_T1_US,
     DEVICE_T2STAR_US,
     NoiseModel,
-    amplitude_damping_qutrit,
     circuit_choi,
-    dephasing_qutrit,
     tphi_from_t2star,
 )
 from qutrit_toffoli.register import PAULI, StateVector, basis_index
@@ -220,30 +220,25 @@ def test_criterion_8_physicality_projection(device_choi):
 
 def test_criterion_9_channel_properties():
     with criterion(9, "noise channels CPTP and semigroup-composable"):
-        def superoperator(channel):
-            return sum(np.kron(k, k.conj()) for k in channel.operators)
-
         splits = [(8.0, 59.0), (11.5, 11.5), (0.0, 67.0)]
-        for site in range(3):
-            t1 = DEVICE_T1_US[site]
-            tphi = tphi_from_t2star(t1, DEVICE_T2STAR_US[site])
-            for scale in (1.0, 2.0):
-                for factory, rate in (
-                    (amplitude_damping_qutrit, t1),
-                    (dephasing_qutrit, tphi),
-                ):
+        t1 = DEVICE_T1_US
+        tphi = tuple(map(tphi_from_t2star, DEVICE_T1_US, DEVICE_T2STAR_US))
+        off = (math.inf,) * 3  # switches a process off
+        trace = np.eye(3).reshape(9)
+        for scale in (1.0, 2.0):
+            # relaxation alone, dephasing alone, and both as on the device
+            for times in ((t1, off), (off, tphi), (t1, tphi)):
+                model = NoiseModel(*times, relax_scale2=scale, deph_scale2=scale)
+                for site in range(3):
                     for t_first, t_second in splits:
-                        total = factory(t_first + t_second, rate, scale)
-                        identity = sum(
-                            k.conj().T @ k for k in total.operators
+                        first, second, total = (
+                            noise._site_superoperator(model, site, t)
+                            for t in (t_first, t_second, t_first + t_second)
                         )
-                        assert np.max(np.abs(identity - np.eye(3))) < 1e-10
-                        composed = superoperator(
-                            factory(t_second, rate, scale)
-                        ) @ superoperator(factory(t_first, rate, scale))
-                        assert np.max(
-                            np.abs(superoperator(total) - composed)
-                        ) < 1e-9
+                        assert np.max(np.abs(trace @ total - trace)) < 1e-10
+                        choi = total.reshape(3, 3, 3, 3).transpose(2, 0, 3, 1)
+                        assert np.linalg.eigvalsh(choi.reshape(9, 9)).min() > -1e-10
+                        assert np.max(np.abs(second @ first - total)) < 1e-9
 
 
 def test_criterion_10_deterministic_artifacts(tmp_path):

@@ -17,35 +17,44 @@ from qutrit_toffoli.gates import (
 from qutrit_toffoli.noise import (
     DEVICE_T1_US,
     DEVICE_T2STAR_US,
-    DeviceParams,
-    KrausChannel,
     NoiseModel,
-    amplitude_damping_qutrit,
     circuit_choi,
     decohere,
-    dephasing_qutrit,
-    device_params_from_config,
+    noise_model_from_config,
     parse_config_file,
     tphi_from_t2star,
 )
 from qutrit_toffoli.register import LocalOperator
 
-from _oracle import full_register_decohere, qubit_block_oracle
+from _oracle import full_register_decohere, qubit_block_oracle, site_kraus
 
 # Rate scales off their defaults, so the level-2 terms are exercised.
 CUSTOM_MODEL = NoiseModel((0.4, 0.9, 1.3), (0.5, 0.8, 1.1), relax_scale2=1.3, deph_scale2=2.5)
 
+OFF = math.inf  # a decay time that switches its process off
 
-def superoperator(channel: KrausChannel) -> np.ndarray:
+
+def site_map(duration_ns, t1_us=OFF, tphi_us=OFF, relax_scale2=2.0, deph_scale2=1.0):
+    """The closed-form 9x9 map of site A under the given decay times."""
+    model = NoiseModel((t1_us, 1.0, 1.0), (tphi_us, 1.0, 1.0), relax_scale2, deph_scale2)
+    return noise._site_superoperator(model, 0, float(duration_ns))
+
+
+def map_apply(sup: np.ndarray, rho3: np.ndarray) -> np.ndarray:
+    return (sup @ rho3.reshape(9)).reshape(3, 3)
+
+
+def assert_cptp(sup: np.ndarray) -> None:
+    """Trace preservation by the trace row; CP by the input (x) output Choi state."""
+    trace = np.eye(3).reshape(9)
+    assert np.max(np.abs(trace @ sup - trace)) < 1e-12
+    choi = sup.reshape(3, 3, 3, 3).transpose(2, 0, 3, 1).reshape(9, 9) / 3
+    assert np.linalg.eigvalsh(choi).min() > -1e-12
+
+
+def kraus_superoperator(kraus) -> np.ndarray:
     """Row-major superoperator sum_k K (x) K*; composition becomes matmul."""
-    acc = np.zeros((9, 9), dtype=complex)
-    for k in channel.operators:
-        acc += np.kron(k, k.conj())
-    return acc
-
-
-def kraus_apply(channel: KrausChannel, rho3: np.ndarray) -> np.ndarray:
-    return sum(k @ rho3 @ k.conj().T for k in channel.operators)
+    return sum(np.kron(k, k.conj()) for k in kraus)
 
 
 def as_pairs(matrices: np.ndarray) -> np.ndarray:
@@ -61,17 +70,6 @@ def from_pairs(pairs: np.ndarray) -> np.ndarray:
     batch = pairs.shape[6:]
     order = [*range(6, pairs.ndim), 0, 2, 4, 1, 3, 5]
     return pairs.transpose(order).reshape(batch + (27, 27))
-
-
-def kraus_choi(channel: KrausChannel) -> np.ndarray:
-    """Normalized input (x) output Choi state; PSD iff the map is CP."""
-    choi = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            unit = np.zeros((3, 3), dtype=complex)
-            unit[i, j] = 1.0
-            choi += np.kron(unit, kraus_apply(channel, unit))
-    return choi / 3
 
 
 def random_qutrit_density(rng) -> np.ndarray:
@@ -97,8 +95,8 @@ def test_tphi_device_site_a_exact_fraction():
 
 
 def test_tphi_device_values():
-    params = DeviceParams.default()
-    assert params.tphi_us == pytest.approx((99 / 130, 1.05, 143 / 155), abs=1e-12)
+    model = NoiseModel.from_device()
+    assert model.tphi_us == pytest.approx((99 / 130, 1.05, 143 / 155), abs=1e-12)
 
 
 def test_tphi_limit_and_boundary():
@@ -112,22 +110,50 @@ def test_tphi_limit_and_boundary():
 
 
 def test_device_params_defaults():
-    params = DeviceParams.default()
-    assert params.t1_us == DEVICE_T1_US
-    assert params.t2star_us == DEVICE_T2STAR_US
+    model = NoiseModel.from_device()
+    assert model.t1_us == DEVICE_T1_US
+    assert model == NoiseModel.from_device(DEVICE_T1_US, DEVICE_T2STAR_US)
+    for bad in (
+        {"t1_us": (0.55, 0.70)},  # two sites against three
+        {"t1_us": (0.55, 0.70), "t2star_us": (0.45, 0.60)},
+        {"t2star_us": (0.45, 1.5, 0.65)},  # above 2*T1_B = 1.4
+        {"deph_scale2": -0.5},
+    ):
+        with pytest.raises(ValueError):
+            NoiseModel.from_device(**bad)
+
+
+@pytest.mark.parametrize("model", [NoiseModel.from_device(), CUSTOM_MODEL], ids=["device", "custom"])
+def test_site_superoperator_matches_the_kraus_oracle(model):
+    # the closed form against the oracle's Kraus products D R, including the
+    # g2 == g1 branch (relax_scale2 = 1) and dephasing without a 1-2 term
+    variants = (
+        model,
+        NoiseModel(model.t1_us, model.tphi_us, relax_scale2=1.0, deph_scale2=model.deph_scale2),
+        NoiseModel(model.t1_us, model.tphi_us, relax_scale2=model.relax_scale2, deph_scale2=0.0),
+    )
+    for variant in variants:
+        for site in range(3):
+            for duration in (0.5, 7.0, 8.0, 21.0, 23.0, 100.0, 1000.0):
+                kraus = site_kraus(variant, site, duration)
+                total = sum(k.conj().T @ k for k in kraus)
+                assert np.max(np.abs(total - np.eye(3))) < 1e-12
+                sup = noise._site_superoperator(variant, site, duration)
+                assert sup.dtype == float and not sup.flags.writeable
+                assert np.max(np.abs(sup - kraus_superoperator(kraus))) < 1e-14
 
 
 def test_amplitude_damping_level_populations():
     t, t1 = 67.0, 550.0 / 1e3  # T1 in microseconds
-    channel = amplitude_damping_qutrit(t, t1)
+    sup = site_map(t, t1_us=t1)
     one = np.zeros((3, 3), dtype=complex)
     one[1, 1] = 1.0
-    out = kraus_apply(channel, one)
+    out = map_apply(sup, one)
     assert out[1, 1].real == pytest.approx(np.exp(-67 / 550), abs=1e-12)
     assert out[0, 0].real == pytest.approx(1 - np.exp(-67 / 550), abs=1e-12)
     two = np.zeros((3, 3), dtype=complex)
     two[2, 2] = 1.0
-    out2 = kraus_apply(channel, two)
+    out2 = map_apply(sup, two)
     assert out2[2, 2].real == pytest.approx(np.exp(-2 * 67 / 550), abs=1e-12)
     assert abs(out2.trace() - 1.0) < 1e-12
 
@@ -146,37 +172,41 @@ def test_amplitude_damping_matches_rate_equation_oracle():
         p2 += d2 * dt
         p1 += d1 * dt
     p0 = 1 - p1 - p2
-    channel = amplitude_damping_qutrit(t_ns, t1_us, scale)
     two = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    out = kraus_apply(channel, two)
+    out = map_apply(site_map(t_ns, t1_us=t1_us, relax_scale2=scale), two)
     assert out[2, 2].real == pytest.approx(p2, abs=1e-6)
     assert out[1, 1].real == pytest.approx(p1, abs=1e-6)
     assert out[0, 0].real == pytest.approx(p0, abs=1e-6)
 
 
+def test_amplitude_damping_nearly_equal_rates_do_not_cancel():
+    # g2 (e1 - e2) / (g2 - g1) taken naively is off by about 1e-5 here
+    for t in (8.0, 23.0, 1000.0):
+        equal = site_map(t, t1_us=0.55, relax_scale2=1.0)
+        near = site_map(t, t1_us=0.55, relax_scale2=1.0 + 1e-12)
+        assert np.max(np.abs(near - equal)) < 1e-10
+        assert_cptp(near)
+
+
 @pytest.mark.parametrize("scale", [1.0, 2.0, 2.7])
 def test_amplitude_damping_cptp(scale):
     for t in (0.0, 8.0, 67.0, 5000.0):
-        channel = amplitude_damping_qutrit(t, 0.55, scale)
-        total = sum(k.conj().T @ k for k in channel.operators)
-        assert np.max(np.abs(total - np.eye(3))) < 1e-12
-        assert np.linalg.eigvalsh(kraus_choi(channel)).min() > -1e-12
+        assert_cptp(site_map(t, t1_us=0.55, relax_scale2=scale))
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_amplitude_damping_semigroup(scale):
     # degenerate rates (scale 1) exercise the g2 == g1 branch
     for ta, tb in [(8.0, 23.0), (7.0, 7.0), (21.0, 8.0)]:
-        a = superoperator(amplitude_damping_qutrit(ta, 0.55, scale))
-        b = superoperator(amplitude_damping_qutrit(tb, 0.55, scale))
-        ab = superoperator(amplitude_damping_qutrit(ta + tb, 0.55, scale))
+        a = site_map(ta, t1_us=0.55, relax_scale2=scale)
+        b = site_map(tb, t1_us=0.55, relax_scale2=scale)
+        ab = site_map(ta + tb, t1_us=0.55, relax_scale2=scale)
         assert np.max(np.abs(a @ b - ab)) < 1e-9
 
 
 def test_amplitude_damping_long_time_reaches_ground():
     rng = np.random.default_rng(3)
-    channel = amplitude_damping_qutrit(1e7, 0.55)
-    out = kraus_apply(channel, random_qutrit_density(rng))
+    out = map_apply(site_map(1e7, t1_us=0.55), random_qutrit_density(rng))
     expected = np.diag([1.0, 0.0, 0.0])
     assert np.max(np.abs(out - expected)) < 1e-9
 
@@ -184,22 +214,23 @@ def test_amplitude_damping_long_time_reaches_ground():
 def test_amplitude_damping_zero_time_is_identity():
     rng = np.random.default_rng(4)
     rho = random_qutrit_density(rng)
-    assert np.max(np.abs(kraus_apply(amplitude_damping_qutrit(0.0, 0.55), rho) - rho)) < 1e-14
+    sup = site_map(0.0, t1_us=0.55, tphi_us=0.76)
+    assert np.max(np.abs(map_apply(sup, rho) - rho)) < 1e-14
 
 
 def test_dephasing_coherence_factors():
     t_ns, tphi_us, scale = 23.0, 0.9, 1.3
-    channel = dephasing_qutrit(t_ns, tphi_us, scale)
+    sup = site_map(t_ns, tphi_us=tphi_us, deph_scale2=scale)
     t = t_ns / (tphi_us * 1e3)
     unit = np.zeros((3, 3), dtype=complex)
     unit[0, 1] = 1.0
-    assert kraus_apply(channel, unit)[0, 1] == pytest.approx(np.exp(-t), abs=1e-12)
+    assert map_apply(sup, unit)[0, 1] == pytest.approx(np.exp(-t), abs=1e-12)
     unit12 = np.zeros((3, 3), dtype=complex)
     unit12[1, 2] = 1.0
-    assert kraus_apply(channel, unit12)[1, 2] == pytest.approx(np.exp(-t * scale), abs=1e-12)
+    assert map_apply(sup, unit12)[1, 2] == pytest.approx(np.exp(-t * scale), abs=1e-12)
     unit02 = np.zeros((3, 3), dtype=complex)
     unit02[0, 2] = 1.0
-    assert kraus_apply(channel, unit02)[0, 2] == pytest.approx(
+    assert map_apply(sup, unit02)[0, 2] == pytest.approx(
         np.exp(-t) * np.exp(-t * scale), abs=1e-12
     )
 
@@ -207,34 +238,28 @@ def test_dephasing_coherence_factors():
 def test_dephasing_preserves_populations():
     rng = np.random.default_rng(5)
     rho = random_qutrit_density(rng)
-    out = kraus_apply(dephasing_qutrit(31.0, 0.76), rho)
+    out = map_apply(site_map(31.0, tphi_us=0.76), rho)
     assert np.allclose(np.diag(out), np.diag(rho), atol=1e-12)
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
 def test_dephasing_cptp_and_semigroup(scale):
     for t in (0.0, 8.0, 67.0):
-        channel = dephasing_qutrit(t, 0.76, scale)
-        total = sum(k.conj().T @ k for k in channel.operators)
-        assert np.max(np.abs(total - np.eye(3))) < 1e-12
-        assert np.linalg.eigvalsh(kraus_choi(channel)).min() > -1e-12
-    a = superoperator(dephasing_qutrit(8.0, 0.76, scale))
-    b = superoperator(dephasing_qutrit(23.0, 0.76, scale))
-    ab = superoperator(dephasing_qutrit(31.0, 0.76, scale))
+        assert_cptp(site_map(t, tphi_us=0.76, deph_scale2=scale))
+    a = site_map(8.0, tphi_us=0.76, deph_scale2=scale)
+    b = site_map(23.0, tphi_us=0.76, deph_scale2=scale)
+    ab = site_map(31.0, tphi_us=0.76, deph_scale2=scale)
     assert np.max(np.abs(a @ b - ab)) < 1e-9
 
 
-def test_kraus_channel_requires_trace_preservation():
-    bad = np.diag([0.9, 1.0, 1.0]).astype(complex)
-    with pytest.raises(ValueError):
-        KrausChannel((bad,))
-
-
 def test_negative_durations_rejected():
-    with pytest.raises(ValueError):
-        amplitude_damping_qutrit(-1.0, 0.55)
-    with pytest.raises(ValueError):
-        dephasing_qutrit(-1.0, 0.76)
+    # NaN passes a plain `< 0` test and used to fail deep in the compile
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration"):
+            GateOp("idle", LocalOperator((0,), np.eye(3)), bad)
+        for window in ("prep_window_ns", "meas_window_ns"):
+            with pytest.raises(ValueError, match="windows"):
+                circuit_choi(toffoli_circuit(), NoiseModel.from_device(), **{window: bad})
 
 
 def test_noise_model_validation():
@@ -244,6 +269,16 @@ def test_noise_model_validation():
         NoiseModel((0.5, -0.5, 0.5), (1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         NoiseModel((0.5, 0.5, 0.5), (1.0, 1.0, 1.0), relax_scale2=-1.0)
+    # NaN passes `v <= 0`; an overflowing rate would turn the maps to NaN
+    for times, scales in (
+        ((math.nan, 0.5, 0.5), (2.0, 1.0)),
+        ((0.5, 0.5, 0.5), (math.nan, 1.0)),
+        ((0.5, 0.5, 0.5), (2.0, math.inf)),
+        ((1e-320, 0.5, 0.5), (2.0, 1.0)),
+        ((1e-300, 0.5, 0.5), (1e20, 1.0)),
+    ):
+        with pytest.raises(ValueError):
+            NoiseModel(times, (1.0, 1.0, 1.0), *scales)
     model = NoiseModel.from_device()
     assert model.t1_us == DEVICE_T1_US
     assert model.tphi_us == pytest.approx((99 / 130, 1.05, 143 / 155))
@@ -361,10 +396,12 @@ def test_parse_config_file(tmp_path):
     )
     values = parse_config_file(path)
     assert values == {"t1_a_us": 0.80, "t2star_a_us": 0.60, "deph_scale2": 1.5}
-    params, relax2, deph2 = device_params_from_config(values)
-    assert params.t1_us[0] == pytest.approx(0.80)
-    assert params.t1_us[1] == DEVICE_T1_US[1]
-    assert relax2 == 2.0 and deph2 == 1.5
+    model = noise_model_from_config(values)
+    assert model == NoiseModel.from_device(
+        (0.80,) + DEVICE_T1_US[1:], (0.60,) + DEVICE_T2STAR_US[1:], deph_scale2=1.5
+    )
+    assert model.relax_scale2 == 2.0
+    assert noise_model_from_config({}) == NoiseModel.from_device()
 
 
 @pytest.mark.parametrize(
@@ -387,4 +424,4 @@ def test_config_t2star_limit_enforced(tmp_path):
     path = tmp_path / "limit.cfg"
     path.write_text("t2star_a_us = 1.2\n")  # 2*T1_A = 1.1
     with pytest.raises(ValueError):
-        device_params_from_config(parse_config_file(path))
+        noise_model_from_config(parse_config_file(path))

@@ -1,5 +1,8 @@
 """Property tests; skipped when hypothesis is not installed."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qutrit_toffoli.certify import choi_of_channel  # noqa: E402
 from qutrit_toffoli.gates import toffoli_circuit  # noqa: E402
-from qutrit_toffoli.noise import NoiseModel, circuit_choi  # noqa: E402
+from qutrit_toffoli.noise import (  # noqa: E402
+    _CONFIG_KEYS,
+    NoiseModel,
+    circuit_choi,
+    noise_model_from_config,
+    parse_config_file,
+)
 from qutrit_toffoli.tomography import chi_of_choi, ml_projection  # noqa: E402
 
 from _oracle import qubit_block_oracle  # noqa: E402
@@ -59,3 +68,42 @@ def test_compiled_channel_is_cptp_and_matches_the_oracle(
         applied = 8.0 * np.einsum("ij,iajb->ab", rho8, tensor)
         oracle = qubit_block_oracle(rho8, circuit, model, window, window)
         assert np.max(np.abs(applied - oracle)) < 1e-12
+
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+_PLAUSIBLE = st.floats(0.05, 1.0).map(repr)
+_VALUE = st.one_of(
+    _PLAUSIBLE,
+    _PLAUSIBLE,
+    st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr),
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map("{:.3e}".format),
+)
+# Known keys, each at most once, then arbitrary lines: unknown or upper-case
+# keys, text values, comments and free text.
+_ENTRIES = st.dictionaries(st.sampled_from(_CONFIG_KEYS), _VALUE, max_size=len(_CONFIG_KEYS))
+_LINE = st.one_of(
+    st.builds("{}={}  # {}".format, _TEXT, _VALUE, _TEXT),
+    st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS).map(str.upper), _TEXT),
+    st.builds("# {}".format, _TEXT),
+    _TEXT,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(entries=_ENTRIES, extra=st.lists(_LINE, max_size=1))
+def test_config_gives_a_cptp_model_or_a_value_error(entries, extra):
+    # the CLI turns a ValueError into exit code 2; nothing else may escape
+    lines = [f"{key} = {value}" for key, value in entries.items()] + extra
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "noise.cfg"
+        path.write_text("\n".join(lines))
+        try:
+            model = noise_model_from_config(parse_config_file(path))
+        except ValueError:
+            return
+    assert isinstance(model, NoiseModel)
+    choi = circuit_choi(toffoli_circuit(), model)
+    tensor = choi.matrix.reshape(8, 8, 8, 8)
+    assert np.linalg.eigvalsh(choi.matrix)[0] > -1e-12
+    assert np.max(np.abs(np.einsum("iaja->ij", tensor) - np.eye(8) / 8)) < 1e-12

@@ -8,15 +8,18 @@ from qutrit_toffoli.certify import (
 )
 from qutrit_toffoli.gates import toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_choi
+from qutrit_toffoli.tomography import pauli_labels
 
 # Full tomography needs 64 x 64 settings.  Certification gets the same
 # fidelity from far fewer measurements by only looking at Pauli pairs whose
 # expectation is non-zero on the perfect gate, then importance-sampling
 # those.
 
-relevant = enumerate_relevant_paulis(ideal_toffoli_choi())
-print(f"relevant Pauli pairs: {len(relevant)} of 4096")
-magnitudes = sorted({round(abs(ps.ideal), 9) for ps in relevant})
+# Each pair is an input and an output index into the 64 Pauli labels,
+# with its correlation on the perfect gate.
+inputs, outputs, ideal = enumerate_relevant_paulis(ideal_toffoli_choi())
+print(f"relevant Pauli pairs: {len(ideal)} of 4096")
+magnitudes = sorted({round(abs(float(p)), 9) for p in ideal})
 print(f"ideal correlation magnitudes: {magnitudes}")
 print()
 
@@ -43,11 +46,11 @@ print()
 # Each sampled string contributes a ratio of measured to ideal correlation.
 # The heavy hitters are the strings the chooser visits most.
 result = monte_carlo_fidelity(choi, samples=10000, seed=0)
-top = sorted(result.contributions, key=lambda c: -c.draws)[:5]
+top = np.argsort(-result.draws, kind="stable")[:5]
+labels = pauli_labels()
 print("most-sampled strings (input -> output, draws, measured/ideal):")
-for contribution in top:
-    ps = contribution.pauli
+for i in top:
     print(
-        f"  {ps.in_labels} -> {ps.out_labels}   {contribution.draws:>4}"
-        f"   {contribution.mean_value / ps.ideal:+.4f}"
+        f"  {labels[inputs[i]]} -> {labels[outputs[i]]}   {result.draws[i]:>4}"
+        f"   {result.mean_values[i] / ideal[i]:+.4f}"
     )

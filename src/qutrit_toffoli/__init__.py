@@ -8,7 +8,7 @@ projection, and sampling-based fidelity certification that needs only a
 handful of Pauli correlations.
 """
 
-from .register import ChoiMatrix, LocalOperator, StateVector
+from .register import ChoiMatrix, LocalOperator
 from .gates import (
     Circuit,
     GateOp,
@@ -42,7 +42,6 @@ from .tomography import (
 )
 from .certify import (
     FidelityEstimate,
-    PauliString,
     choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
@@ -60,10 +59,8 @@ __all__ = [
     "GateOp",
     "LocalOperator",
     "NoiseModel",
-    "PauliString",
     "ProjectionError",
     "Records",
-    "StateVector",
     "TruthTable",
     "align_global_phase",
     "bootstrap_ci",

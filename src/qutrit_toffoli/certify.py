@@ -21,13 +21,14 @@ shrinks with the sample count alone.
 Q_n is linear in the channel's Choi state, so the estimators take the
 ``ChoiMatrix`` of the channel under test (``noise.circuit_choi`` for the
 simulated gate, ``choi_of_channel`` for any other callable) and read every
-eigenstate output off it.
+eigenstate output off it.  A set of pairs is three aligned arrays: the
+input and output Pauli indices into ``pauli_labels()`` and the target
+correlations.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,19 +69,6 @@ def _check_labels(labels: str) -> str:
     return labels
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """An input/output observable pair with its target correlation."""
-
-    in_labels: str
-    out_labels: str
-    ideal: float
-
-    def __post_init__(self) -> None:
-        _check_labels(self.in_labels)
-        _check_labels(self.out_labels)
-
-
 def choi_of_channel(channel8) -> ChoiMatrix:
     """Evaluate the channel on all matrix units; block (i, j) is E(|i><j|) / 8."""
     units = np.eye(64, dtype=complex).reshape(64, 8, 8)  # units[8i + j] = |i><j|
@@ -93,16 +81,6 @@ def ideal_toffoli_choi() -> ChoiMatrix:
     return choi_of_unitary(ideal_toffoli_unitary())
 
 
-def _correlations(choi: ChoiMatrix) -> np.ndarray:
-    """All 4096 pair correlations Tr[rho (A^T x B)], indexed (in, out)."""
-    tensor = choi.matrix.reshape(8, 8, 8, 8)
-    stack = standard_pauli_stack()
-    vals = np.einsum("abcd,mac,ndb->mn", tensor, stack, stack, optimize=True)
-    if np.max(np.abs(vals.imag)) >= 1e-9:
-        raise ValueError("correlations of a Hermitian state must be real")
-    return vals.real
-
-
 def choi_expectation_direct(choi: ChoiMatrix, in_labels: str, out_labels: str) -> float:
     """Single pair correlation by direct contraction."""
     stack = standard_pauli_stack()
@@ -113,19 +91,23 @@ def choi_expectation_direct(choi: ChoiMatrix, in_labels: str, out_labels: str) -
     return float(val.real)
 
 
-def enumerate_relevant_paulis(choi: ChoiMatrix) -> tuple[PauliString, ...]:
-    """All pairs whose target correlation magnitude exceeds ``RELEVANCE_CUTOFF``."""
-    vals = _correlations(choi)
-    labels = pauli_labels()
-    out = []
-    for m, n in itertools.product(range(64), repeat=2):
-        if abs(vals[m, n]) > RELEVANCE_CUTOFF:
-            out.append(PauliString(labels[m], labels[n], float(vals[m, n])))
-    return tuple(out)
+def enumerate_relevant_paulis(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(inputs, outputs, ideal)`` of the pairs above ``RELEVANCE_CUTOFF``.
+
+    The correlation Tr[rho (A_m^T x B_n)] is Tr[B_n E(A_m)] / 8, one matmul
+    on the matrix-unit readout; pairs come in row-major (input, output) order.
+    """
+    readout = _unit_readout(choi).reshape(64, 64)
+    table = (standard_pauli_stack().reshape(64, 64) @ readout.T).real / 8.0
+    inputs, outputs = np.nonzero(np.abs(table) > RELEVANCE_CUTOFF)
+    ideal = table[inputs, outputs]
+    for arr in (inputs, outputs, ideal):
+        arr.setflags(write=False)
+    return inputs, outputs, ideal
 
 
 @functools.lru_cache(maxsize=1)
-def _relevant_toffoli_paulis() -> tuple[PauliString, ...]:
+def _relevant_toffoli_paulis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return enumerate_relevant_paulis(ideal_toffoli_choi())
 
 
@@ -160,25 +142,22 @@ def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
     return exact, values
 
 
-@dataclass(frozen=True)
-class StringContribution:
-    """Sampling summary for one relevant pair."""
-
-    pauli: PauliString
-    draws: int
-    mean_value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityEstimate:
-    """Monte Carlo certification result."""
+    """Monte Carlo certification result.
+
+    ``draws`` and ``mean_values`` are aligned with the relevant Toffoli
+    pairs: the draw count of each pair and its mean measured correlation,
+    NaN where a pair was not drawn.
+    """
 
     estimate: float
     stderr: float
     samples: int
     shots: int
     seed: int
-    contributions: tuple[StringContribution, ...]
+    draws: np.ndarray
+    mean_values: np.ndarray
 
 
 def monte_carlo_fidelity(
@@ -197,57 +176,44 @@ def monte_carlo_fidelity(
         raise ValueError("need at least one sample")
     if shots < 0:
         raise ValueError("shots must be non-negative")
-    relevant = _relevant_toffoli_paulis()
-    ideals = np.array([ps.ideal for ps in relevant])
-    probs = ideals**2 / 64.0
+    inputs, outputs, ideal = _relevant_toffoli_paulis()
+    probs = ideal**2 / 64.0
     probs = probs / probs.sum()
     chooser = task_rng(seed, 0)
-    draw_counts = np.bincount(
-        chooser.choice(len(relevant), size=samples, p=probs), minlength=len(relevant)
-    )
+    draws = np.bincount(chooser.choice(len(ideal), size=samples, p=probs), minlength=len(ideal))
     exact, eigenvalues = _eigenstate_readout(choi)
+    mean_values = np.full(len(ideal), np.nan)
     x_values = []
-    contributions = []
-    for index, ps in enumerate(relevant):
-        n_draws = int(draw_counts[index])
-        if n_draws == 0:
-            continue
-        m = _PAULI_INDEX[ps.in_labels]
-        lam, row = eigenvalues[m], exact[m, :, _PAULI_INDEX[ps.out_labels]]
+    for index in np.flatnonzero(draws):
+        m = inputs[index]
+        lam, row = eigenvalues[m], exact[m, :, outputs[index]]
         if shots == 0:
-            mean_value = float(np.dot(lam, row) / 8.0)
-            measured = np.full(n_draws, mean_value)
+            mean_values[index] = np.dot(lam, row) / 8.0
+            measured = np.full(draws[index], mean_values[index])
         else:
             sampled = _binomial_readout(
-                task_rng(seed, index + 1), shots, np.broadcast_to(row, (n_draws, 8))
+                task_rng(seed, index + 1), shots, np.broadcast_to(row, (draws[index], 8))
             )
             # lam is +-1, so each product is exact; summed left to right like np.dot
             measured = sum(l * s for l, s in zip(lam, sampled.T)) / 8.0
-            mean_value = float(np.mean(measured))
-        x_values.append(measured / ps.ideal)
-        contributions.append(StringContribution(ps, n_draws, mean_value))
+            mean_values[index] = np.mean(measured)
+        x_values.append(measured / ideal[index])
     x = np.concatenate(x_values)
     estimate = float(x.mean())
     stderr = float(x.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return FidelityEstimate(
-        estimate=estimate,
-        stderr=stderr,
-        samples=samples,
-        shots=shots,
-        seed=seed,
-        contributions=tuple(contributions),
-    )
+    draws.setflags(write=False)
+    mean_values.setflags(write=False)
+    return FidelityEstimate(estimate, stderr, samples, shots, seed, draws, mean_values)
 
 
 def exhaustive_fidelity(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> float:
     """Deterministic variant measuring every relevant pair exactly once."""
-    relevant = _relevant_toffoli_paulis()
+    inputs, outputs, ideal = _relevant_toffoli_paulis()
     exact, eigenvalues = _eigenstate_readout(choi)
     total = 0.0
-    for index, ps in enumerate(relevant):
-        m = _PAULI_INDEX[ps.in_labels]
-        lam, row = eigenvalues[m], exact[m, :, _PAULI_INDEX[ps.out_labels]]
+    for index, (m, n) in enumerate(zip(inputs, outputs)):
+        lam, row = eigenvalues[m], exact[m, :, n]
         if shots:
             row = _binomial_readout(task_rng(seed, index + 1), shots, row)
-        total += ps.ideal * float(np.dot(lam, row) / 8.0)
-    return total / 64.0
+        total += ideal[index] * float(np.dot(lam, row) / 8.0)
+    return float(total / 64.0)

@@ -2,7 +2,8 @@
 
 Every pipeline writes its artifacts into the output directory and prints a
 single summary line.  Given the same arguments and seed the artifacts are
-byte-identical.
+byte-identical.  The runners read the parsed ``argparse.Namespace``;
+``_check_args`` enforces the rules that argparse cannot express.
 
 Exit codes: 0 on success, 2 for invalid arguments or configuration files,
 1 for runtime failures such as a non-convergent projection.
@@ -14,8 +15,9 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .gates import (
@@ -32,7 +34,7 @@ from .noise import (
     noise_model_from_config,
     parse_config_file,
 )
-from .register import StateVector, basis_label
+from .register import QUBIT_KETS, basis_label
 from .tomography import (
     bootstrap_ci,
     chi_of_unitary,
@@ -43,66 +45,42 @@ from .tomography import (
     process_fidelity,
     ProjectionError,
 )
-from .certify import (
-    enumerate_relevant_paulis,
-    exhaustive_fidelity,
-    ideal_toffoli_choi,
-    monte_carlo_fidelity,
-)
+from .certify import _relevant_toffoli_paulis, exhaustive_fidelity, monte_carlo_fidelity
 
-PIPELINES = ("truth-table", "process-tomo", "certify", "table1-trace")
 NOISE_CHOICES = ("ideal", "device", "custom")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments of one CLI invocation."""
-
-    pipeline: str
-    noise: str = "device"
-    config_path: Path | None = None
-    shots: int = 0
-    samples: int = 10000
-    seed: int = 0
-    bootstrap: int = 0
-    exhaustive: bool = False
-    spam_windows: bool = True
-    output_dir: Path = Path(".")
-
-    def __post_init__(self) -> None:
-        if self.pipeline not in PIPELINES:
-            raise ValueError(f"unknown pipeline {self.pipeline!r}")
-        if self.noise not in NOISE_CHOICES:
-            raise ValueError(f"unknown noise mode {self.noise!r}")
-        if self.noise == "custom" and self.config_path is None:
-            raise ValueError("--noise custom requires --config")
-        if self.noise != "custom" and self.config_path is not None:
-            raise ValueError("--config is only valid with --noise custom")
-        if self.shots < 0:
-            raise ValueError("--shots must be non-negative")
-        if self.samples < 1:
-            raise ValueError("--samples must be at least 1")
-        if self.seed < 0:
-            raise ValueError("--seed must be non-negative")
-        if self.bootstrap < 0:
-            raise ValueError("--bootstrap must be non-negative")
-        if self.bootstrap and self.shots == 0:
-            raise ValueError("--bootstrap requires --shots > 0")
+def _check_args(args: argparse.Namespace) -> None:
+    """Raise ``ValueError`` for a combination of arguments that argparse accepts."""
+    if args.noise == "custom" and args.config is None:
+        raise ValueError("--noise custom requires --config")
+    if args.noise != "custom" and args.config is not None:
+        raise ValueError("--config is only valid with --noise custom")
+    if args.shots < 0:
+        raise ValueError("--shots must be non-negative")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
+    if args.bootstrap < 0:
+        raise ValueError("--bootstrap must be non-negative")
+    if args.bootstrap and args.shots == 0:
+        raise ValueError("--bootstrap requires --shots > 0")
 
 
-def _noise_model(config: RunConfig) -> NoiseModel | None:
-    if config.noise == "ideal":
+def _noise_model(args: argparse.Namespace) -> NoiseModel | None:
+    if args.noise == "ideal":
         return None
-    if config.noise == "device":
+    if args.noise == "device":
         return NoiseModel.from_device()
-    return noise_model_from_config(parse_config_file(config.config_path))
+    return noise_model_from_config(parse_config_file(args.config))
 
 
-def _toffoli_choi(config: RunConfig):
-    window = XY_PULSE_NS if config.spam_windows else 0.0
+def _toffoli_choi(args: argparse.Namespace):
+    window = 0.0 if args.no_spam else XY_PULSE_NS
     return circuit_choi(
         toffoli_circuit(),
-        _noise_model(config),
+        _noise_model(args),
         prep_window_ns=window,
         meas_window_ns=window,
     )
@@ -112,68 +90,66 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _common_meta(config: RunConfig) -> dict:
+def _common_meta(args: argparse.Namespace) -> dict:
     return {
         "version": __version__,
-        "noise": config.noise,
-        "shots": config.shots,
-        "seed": config.seed,
-        "spam_windows": config.spam_windows,
+        "noise": args.noise,
+        "shots": args.shots,
+        "seed": args.seed,
+        "spam_windows": not args.no_spam,
     }
 
 
-def _run_truth_table(config: RunConfig) -> str:
-    table = truth_table(_toffoli_choi(config))
+def _run_truth_table(args: argparse.Namespace) -> str:
+    table = truth_table(_toffoli_choi(args))
     fidelity = truth_table_fidelity(table)
     labels = table.column_labels()
     csv_lines = ["output\\input," + ",".join(labels)]
     for i, row in enumerate(table.matrix):
         csv_lines.append(labels[i] + "," + ",".join(f"{v:.12g}" for v in row))
-    (config.output_dir / "truth_table.csv").write_text("\n".join(csv_lines) + "\n")
-    payload = _common_meta(config) | {
+    (args.output / "truth_table.csv").write_text("\n".join(csv_lines) + "\n")
+    payload = _common_meta(args) | {
         "fidelity": fidelity,
         "populations": [[float(v) for v in row] for row in table.matrix],
         "basis": list(labels),
     }
-    _write_json(config.output_dir / "truth_table.json", payload)
-    return f"truth-table: fidelity={fidelity:.6f} noise={config.noise}"
+    _write_json(args.output / "truth_table.json", payload)
+    return f"truth-table: fidelity={fidelity:.6f} noise={args.noise}"
 
 
-def _run_table1_trace(config: RunConfig) -> str:
+def _run_table1_trace(args: argparse.Namespace) -> str:
     circuit = ccphase_circuit()
     steps = ["initial"] + [op.label for op in circuit.ops]
+    trajectory = circuit.trajectory()
     inputs = {}
-    for index in range(8):
-        digits = [int(b) for b in f"{index:03b}"]
-        state = StateVector.computational(digits)
-        trajectory = (state,) + circuit.trajectory(state)
+    for index, ket in enumerate(QUBIT_KETS):
         entries = []
-        for label, snap in zip(steps, trajectory):
+        for label, column in zip(steps, trajectory[:, :, ket]):
             amps = {
                 basis_label(i): [float(a.real), float(a.imag)]
-                for i, a in enumerate(snap.amplitudes)
+                for i, a in enumerate(column)
                 if abs(a) > 1e-12
             }
             entries.append({"step": label, "amplitudes": amps})
-        inputs["".join(str(d) for d in digits)] = entries
-    payload = _common_meta(config) | {
+        inputs[f"{index:03b}"] = entries
+    payload = _common_meta(args) | {
         "circuit": circuit.to_json_dict(),
         "trajectories": inputs,
     }
-    _write_json(config.output_dir / "trajectory.json", payload)
+    _write_json(args.output / "trajectory.json", payload)
     return f"table1-trace: 8 inputs, {len(steps)} snapshots each"
 
 
-def _run_process_tomo(config: RunConfig) -> str:
+def _run_process_tomo(args: argparse.Namespace) -> str:
     records = measure_output_records(
-        _toffoli_choi(config), shots=config.shots, seed=config.seed
+        _toffoli_choi(args), shots=args.shots, seed=args.seed
     )
     raw = chi_from_records(records)
     projected = ml_projection(raw)
     ideal = chi_of_unitary(ideal_toffoli_unitary())
     fidelity_raw = process_fidelity(raw, ideal)
     fidelity_ml = process_fidelity(projected, ideal)
-    payload = _common_meta(config) | {
+    payload = _common_meta(args) | {
         "basis": list(pauli_labels()),
         "fidelity_raw": fidelity_raw,
         "fidelity_ml": fidelity_ml,
@@ -190,25 +166,26 @@ def _run_process_tomo(config: RunConfig) -> str:
     summary = (
         f"process-tomo: fidelity_ml={fidelity_ml:.6f} fidelity_raw={fidelity_raw:.6f}"
     )
-    if config.bootstrap:
-        lo, hi = bootstrap_ci(records, resamples=config.bootstrap, seed=config.seed)
+    if args.bootstrap:
+        lo, hi = bootstrap_ci(records, resamples=args.bootstrap, seed=args.seed)
         payload["bootstrap"] = {
             "confidence": 0.90,
-            "resamples": config.bootstrap,
+            "resamples": args.bootstrap,
             "low": lo,
             "high": hi,
         }
         summary += f" ci90=[{lo:.6f}, {hi:.6f}]"
-    _write_json(config.output_dir / "process_tomo.json", payload)
+    _write_json(args.output / "process_tomo.json", payload)
     return summary
 
 
-def _run_certify(config: RunConfig) -> str:
-    choi = _toffoli_choi(config)
-    payload = _common_meta(config)
-    if config.exhaustive:
-        fidelity = exhaustive_fidelity(choi, shots=config.shots, seed=config.seed)
-        n_relevant = len(enumerate_relevant_paulis(ideal_toffoli_choi()))
+def _run_certify(args: argparse.Namespace) -> str:
+    choi = _toffoli_choi(args)
+    payload = _common_meta(args)
+    inputs, outputs, ideal = _relevant_toffoli_paulis()
+    if args.exhaustive:
+        fidelity = exhaustive_fidelity(choi, shots=args.shots, seed=args.seed)
+        n_relevant = len(ideal)
         payload |= {
             "mode": "exhaustive",
             "estimate": fidelity,
@@ -217,8 +194,9 @@ def _run_certify(config: RunConfig) -> str:
         summary = f"certify: estimate={fidelity:.6f} (exhaustive, {n_relevant} strings)"
     else:
         result = monte_carlo_fidelity(
-            choi, samples=config.samples, seed=config.seed, shots=config.shots
+            choi, samples=args.samples, seed=args.seed, shots=args.shots
         )
+        labels = pauli_labels()
         payload |= {
             "mode": "monte-carlo",
             "estimate": result.estimate,
@@ -226,20 +204,20 @@ def _run_certify(config: RunConfig) -> str:
             "samples": result.samples,
             "strings": [
                 {
-                    "in": c.pauli.in_labels,
-                    "out": c.pauli.out_labels,
-                    "ideal": c.pauli.ideal,
-                    "draws": c.draws,
-                    "mean_value": c.mean_value,
+                    "in": labels[inputs[i]],
+                    "out": labels[outputs[i]],
+                    "ideal": float(ideal[i]),
+                    "draws": int(result.draws[i]),
+                    "mean_value": float(result.mean_values[i]),
                 }
-                for c in result.contributions
+                for i in np.flatnonzero(result.draws)
             ],
         }
         summary = (
             f"certify: estimate={result.estimate:.6f} stderr={result.stderr:.6f}"
             f" samples={result.samples}"
         )
-    _write_json(config.output_dir / "certification.json", payload)
+    _write_json(args.output / "certification.json", payload)
     return summary
 
 
@@ -249,12 +227,6 @@ _RUNNERS = {
     "certify": _run_certify,
     "table1-trace": _run_table1_trace,
 }
-
-
-def run(config: RunConfig) -> str:
-    """Execute one pipeline and return its summary line."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[config.pipeline](config)
 
 
 @functools.lru_cache(maxsize=1)
@@ -308,33 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("table1-trace", help="per-pulse state trajectories")
     add_common(tr)
+    parser.set_defaults(samples=10000, bootstrap=0, exhaustive=False)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        pipeline=args.pipeline,
-        noise=args.noise,
-        config_path=args.config,
-        shots=args.shots,
-        samples=getattr(args, "samples", 10000),
-        seed=args.seed,
-        bootstrap=getattr(args, "bootstrap", 0),
-        exhaustive=getattr(args, "exhaustive", False),
-        spam_windows=not args.no_spam,
-        output_dir=args.output,
-    )
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        summary = run(config)
+        _check_args(args)
+        args.output.mkdir(parents=True, exist_ok=True)
+        summary = _RUNNERS[args.pipeline](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

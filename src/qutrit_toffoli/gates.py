@@ -34,7 +34,6 @@ from .register import (
     SITE_NAMES,
     ChoiMatrix,
     LocalOperator,
-    StateVector,
     site_index,
 )
 
@@ -132,19 +131,19 @@ class Circuit:
         return float(sum(op.duration_ns for op in self.ops))
 
     def unitary(self) -> np.ndarray:
+        return self.trajectory()[-1]
+
+    def trajectory(self) -> np.ndarray:
+        """``(len(ops) + 1, 27, 27)`` stack: the identity, then the unitary after each pulse.
+
+        Column ``k`` of entry ``s`` is basis ket ``k`` after the first ``s`` pulses.
+        """
         total = np.eye(DIM, dtype=complex).reshape(DIMS + (DIM,))
+        steps = [total]
         for op in self.ops:
             total = op.unitary.on_kets(total)
-        return total.reshape(DIM, DIM)
-
-    def trajectory(self, initial: StateVector) -> tuple[StateVector, ...]:
-        """States after each pulse, starting from ``initial`` (not included)."""
-        states = []
-        state = initial
-        for op in self.ops:
-            state = state.apply(op.unitary)
-            states.append(state)
-        return tuple(states)
+            steps.append(total)
+        return np.stack(steps).reshape(-1, DIM, DIM)
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,12 +8,11 @@ eight kets with every site in level 0 or 1, listed in ``QUBIT_KETS`` in the
 order of the three-qubit basis |000>, |001>, ..., |111>.
 
 The module holds what the rest of the package builds on: local operators
-that act on the ket axes of their target sites, normalized pure states (used
-to trace the noiseless pulse sequence), and ``ChoiMatrix``, the one
+that act on the ket axes of their target sites, and ``ChoiMatrix``, the one
 representation of a three-qubit channel that truth tables, tomography and
-certification all read.  Operators, states and Choi matrices are plain
-complex numpy arrays wrapped in small container types that validate their
-defining invariants, finiteness included, on construction.
+certification all read.  Operators and Choi matrices are plain complex numpy
+arrays wrapped in small container types that validate their defining
+invariants, finiteness included, on construction.
 """
 
 from __future__ import annotations
@@ -118,39 +117,6 @@ class LocalOperator:
         moved = np.moveaxis(tensor, self.targets, front)
         out = self.matrix @ moved.reshape(self.dim, -1)
         return np.moveaxis(out.reshape(moved.shape), front, self.targets)
-
-
-class StateVector:
-    """Normalized pure state on the register."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes, *, atol: float = ATOL):
-        amps = _readonly_complex(amplitudes, "amplitudes")
-        if amps.shape != (DIM,):
-            raise ValueError(f"expected {DIM} amplitudes, got {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) >= atol:
-            raise ValueError(f"state norm {norm} deviates from 1 by >= {atol}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
-
-    def __repr__(self) -> str:
-        return f"StateVector(dims={DIMS})"
-
-    @classmethod
-    def computational(cls, digits) -> "StateVector":
-        """Basis ket |digits>, e.g. digits (0, 1, 1) for |011>."""
-        amps = np.zeros(DIM, dtype=complex)
-        amps[basis_index(digits)] = 1.0
-        return cls(amps)
-
-    def apply(self, op: LocalOperator) -> "StateVector":
-        """Apply a unitary; the constructor re-checks the norm invariant."""
-        new = op.on_kets(self.amplitudes.reshape(DIMS)).reshape(DIM)
-        return StateVector(new)
 
 
 class ChoiMatrix:

@@ -6,9 +6,11 @@ module, so it checks ``LocalOperator.on_kets`` and everything built on it.
 
 ``amplitude_damping_kraus`` and ``dephasing_kraus`` build each site's
 decoherence as Kraus operators: the relaxation cascade as four jump
-operators, and dephasing from the eigendecomposition of its correlation
-matrix.  The package builds the same maps in closed form and owns no Kraus
-construction, so these check ``noise._site_superoperator``.
+operators weighted by the exponential of its rate generator
+(``cascade_transfer``, scaling and squaring of a Taylor series), and
+dephasing from the eigendecomposition of its correlation matrix.  The
+package builds the same maps in closed form and owns no Kraus construction,
+so these check ``noise._site_superoperator``.
 
 ``qubit_block_oracle`` evolves one 27x27 matrix through a circuit the slow
 way: every pulse is its embedded 27x27 unitary sandwiched on both sides, and
@@ -43,25 +45,38 @@ def embed(targets, matrix):
     return tensor.reshape(27, 27)
 
 
-def amplitude_damping_kraus(duration_ns, t1_us, relax_scale2):
-    """Kraus operators of the relaxation cascade 2 -> 1 -> 0 over ``duration_ns``."""
+def cascade_transfer(duration_ns, t1_us, relax_scale2):
+    """Population transfer matrix exp(Q t) of the cascade 2 -> 1 -> 0.
+
+    ``Q`` is the 3x3 rate generator (column j holds the rates out of level
+    j).  The exponential is a Taylor series on Q t / 2**s, with ||Q t|| / 2**s
+    below 1/4, squared s times; every matrix in it is entrywise non-negative
+    off the diagonal, so nearly equal rates need no special case.
+    """
     g1 = 1.0 / (t1_us * 1e3)
     g2 = relax_scale2 * g1
-    t = float(duration_ns)
-    e1 = np.exp(-g1 * t)
-    e2 = np.exp(-g2 * t)
-    # Weight that left level 2 and still sits in level 1 at time t.
-    if abs(g2 - g1) < 1e-18:
-        via1 = g2 * t * e1
-    else:
-        via1 = g2 * (e1 - e2) / (g2 - g1)
-    k0 = np.diag([1.0, np.sqrt(e1), np.sqrt(e2)]).astype(complex)
+    rates = np.array([[0.0, g1, 0.0], [0.0, -g1, g2], [0.0, 0.0, -g2]]) * float(duration_ns)
+    squarings = max(0, np.frexp(np.abs(rates).sum(axis=0).max())[1] + 2)
+    scaled = rates / 2.0**squarings
+    term = out = np.eye(3)
+    for k in range(1, 20):
+        term = term @ scaled / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def amplitude_damping_kraus(duration_ns, t1_us, relax_scale2):
+    """Kraus operators of the relaxation cascade 2 -> 1 -> 0 over ``duration_ns``."""
+    p = cascade_transfer(duration_ns, t1_us, relax_scale2)  # p[i, j]: level j -> i
+    k0 = np.diag(np.sqrt([1.0, p[1, 1], p[2, 2]])).astype(complex)
     k1 = np.zeros((3, 3), dtype=complex)
-    k1[0, 1] = np.sqrt(max(0.0, 1.0 - e1))
+    k1[0, 1] = np.sqrt(p[0, 1])
     k2 = np.zeros((3, 3), dtype=complex)
-    k2[1, 2] = np.sqrt(max(0.0, via1))
+    k2[1, 2] = np.sqrt(p[1, 2])
     k3 = np.zeros((3, 3), dtype=complex)
-    k3[0, 2] = np.sqrt(max(0.0, 1.0 - e2 - via1))
+    k3[0, 2] = np.sqrt(p[0, 2])
     return (k0, k1, k2, k3)
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qutrit_toffoli.certify import (
+    RELEVANCE_CUTOFF,
     ChoiMatrix,
-    PauliString,
     _eigenstate_readout,
     _eigenstates,
     choi_expectation_direct,
@@ -154,37 +154,61 @@ def test_correlation_against_slow_oracle():
 
 
 def test_relevant_count_for_toffoli_is_232():
-    relevant = enumerate_relevant_paulis(ideal_toffoli_choi())
-    assert len(relevant) == 232
-    magnitudes = np.array([abs(ps.ideal) for ps in relevant])
+    inputs, outputs, ideal = enumerate_relevant_paulis(ideal_toffoli_choi())
+    assert len(inputs) == len(outputs) == len(ideal) == 232
+    assert not any(arr.flags.writeable for arr in (inputs, outputs, ideal))
+    # row-major (input, output) order
+    assert np.all(np.diff(64 * inputs + outputs) > 0)
+    magnitudes = np.abs(ideal)
     assert magnitudes.min() == pytest.approx(0.5, abs=1e-12)
     # correlations of a Clifford-like permutation sit on a 1/4 grid
     assert np.allclose(4 * magnitudes, np.round(4 * magnitudes), atol=1e-9)
 
 
 def test_relevant_count_for_identity_is_64():
-    relevant = enumerate_relevant_paulis(choi_of_channel(lambda rho: rho))
-    assert len(relevant) == 64
-    assert all(ps.in_labels == ps.out_labels for ps in relevant)
-    assert all(ps.ideal == pytest.approx(1.0) for ps in relevant)
+    inputs, outputs, ideal = enumerate_relevant_paulis(choi_of_channel(lambda rho: rho))
+    assert len(ideal) == 64
+    assert np.array_equal(inputs, outputs)
+    assert np.allclose(ideal, 1.0)
 
 
 def test_relevance_probabilities_sum_to_one():
-    relevant = enumerate_relevant_paulis(ideal_toffoli_choi())
-    total = sum(ps.ideal**2 for ps in relevant) / 64.0
+    _, _, ideal = enumerate_relevant_paulis(ideal_toffoli_choi())
+    total = np.sum(ideal**2) / 64.0
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("channel", ["random", "device"])
+def test_correlation_table_matches_direct_contraction_entry_by_entry(channel):
+    # every one of the 4096 entries: a kept pair carries its correlation,
+    # a dropped pair has none above the cutoff
+    if channel == "random":
+        choi = choi_of_channel(random_cptp_channel(np.random.default_rng(36)))
+    else:
+        choi = device_choi()
+    inputs, outputs, ideal = enumerate_relevant_paulis(choi)
+    table = np.zeros((64, 64))
+    table[inputs, outputs] = ideal
+    kept = np.zeros((64, 64), dtype=bool)
+    kept[inputs, outputs] = True
+    labels = pauli_labels()
+    for m, n in itertools.product(range(64), repeat=2):
+        direct = choi_expectation_direct(choi, labels[m], labels[n])
+        if kept[m, n]:
+            assert abs(table[m, n] - direct) < 1e-12
+        else:
+            assert abs(direct) <= RELEVANCE_CUTOFF + 1e-12
+    if channel == "random":
+        # trace preservation zeroes Tr[E(A)] for the 63 traceless inputs A
+        assert kept.sum() == 4096 - 63 and not kept[1:, 0].any()
+
+
 def test_pauli_string_validation():
-    with pytest.raises(ValueError):
-        PauliString("IIQ", "III", 1.0)
-    with pytest.raises(ValueError):
-        PauliString("II", "III", 1.0)
-    for bad in ("", "iii", "IIII", "XYW", "I Z"):
-        with pytest.raises(ValueError):
-            PauliString("III", bad, 1.0)
+    for bad in ("", "iii", "IIII", "XYW", "I Z", "IIQ", "II"):
         with pytest.raises(ValueError):
             choi_expectation_direct(ideal_toffoli_choi(), bad, "III")
+        with pytest.raises(ValueError):
+            choi_expectation_direct(ideal_toffoli_choi(), "III", bad)
 
 
 def test_eigenstate_protocol_matches_direct_contraction():
@@ -241,7 +265,8 @@ def test_monte_carlo_ideal_channel_is_exact():
     )
     assert result.estimate == pytest.approx(1.0, abs=1e-12)
     assert result.stderr < 1e-12
-    assert sum(c.draws for c in result.contributions) == 500
+    assert result.draws.sum() == 500
+    assert np.array_equal(np.isnan(result.mean_values), result.draws == 0)
 
 
 def test_monte_carlo_device_channel_matches_exhaustive():
@@ -275,19 +300,23 @@ def test_monte_carlo_shot_readout_matches_per_draw_dot():
     choi = device_choi()
     result = monte_carlo_fidelity(choi, samples=3000, seed=5, shots=1000)
     exact, eigenvalues = _eigenstate_readout(choi)
-    relevant = enumerate_relevant_paulis(ideal_toffoli_choi())
-    labels = pauli_labels()
+    inputs, outputs, ideal = enumerate_relevant_paulis(ideal_toffoli_choi())
     x = []
-    for c in result.contributions:
-        m, n = labels.index(c.pauli.in_labels), labels.index(c.pauli.out_labels)
-        rng = task_rng(5, relevant.index(c.pauli) + 1)
-        sampled = _binomial_readout(rng, 1000, np.broadcast_to(exact[m, :, n], (c.draws, 8)))
+    for index in range(len(ideal)):
+        m, n, draws = inputs[index], outputs[index], result.draws[index]
+        if draws == 0:
+            assert np.isnan(result.mean_values[index])
+            continue
+        rng = task_rng(5, index + 1)
+        sampled = _binomial_readout(rng, 1000, np.broadcast_to(exact[m, :, n], (draws, 8)))
         measured = [float(np.dot(eigenvalues[m], s) / 8.0) for s in sampled]
-        assert c.mean_value == float(np.mean(measured))
-        x.extend(q / c.pauli.ideal for q in measured)
+        assert result.mean_values[index] == float(np.mean(measured))
+        x.extend(q / float(ideal[index]) for q in measured)
+    assert result.draws.sum() == 3000
     assert result.estimate == float(np.mean(x))
     assert result.stderr == float(np.std(x, ddof=1) / np.sqrt(3000))
     assert not any(arr.flags.writeable for arr in _eigenstates())
+    assert not result.draws.flags.writeable and not result.mean_values.flags.writeable
 
 
 def test_monte_carlo_input_validation():

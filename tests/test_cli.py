@@ -165,6 +165,7 @@ def test_no_spam_raises_fidelity(tmp_path, capsys):
         ["certify", "--samples", "0"],
         ["process-tomo", "--shots", "-5"],
         ["certify", "--seed", "-1"],
+        ["process-tomo", "--shots", "10", "--bootstrap", "-1"],
     ],
 )
 def test_invalid_configuration_exits_2(argv, tmp_path, capsys):

@@ -126,10 +126,12 @@ def test_device_params_defaults():
 @pytest.mark.parametrize("model", [NoiseModel.from_device(), CUSTOM_MODEL], ids=["device", "custom"])
 def test_site_superoperator_matches_the_kraus_oracle(model):
     # the closed form against the oracle's Kraus products D R, including the
-    # g2 == g1 branch (relax_scale2 = 1) and dephasing without a 1-2 term
+    # g2 == g1 branch (relax_scale2 = 1), nearly equal rates and dephasing
+    # without a 1-2 term
     variants = (
         model,
         NoiseModel(model.t1_us, model.tphi_us, relax_scale2=1.0, deph_scale2=model.deph_scale2),
+        NoiseModel(model.t1_us, model.tphi_us, relax_scale2=1 + 1e-12, deph_scale2=model.deph_scale2),
         NoiseModel(model.t1_us, model.tphi_us, relax_scale2=model.relax_scale2, deph_scale2=0.0),
     )
     for variant in variants:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qutrit_toffoli.certify import choi_of_channel  # noqa: E402
 from qutrit_toffoli.gates import toffoli_circuit  # noqa: E402
@@ -51,6 +51,11 @@ def test_ml_projection_of_perturbed_cptp_chi_is_physical(seed, n_kraus, noise_no
     deph_scale2=st.floats(0.0, 4.0),
     window=st.floats(0.0, 40.0),
     seed=st.integers(0, 2**32 - 1),
+)
+# nearly equal 2 -> 1 and 1 -> 0 rates, where a naive rate quotient cancels
+@example(
+    t1_us=(0.55, 0.7, 1.1), tphi_us=(0.6, 1.2, 0.9), relax_scale2=1 + 1e-12,
+    deph_scale2=1.0, window=8.0, seed=0,
 )
 def test_compiled_channel_is_cptp_and_matches_the_oracle(
     t1_us, tphi_us, relax_scale2, deph_scale2, window, seed

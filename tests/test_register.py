@@ -11,7 +11,6 @@ from qutrit_toffoli.register import (
     QUBIT_KETS,
     SITE_NAMES,
     LocalOperator,
-    StateVector,
     basis_index,
     basis_label,
     site_index,
@@ -117,15 +116,18 @@ def digit_oracle(targets, matrix) -> np.ndarray:
     ],
 )
 def test_embed_matches_digit_oracle(dims, targets):
-    # the oracle's dense embed, the circuit unitary, the state update and
-    # on_kets on an array of shape ``dims`` (batch axes after the three
-    # sites) all agree with the element-by-element placement
+    # the oracle's dense embed, the circuit unitary, each step of a circuit
+    # trajectory and on_kets on an array of shape ``dims`` (batch axes after
+    # the three sites) all agree with the element-by-element placement
     op = LocalOperator(targets, random_unitary(3 ** len(targets)))
     expected = digit_oracle(targets, op.matrix)
-    columns = [StateVector(ket).apply(op).amplitudes for ket in np.eye(DIM)]
+    steps = Circuit((GateOp("op", op, 0.0),) * 2).trajectory()
     assert np.allclose(embed(targets, op.matrix), expected, atol=1e-12)
     assert np.allclose(register_matrix(op), expected, atol=1e-12)
-    assert np.allclose(np.stack(columns, axis=1), expected, atol=1e-12)
+    assert steps.shape == (3, DIM, DIM)
+    assert np.array_equal(steps[0], np.eye(DIM))
+    assert np.allclose(steps[1], expected, atol=1e-12)
+    assert np.allclose(steps[2], expected @ expected, atol=1e-12)
     batch = RNG.normal(size=dims) + 1j * RNG.normal(size=dims)
     out = op.on_kets(batch)
     assert out.shape == dims
@@ -167,26 +169,27 @@ def test_computational_indices_order():
     assert not QUBIT_KETS.flags.writeable
 
 
-def test_state_vector_normalization_guard():
-    with pytest.raises(ValueError):
-        StateVector(np.ones(DIM))
-    with pytest.raises(ValueError):
-        StateVector(np.eye(8)[0])  # a qubit-register state
-    state = StateVector.computational((0, 0, 0))
-    with pytest.raises(ValueError):
-        state.apply(LocalOperator((0,), 2 * np.eye(3)))
+def test_gate_op_rejects_non_unitary():
+    # the guard that keeps every trajectory step unitary
+    for matrix in (2 * np.eye(3), np.diag([1, 1, 0.9])):
+        with pytest.raises(ValueError, match="not unitary"):
+            GateOp("bad", LocalOperator((0,), matrix), 1.0)
+    GateOp("ok", LocalOperator((0,), random_unitary(3)), 1.0)
 
 
-def test_state_vector_apply_and_density():
-    state = StateVector.computational((1, 1, 0))
-    target = basis_index((1, 1, 0))
-    assert state.amplitudes[target] == 1.0
-    assert np.count_nonzero(state.amplitudes) == 1
-    # a level 0 <-> 1 swap on site C moves the amplitude to |111>
+def test_trajectory_follows_basis_kets():
+    # a level 0 <-> 1 swap on site C moves |110> to |111>, then back
     swap01 = LocalOperator((2,), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
-    flipped = state.apply(swap01).amplitudes
-    assert abs(flipped[basis_index((1, 1, 1))] - 1.0) < 1e-15
-    assert np.linalg.norm(flipped) == pytest.approx(1.0, abs=1e-12)
+    circuit = Circuit((GateOp("swap", swap01, 0.0),) * 2)
+    steps = circuit.trajectory()
+    start = basis_index((1, 1, 0))
+    columns = steps[:, :, start]
+    assert columns[0][start] == 1.0 and np.count_nonzero(columns[0]) == 1
+    assert abs(columns[1][basis_index((1, 1, 1))] - 1.0) < 1e-15
+    assert np.linalg.norm(columns[1]) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(columns[2], columns[0])
+    assert np.array_equal(circuit.unitary(), steps[-1])
+    assert np.array_equal(Circuit(()).trajectory(), np.eye(DIM)[None])
 
 
 def test_public_exports_resolve():

@@ -38,6 +38,7 @@ from .register import ChoiMatrix, choi_of_unitary
 from .tomography import (
     PAULI_AXES,
     _binomial_readout,
+    _check_shots,
     _unit_readout,
     pauli_labels,
     standard_pauli_stack,
@@ -174,8 +175,7 @@ def monte_carlo_fidelity(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
+    shots = _check_shots(shots)
     inputs, outputs, ideal = _relevant_toffoli_paulis()
     probs = ideal**2 / 64.0
     probs = probs / probs.sum()
@@ -208,6 +208,7 @@ def monte_carlo_fidelity(
 
 def exhaustive_fidelity(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> float:
     """Deterministic variant measuring every relevant pair exactly once."""
+    shots = _check_shots(shots)
     inputs, outputs, ideal = _relevant_toffoli_paulis()
     exact, eigenvalues = _eigenstate_readout(choi)
     total = 0.0

@@ -31,6 +31,13 @@ conjugate to their bra axes.  An interval applies each site's relaxation
 then dephasing as one real 9x9 superoperator on that site's axis pair, built
 in closed form (the vectorized form of Wood, Biamonte & Cory,
 arXiv:1111.6950).
+
+A site that no pulse of the circuit drives out of {0, 1} is carried with
+two levels: its axes have size 2, pulses act on their kept kets, and its
+superoperator is the 4x4 corner of the 9x9.  That is exact, because no
+pulse moves weight into its level 2 and relaxation and dephasing never
+raise a level.  In the Toffoli the exchange pulses send |11> to |20>, so
+only A and B enter level 2 and target C is carried as a qubit.
 """
 
 from __future__ import annotations
@@ -199,27 +206,47 @@ def _site_superoperator(model: NoiseModel, site: int, duration_ns: float) -> np.
     return sup
 
 
+def _restrict(matrix: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """``matrix`` on three-level factors, restricted to the lowest ``sizes[k]`` levels of factor k.
+
+    For a 9x9 site map, sizes (2, 2) give its 4x4 corner [0, 1, 3, 4], which
+    acts on levels 0 and 1 alone.
+    """
+    dim = math.prod(sizes)
+    block = matrix.reshape((3,) * (2 * len(sizes)))[tuple(slice(n) for n in sizes * 2)]
+    return block.reshape(dim, dim)
+
+
 def decohere(pairs: np.ndarray, model: NoiseModel, duration_ns: float) -> np.ndarray:
     """Apply every site's relaxation then dephasing over one interval.
 
     ``pairs`` holds register matrices in the site-pair layout: axes
     ``(a, a', b, b', c, c', ...)`` with each site's ket axis beside its bra
-    axis and any batch axes last.  Each site superoperator is one real
+    axis and any batch axes last.  A site axis of size 2 carries only
+    levels 0 and 1 and gets the 4x4 corner of its 9x9 map; that is exact
+    for a site the circuit never drives out of {0, 1}, because relaxation
+    and dephasing never raise a level.  Each site superoperator is one real
     matmul on the float view of the data, with no transposes.
     """
     if duration_ns == 0.0:
         return pairs
-    sup_a, sup_b, sup_c = (_site_superoperator(model, s, float(duration_ns)) for s in range(3))
     real = np.ascontiguousarray(pairs).view(float)
-    real = sup_a @ real.reshape(9, -1)
-    real = np.matmul(sup_b, real.reshape(9, 9, -1))
-    real = np.matmul(sup_c, real.reshape(81, 9, -1))
+    outer = 1  # entries of the axis pairs before this site's
+    for site in range(3):
+        size = pairs.shape[2 * site]
+        sup = _restrict(_site_superoperator(model, site, float(duration_ns)), (size, size))
+        real = np.matmul(sup, real.reshape(outer, size * size, -1))
+        outer *= size * size
     return real.view(complex).reshape(pairs.shape)
 
 
 def _pulse(pairs: np.ndarray, unitary: LocalOperator) -> np.ndarray:
-    """U on the target ket axes and conj(U) on the target bra axes of ``pairs``."""
-    mat, dim = unitary.matrix, unitary.dim
+    """U on the target ket axes and conj(U) on the target bra axes of ``pairs``.
+
+    U is restricted to the levels each target axis of ``pairs`` carries.
+    """
+    mat = _restrict(unitary.matrix, tuple(pairs.shape[2 * s] for s in unitary.targets))
+    dim = mat.shape[0]
     front = [2 * s for s in unitary.targets] + [2 * s + 1 for s in unitary.targets]
     order = front + [k for k in range(pairs.ndim) if k not in front]
     moved = pairs.transpose(order)
@@ -228,15 +255,37 @@ def _pulse(pairs: np.ndarray, unitary: LocalOperator) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(moved.shape).transpose(np.argsort(order)))
 
 
+def _kept_levels(circuit: Circuit) -> tuple[int, int, int]:
+    """Levels each site can reach from the qubit block: 3 or 2.
+
+    A site keeps level 2 if some pulse has a nonzero entry between a ket
+    with that site in level 2 and a ket with it in level 0 or 1.  Otherwise
+    no pulse moves weight into its level 2, and relaxation and dephasing
+    never raise a level, so that level stays empty.
+    """
+    levels = [2, 2, 2]
+    for op in circuit.ops:
+        n = len(op.targets)
+        nonzero = op.unitary.matrix != 0
+        for site, high in zip(op.targets, np.indices((3,) * n).reshape(n, -1) == 2):
+            if np.any(nonzero & (high[:, None] != high[None, :])):
+                levels[site] = 3
+    return tuple(levels)
+
+
 def _evolve(
     circuit: Circuit,
     model: NoiseModel | None,
     prep_window_ns: float,
     meas_window_ns: float,
 ) -> np.ndarray:
-    """The noisy cycle on each qubit unit |i><j|, axes (a, a', b, b', c, c', i, j)."""
+    """The noisy cycle on each qubit unit |i><j|, axes (a, a', b, b', c, c', i, j).
+
+    Each site's axes have ``_kept_levels(circuit)`` entries.
+    """
     ket = np.eye(8).reshape(2, 2, 2, 8)  # ket[a, b, c, i] = <abc|i>
-    out = np.zeros((3,) * 6 + (8, 8), dtype=complex)
+    sizes = tuple(n for n in _kept_levels(circuit) for _ in range(2))
+    out = np.zeros(sizes + (8, 8), dtype=complex)
     out[:2, :2, :2, :2, :2, :2] = np.einsum("abci,xyzj->axbyczij", ket, ket)
     # Rebinding ``out`` frees each input, so at most three batches are alive.
     if model is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from math import pi
 
@@ -102,6 +103,22 @@ def task_rng(master_seed: int, task_index: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(task_index)])
 
 
+def _check_shots(shots) -> int:
+    """A per-setting shot count as an int; 0 means exact expectations.
+
+    A count that is negative or not a whole number raises ValueError: a
+    binomial of a fractional count would draw from the rounded-down count
+    and divide by the unrounded one.
+    """
+    try:
+        count = operator.index(shots)
+    except TypeError:
+        raise ValueError(f"shots must be a whole number, got {shots!r}") from None
+    if count < 0:
+        raise ValueError("shots must be non-negative")
+    return count
+
+
 def _binomial_readout(
     rng: np.random.Generator, shots: int, expectations: np.ndarray
 ) -> np.ndarray:
@@ -135,10 +152,9 @@ class Records:
             raise ValueError("records must be a 64x64 array indexed (input, observable)")
         if not (np.abs(values) <= 1.0 + 1e-12).all():
             raise ValueError("expectations must be finite and lie in [-1, 1]")
-        if self.shots < 0:
-            raise ValueError("shot count must be non-negative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "shots", _check_shots(self.shots))
 
 
 def _unit_readout(choi: ChoiMatrix) -> np.ndarray:
@@ -158,8 +174,7 @@ def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> R
     binomial estimate from ``shots`` single-shot outcomes, and row ``i``
     draws from ``task_rng(seed, i)``.
     """
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
+    shots = _check_shots(shots)
     preparations = _input_qubit_matrices().reshape(64, 64)
     values = (preparations @ _unit_readout(choi).reshape(64, 64).T).real
     if shots:

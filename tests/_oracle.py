@@ -19,6 +19,9 @@ in the full register.  It shares no code with ``noise.decohere``,
 ``noise._evolve``, ``noise._site_superoperator`` or ``noise.circuit_choi``,
 so it checks all four.
 
+``CUSTOM_MODEL`` is a noise model with both rate scales off their defaults,
+so the level-2 terms of every map are exercised.
+
 ``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
 alternating projections, with its own partial trace and TP step.  It shares
 no code with ``tomography.ml_projection``, which solves the dual by Newton.
@@ -28,6 +31,8 @@ import numpy as np
 
 from qutrit_toffoli.gates import XY_PULSE_NS, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
+
+CUSTOM_MODEL = NoiseModel((0.4, 0.9, 1.3), (0.5, 0.8, 1.1), relax_scale2=1.3, deph_scale2=2.5)
 
 # Flat register indices 9a + 3b + c of the qubit kets |abc>, in qubit order.
 QUBIT_KETS = [9 * a + 3 * b + c for a in range(2) for b in range(2) for c in range(2)]

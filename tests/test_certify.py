@@ -323,8 +323,16 @@ def test_monte_carlo_input_validation():
     choi = device_choi()
     with pytest.raises(ValueError):
         monte_carlo_fidelity(choi, samples=0)
-    with pytest.raises(ValueError):
-        monte_carlo_fidelity(choi, samples=10, shots=-1)
+    for shots in (-1, 2.5):
+        with pytest.raises(ValueError, match="shots must be"):
+            monte_carlo_fidelity(choi, samples=10, shots=shots)
+
+
+@pytest.mark.parametrize("shots", [-1, 2.5, 1000.0])
+def test_exhaustive_fidelity_rejects_bad_shot_counts(shots):
+    # -1 used to reach numpy's binomial ("n < 0") and 2.5 read as a biased 0.573
+    with pytest.raises(ValueError, match="shots must be"):
+        exhaustive_fidelity(device_choi(), shots=shots)
 
 
 def test_certification_reference_values():

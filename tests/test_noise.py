@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import qutrit_toffoli.noise as noise
 from qutrit_toffoli.gates import (
     Circuit,
     GateOp,
+    ccphase_circuit,
     computational_block,
     rotation_single,
     subspace_rotation,
@@ -26,10 +28,7 @@ from qutrit_toffoli.noise import (
 )
 from qutrit_toffoli.register import LocalOperator
 
-from _oracle import full_register_decohere, qubit_block_oracle, site_kraus
-
-# Rate scales off their defaults, so the level-2 terms are exercised.
-CUSTOM_MODEL = NoiseModel((0.4, 0.9, 1.3), (0.5, 0.8, 1.1), relax_scale2=1.3, deph_scale2=2.5)
+from _oracle import CUSTOM_MODEL, full_register_decohere, qubit_block_oracle, site_kraus
 
 OFF = math.inf  # a decay time that switches its process off
 
@@ -306,6 +305,27 @@ def test_decohere_matches_full_register_kraus_sandwich(model):
             assert np.max(np.abs(local - oracle)) < 1e-13
 
 
+@pytest.mark.parametrize("model", [NoiseModel.from_device(), CUSTOM_MODEL], ids=["device", "custom"])
+def test_decohere_on_two_level_sites_matches_the_padded_tensor(model):
+    # a site axis of size 2 is the {0, 1} block of the same site padded with zeros
+    rng = np.random.default_rng(12)
+    for sizes in itertools.product((2, 3), repeat=3):
+        for batch in (1, 5):
+            shape = tuple(n for n in sizes for _ in range(2)) + (batch,)
+            block = tuple(slice(n) for n in shape)
+            trimmed = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            padded = np.zeros((3,) * 6 + (batch,), dtype=complex)
+            padded[block] = trimmed
+            outside = np.ones(padded.shape, dtype=bool)
+            outside[block] = False
+            for duration in (8.0, 23.0):
+                small = decohere(trimmed, model, duration)
+                full = decohere(padded, model, duration)
+                assert small.shape == shape
+                assert np.max(np.abs(full[block] - small)) < 1e-15
+                assert np.all(full[outside] == 0)
+
+
 def test_circuit_choi_without_model_is_unitary_conjugation():
     rng = np.random.default_rng(8)
     circuit = toffoli_circuit()
@@ -343,7 +363,46 @@ def test_circuit_choi_of_a_complex_circuit_matches_the_oracle(model):
             GateOp("mix", LocalOperator((2, 0), mixer), 5.0),
         )
     )
+    # the mixer on (C, A) reaches level 2 of C, so every site keeps it
+    assert noise._kept_levels(circuit) == (3, 3, 3)
     choi = circuit_choi(circuit, model)
+    for _ in range(3):
+        rho8 = random_density8(rng)
+        oracle = qubit_block_oracle(rho8, circuit, model, 8.0, 8.0)
+        assert np.max(np.abs(choi_apply(choi, rho8) - oracle)) < 1e-12
+
+
+def level_12_rotation(angle: float, phase: float) -> np.ndarray:
+    """3x3 rotation by ``angle`` of a site's {1, 2} block about an axis at ``phase``."""
+    mat = np.eye(3, dtype=complex)
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    mat[1:, 1:] = [[c, -1j * s * np.exp(-1j * phase)], [-1j * s * np.exp(1j * phase), c]]
+    return mat
+
+
+def test_toffoli_and_phase_core_carry_two_levels_of_c():
+    # exchange pulses send |11> to |20>, so only A and B enter level 2
+    model = NoiseModel.from_device()
+    for circuit in (toffoli_circuit(), ccphase_circuit()):
+        assert noise._kept_levels(circuit) == (3, 3, 2)
+        assert noise._evolve(circuit, model, 8.0, 8.0).shape == (3, 3, 3, 3, 2, 2, 8, 8)
+
+
+@pytest.mark.parametrize("model", [None, CUSTOM_MODEL], ids=["none", "custom"])
+def test_circuit_choi_keeps_a_level_the_circuit_reaches(model):
+    # C goes up into level 2 and partly back; a compile that carried C with
+    # two levels would lose the returning weight and miss the oracle
+    circuit = Circuit(
+        (
+            GateOp("up", LocalOperator((2,), level_12_rotation(1.1, 0.3)), 8.0),
+            subspace_rotation("AB", math.pi),
+            GateOp("down", LocalOperator((2,), level_12_rotation(-0.6, 0.3)), 5.0),
+        )
+    )
+    assert noise._kept_levels(circuit) == (3, 2, 3)
+    choi = circuit_choi(circuit, model)
+    assert choi.trace() < 1.0 - 1e-3
+    rng = np.random.default_rng(13)
     for _ in range(3):
         rho8 = random_density8(rng)
         oracle = qubit_block_oracle(rho8, circuit, model, 8.0, 8.0)

@@ -10,17 +10,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qutrit_toffoli.certify import choi_of_channel  # noqa: E402
-from qutrit_toffoli.gates import toffoli_circuit  # noqa: E402
+from qutrit_toffoli.gates import Circuit, GateOp, toffoli_circuit  # noqa: E402
 from qutrit_toffoli.noise import (  # noqa: E402
     _CONFIG_KEYS,
     NoiseModel,
+    _kept_levels,
     circuit_choi,
     noise_model_from_config,
     parse_config_file,
 )
+from qutrit_toffoli.register import LocalOperator  # noqa: E402
 from qutrit_toffoli.tomography import chi_of_choi, ml_projection  # noqa: E402
 
-from _oracle import qubit_block_oracle  # noqa: E402
+from _oracle import CUSTOM_MODEL, qubit_block_oracle  # noqa: E402
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -72,6 +74,51 @@ def test_compiled_channel_is_cptp_and_matches_the_oracle(
         rho8 = a @ a.conj().T / np.trace(a @ a.conj().T)
         applied = 8.0 * np.einsum("ij,iajb->ab", rho8, tensor)
         oracle = qubit_block_oracle(rho8, circuit, model, window, window)
+        assert np.max(np.abs(applied - oracle)) < 1e-12
+
+
+def random_pulse(rng, mixes) -> np.ndarray:
+    """Random unitary on ``len(mixes)`` sites that moves a site between level 2
+    and levels {0, 1} only where ``mixes`` is true.
+
+    Kets with the same held sites in level 2 form one block, and each block
+    gets its own random unitary.
+    """
+    n = len(mixes)
+    held = np.indices((3,) * n).reshape(n, -1)[~np.array(mixes)] == 2
+    blocks = (held * (1 << np.arange(len(held)))[:, None]).sum(axis=0)
+    mat = np.zeros((3**n, 3**n), dtype=complex)
+    for block in np.unique(blocks):
+        idx = np.flatnonzero(blocks == block)
+        a = rng.normal(size=(len(idx),) * 2) + 1j * rng.normal(size=(len(idx),) * 2)
+        mat[np.ix_(idx, idx)] = np.linalg.qr(a)[0]
+    return mat
+
+
+_TARGETS = [(0,), (1,), (2,), (0, 1), (1, 0), (1, 2), (2, 1)]
+_OP = st.tuples(
+    st.sampled_from(_TARGETS), st.tuples(st.booleans(), st.booleans()), st.floats(0.0, 30.0)
+)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(ops=st.lists(_OP, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_compiled_random_circuit_keeps_the_reached_levels_and_matches_the_oracle(ops, seed):
+    rng = np.random.default_rng(seed)
+    pulses, levels = [], [2, 2, 2]
+    for targets, mixes, duration in ops:
+        mixes = mixes[: len(targets)]
+        pulses.append(GateOp("random", LocalOperator(targets, random_pulse(rng, mixes)), duration))
+        for site, mix in zip(targets, mixes):
+            levels[site] = 3 if mix else levels[site]
+    circuit = Circuit(tuple(pulses))
+    assert _kept_levels(circuit) == tuple(levels)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho8 = a @ a.conj().T / np.trace(a @ a.conj().T)
+    for model in (None, CUSTOM_MODEL):
+        tensor = circuit_choi(circuit, model).matrix.reshape(8, 8, 8, 8)
+        applied = 8.0 * np.einsum("ij,iajb->ab", rho8, tensor)
+        oracle = qubit_block_oracle(rho8, circuit, model, 8.0, 8.0)
         assert np.max(np.abs(applied - oracle)) < 1e-12
 
 

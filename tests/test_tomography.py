@@ -292,6 +292,13 @@ def test_records_shot_mode_is_deterministic_and_consistent():
     assert worst < 6.0 / np.sqrt(400)
 
 
+@pytest.mark.parametrize("shots", [2.5, 3.0, "3", -1])
+def test_measure_output_records_rejects_bad_shot_counts(shots):
+    # a binomial of 2.5 shots draws n = 2 and divides by 2.5, biasing every value
+    with pytest.raises(ValueError, match="shots must be"):
+        measure_output_records(device_toffoli_choi(), shots=shots)
+
+
 def test_chi_hermiticity_guard():
     from qutrit_toffoli.tomography import ChiMatrix
 
@@ -544,8 +551,11 @@ def test_record_validation():
         out_of_range[0, 0] = bad
         with pytest.raises(ValueError):
             Records(out_of_range, 10)
-    with pytest.raises(ValueError):
-        Records(values, -1)
+    for shots in (-1, 2.5, 10.0):
+        with pytest.raises(ValueError, match="shots must be"):
+            Records(values, shots)
+    shots = Records(values, np.int64(10)).shots
+    assert shots == 10 and type(shots) is int
     with pytest.raises(ValueError):
         Records(values).values[0, 0] = 0.5
 

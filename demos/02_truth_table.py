@@ -45,10 +45,6 @@ for i in np.argsort(correct):
 
 # Dropping the preparation and readout windows isolates the error budget of
 # the pulses themselves.
-bare = truth_table(
-    circuit_choi(
-        toffoli_circuit(), NoiseModel.from_device(), prep_window_ns=0, meas_window_ns=0
-    )
-)
+bare = truth_table(circuit_choi(toffoli_circuit(), NoiseModel.from_device(), spam_window_ns=0))
 print()
 print(f"fidelity without prep/readout windows: {truth_table_fidelity(bare):.4f}")

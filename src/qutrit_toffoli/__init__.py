@@ -8,7 +8,7 @@ projection, and sampling-based fidelity certification that needs only a
 handful of Pauli correlations.
 """
 
-from .register import ChoiMatrix, LocalOperator
+from .register import ChoiMatrix
 from .gates import (
     Circuit,
     GateOp,
@@ -57,7 +57,6 @@ __all__ = [
     "ChoiMatrix",
     "FidelityEstimate",
     "GateOp",
-    "LocalOperator",
     "NoiseModel",
     "ProjectionError",
     "Records",

@@ -38,7 +38,7 @@ from .register import ChoiMatrix, choi_of_unitary
 from .tomography import (
     PAULI_AXES,
     _binomial_readout,
-    _check_shots,
+    _check_count,
     _unit_readout,
     pauli_labels,
     standard_pauli_stack,
@@ -143,6 +143,29 @@ def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
     return exact, values
 
 
+def _measured_pairs(choi: ChoiMatrix, draws: np.ndarray, shots: int, seed: int):
+    """Yield ``(index, measured)`` for each relevant Toffoli pair with ``draws[index] > 0``.
+
+    ``measured`` holds the pair's ``draws[index]`` measured correlations Q,
+    in pair order.  With ``shots=0`` each is the exact correlation; otherwise
+    each eigenstate readout is a binomial estimate from ``shots`` outcomes,
+    and pair ``index`` draws from ``task_rng(seed, index + 1)``.
+    """
+    inputs, outputs, _ = _relevant_toffoli_paulis()
+    exact, eigenvalues = _eigenstate_readout(choi)
+    for index in np.flatnonzero(draws):
+        m = inputs[index]
+        lam, row = eigenvalues[m], exact[m, :, outputs[index]]
+        if shots == 0:
+            yield index, np.full(draws[index], np.dot(lam, row) / 8.0)
+        else:
+            sampled = _binomial_readout(
+                task_rng(seed, index + 1), shots, np.broadcast_to(row, (draws[index], 8))
+            )
+            # lam is +-1, so each product is exact; summed left to right like np.dot
+            yield index, sum(l * s for l, s in zip(lam, sampled.T)) / 8.0
+
+
 @dataclass(frozen=True, eq=False)
 class FidelityEstimate:
     """Monte Carlo certification result.
@@ -154,9 +177,6 @@ class FidelityEstimate:
 
     estimate: float
     stderr: float
-    samples: int
-    shots: int
-    seed: int
     draws: np.ndarray
     mean_values: np.ndarray
 
@@ -173,48 +193,32 @@ def monte_carlo_fidelity(
     correlation; each draw contributes X = Q/P.  The estimate is the sample
     mean, the standard error the sample deviation over sqrt(samples).
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    shots = _check_shots(shots)
-    inputs, outputs, ideal = _relevant_toffoli_paulis()
+    samples = _check_count(samples, "samples", 1)
+    shots = _check_count(shots, "shots", 0)
+    _, _, ideal = _relevant_toffoli_paulis()
     probs = ideal**2 / 64.0
     probs = probs / probs.sum()
     chooser = task_rng(seed, 0)
     draws = np.bincount(chooser.choice(len(ideal), size=samples, p=probs), minlength=len(ideal))
-    exact, eigenvalues = _eigenstate_readout(choi)
     mean_values = np.full(len(ideal), np.nan)
     x_values = []
-    for index in np.flatnonzero(draws):
-        m = inputs[index]
-        lam, row = eigenvalues[m], exact[m, :, outputs[index]]
-        if shots == 0:
-            mean_values[index] = np.dot(lam, row) / 8.0
-            measured = np.full(draws[index], mean_values[index])
-        else:
-            sampled = _binomial_readout(
-                task_rng(seed, index + 1), shots, np.broadcast_to(row, (draws[index], 8))
-            )
-            # lam is +-1, so each product is exact; summed left to right like np.dot
-            measured = sum(l * s for l, s in zip(lam, sampled.T)) / 8.0
-            mean_values[index] = np.mean(measured)
+    for index, measured in _measured_pairs(choi, draws, shots, seed):
+        # an exact pair repeats one value, which its mean could round away from
+        mean_values[index] = measured[0] if shots == 0 else np.mean(measured)
         x_values.append(measured / ideal[index])
     x = np.concatenate(x_values)
     estimate = float(x.mean())
     stderr = float(x.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     draws.setflags(write=False)
     mean_values.setflags(write=False)
-    return FidelityEstimate(estimate, stderr, samples, shots, seed, draws, mean_values)
+    return FidelityEstimate(estimate, stderr, draws, mean_values)
 
 
 def exhaustive_fidelity(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> float:
     """Deterministic variant measuring every relevant pair exactly once."""
-    shots = _check_shots(shots)
-    inputs, outputs, ideal = _relevant_toffoli_paulis()
-    exact, eigenvalues = _eigenstate_readout(choi)
+    shots = _check_count(shots, "shots", 0)
+    _, _, ideal = _relevant_toffoli_paulis()
     total = 0.0
-    for index, (m, n) in enumerate(zip(inputs, outputs)):
-        lam, row = eigenvalues[m], exact[m, :, n]
-        if shots:
-            row = _binomial_readout(task_rng(seed, index + 1), shots, row)
-        total += ideal[index] * float(np.dot(lam, row) / 8.0)
+    for index, measured in _measured_pairs(choi, np.ones(len(ideal), int), shots, seed):
+        total += ideal[index] * float(measured[0])
     return float(total / 64.0)

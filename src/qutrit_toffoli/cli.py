@@ -36,6 +36,7 @@ from .noise import (
 )
 from .register import QUBIT_KETS, basis_label
 from .tomography import (
+    BOOTSTRAP_CONFIDENCE,
     bootstrap_ci,
     chi_of_unitary,
     chi_from_records,
@@ -78,12 +79,7 @@ def _noise_model(args: argparse.Namespace) -> NoiseModel | None:
 
 def _toffoli_choi(args: argparse.Namespace):
     window = 0.0 if args.no_spam else XY_PULSE_NS
-    return circuit_choi(
-        toffoli_circuit(),
-        _noise_model(args),
-        prep_window_ns=window,
-        meas_window_ns=window,
-    )
+    return circuit_choi(toffoli_circuit(), _noise_model(args), spam_window_ns=window)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -169,7 +165,7 @@ def _run_process_tomo(args: argparse.Namespace) -> str:
     if args.bootstrap:
         lo, hi = bootstrap_ci(records, resamples=args.bootstrap, seed=args.seed)
         payload["bootstrap"] = {
-            "confidence": 0.90,
+            "confidence": BOOTSTRAP_CONFIDENCE,
             "resamples": args.bootstrap,
             "low": lo,
             "high": hi,
@@ -201,7 +197,7 @@ def _run_certify(args: argparse.Namespace) -> str:
             "mode": "monte-carlo",
             "estimate": result.estimate,
             "stderr": result.stderr,
-            "samples": result.samples,
+            "samples": args.samples,
             "strings": [
                 {
                     "in": labels[inputs[i]],
@@ -215,7 +211,7 @@ def _run_certify(args: argparse.Namespace) -> str:
         }
         summary = (
             f"certify: estimate={result.estimate:.6f} stderr={result.stderr:.6f}"
-            f" samples={result.samples}"
+            f" samples={args.samples}"
         )
     _write_json(args.output / "certification.json", payload)
     return summary

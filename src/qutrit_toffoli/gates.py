@@ -33,7 +33,7 @@ from .register import (
     QUBIT_KETS,
     SITE_NAMES,
     ChoiMatrix,
-    LocalOperator,
+    _readonly_complex,
     site_index,
 )
 
@@ -73,31 +73,48 @@ def exchange_matrix(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GateOp:
-    """One pulse: a unitary on its target sites plus its wall-clock cost."""
+    """One pulse: a unitary on an ordered subset of register sites plus its wall-clock cost.
+
+    The first tensor factor of ``matrix`` belongs to ``targets[0]``, the
+    second to ``targets[1]``, and so on; targets need not be sorted.
+    """
 
     label: str
-    unitary: LocalOperator
+    targets: tuple[int, ...]
+    matrix: np.ndarray
     duration_ns: float
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        mat = self.unitary.matrix
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) >= ATOL:
+        targets = tuple(site_index(t) for t in self.targets)
+        if len(set(targets)) != len(targets):
+            raise ValueError("target sites must be distinct")
+        if not targets:
+            raise ValueError("gate needs at least one target site")
+        mat = _readonly_complex(self.matrix, "gate matrix")
+        dim = 3 ** len(targets)
+        if mat.shape != (dim, dim):
+            raise ValueError(f"gate on {targets} must be {dim}x{dim}, not {mat.shape}")
+        if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) >= ATOL:
             raise ValueError(f"gate {self.label!r} is not unitary")
         if not isfinite(self.duration_ns) or self.duration_ns < 0:
             raise ValueError("duration must be finite and non-negative")
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "matrix", mat)
 
-    @property
-    def targets(self) -> tuple[int, ...]:
-        return self.unitary.targets
+    def on_kets(self, tensor: np.ndarray) -> np.ndarray:
+        """``matrix`` on the target axes of a ``(3, 3, 3, ...)`` array; later axes ride along."""
+        front = range(len(self.targets))
+        moved = np.moveaxis(tensor, self.targets, front)
+        out = self.matrix @ moved.reshape(self.matrix.shape[0], -1)
+        return np.moveaxis(out.reshape(moved.shape), front, self.targets)
 
 
 def rotation_single(site: int | str, axis: str, angle: float) -> GateOp:
     """Single-site rotation pulse; z rotations are virtual and take no time."""
     axis = axis.lower()
-    op = LocalOperator((site_index(site),), rotation_matrix_qutrit(axis, angle))
     duration = 0.0 if axis == "z" else XY_PULSE_NS
-    return GateOp(label=f"r{axis}", unitary=op, duration_ns=duration, angle=float(angle))
+    return GateOp(f"r{axis}", (site,), rotation_matrix_qutrit(axis, angle), duration, float(angle))
 
 
 def subspace_rotation(pair, theta: float) -> GateOp:
@@ -111,10 +128,9 @@ def subspace_rotation(pair, theta: float) -> GateOp:
         raise ValueError(f"exchange pulses exist only for adjacent pairs, got {pair!r}")
     if theta < 0:
         raise ValueError("rotation angle must be non-negative")
-    op = LocalOperator(sites, exchange_matrix(theta))
     duration = EXCHANGE_PI_NS[sites] * theta / pi
     name = "AB" if sites == (0, 1) else "BC"
-    return GateOp(label=f"xx{name}", unitary=op, duration_ns=duration, angle=float(theta))
+    return GateOp(f"xx{name}", sites, exchange_matrix(theta), duration, float(theta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +157,7 @@ class Circuit:
         total = np.eye(DIM, dtype=complex).reshape(DIMS + (DIM,))
         steps = [total]
         for op in self.ops:
-            total = op.unitary.on_kets(total)
+            total = op.on_kets(total)
             steps.append(total)
         return np.stack(steps).reshape(-1, DIM, DIM)
 

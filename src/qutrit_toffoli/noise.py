@@ -20,14 +20,14 @@ Each site decoheres independently through two single-site channels:
 
 Pulses are treated as instantaneous unitaries followed by the decoherence
 accumulated over the pulse duration.  State preparation and measurement are
-modelled as extra decoherence-only windows (one x/y pulse time each by
-default) before and after the sequence.
+modelled as two extra decoherence-only windows of equal length (one x/y
+pulse time by default) before and after the sequence.
 
 ``circuit_choi`` compiles the whole gate once into its ``ChoiMatrix``: the
 64 qubit matrix units run through the sequence as one batch in a site-pair
 layout, axes (a, a', b, b', c, c', batch), each site's ket axis beside its
-bra axis.  A pulse applies its local unitary to its target ket axes and the
-conjugate to their bra axes.  An interval applies each site's relaxation
+bra axis.  A pulse applies its ``GateOp.matrix`` to its target ket axes and
+the conjugate to their bra axes.  An interval applies each site's relaxation
 then dephasing as one real 9x9 superoperator on that site's axis pair, built
 in closed form (the vectorized form of Wood, Biamonte & Cory,
 arXiv:1111.6950).
@@ -49,8 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .register import ChoiMatrix, LocalOperator
-from .gates import XY_PULSE_NS, Circuit
+from .register import ChoiMatrix
+from .gates import XY_PULSE_NS, Circuit, GateOp
 
 # Measured coherence times, microseconds, sites (A, B, C).
 DEVICE_T1_US = (0.55, 0.70, 1.10)
@@ -226,8 +226,11 @@ def decohere(pairs: np.ndarray, model: NoiseModel, duration_ns: float) -> np.nda
     levels 0 and 1 and gets the 4x4 corner of its 9x9 map; that is exact
     for a site the circuit never drives out of {0, 1}, because relaxation
     and dephasing never raise a level.  Each site superoperator is one real
-    matmul on the float view of the data, with no transposes.
+    matmul on the float view of the data, with no transposes.  A negative or
+    non-finite duration raises ValueError.
     """
+    if not (math.isfinite(duration_ns) and duration_ns >= 0):
+        raise ValueError("duration must be finite and non-negative")
     if duration_ns == 0.0:
         return pairs
     real = np.ascontiguousarray(pairs).view(float)
@@ -240,14 +243,14 @@ def decohere(pairs: np.ndarray, model: NoiseModel, duration_ns: float) -> np.nda
     return real.view(complex).reshape(pairs.shape)
 
 
-def _pulse(pairs: np.ndarray, unitary: LocalOperator) -> np.ndarray:
+def _pulse(pairs: np.ndarray, op: GateOp) -> np.ndarray:
     """U on the target ket axes and conj(U) on the target bra axes of ``pairs``.
 
-    U is restricted to the levels each target axis of ``pairs`` carries.
+    U is ``op.matrix`` restricted to the levels each target axis of ``pairs`` carries.
     """
-    mat = _restrict(unitary.matrix, tuple(pairs.shape[2 * s] for s in unitary.targets))
+    mat = _restrict(op.matrix, tuple(pairs.shape[2 * s] for s in op.targets))
     dim = mat.shape[0]
-    front = [2 * s for s in unitary.targets] + [2 * s + 1 for s in unitary.targets]
+    front = [2 * s for s in op.targets] + [2 * s + 1 for s in op.targets]
     order = front + [k for k in range(pairs.ndim) if k not in front]
     moved = pairs.transpose(order)
     out = mat @ moved.reshape(dim, -1)
@@ -266,19 +269,14 @@ def _kept_levels(circuit: Circuit) -> tuple[int, int, int]:
     levels = [2, 2, 2]
     for op in circuit.ops:
         n = len(op.targets)
-        nonzero = op.unitary.matrix != 0
+        nonzero = op.matrix != 0
         for site, high in zip(op.targets, np.indices((3,) * n).reshape(n, -1) == 2):
             if np.any(nonzero & (high[:, None] != high[None, :])):
                 levels[site] = 3
     return tuple(levels)
 
 
-def _evolve(
-    circuit: Circuit,
-    model: NoiseModel | None,
-    prep_window_ns: float,
-    meas_window_ns: float,
-) -> np.ndarray:
+def _evolve(circuit: Circuit, model: NoiseModel | None, spam_window_ns: float) -> np.ndarray:
     """The noisy cycle on each qubit unit |i><j|, axes (a, a', b, b', c, c', i, j).
 
     Each site's axes have ``_kept_levels(circuit)`` entries.
@@ -289,13 +287,13 @@ def _evolve(
     out[:2, :2, :2, :2, :2, :2] = np.einsum("abci,xyzj->axbyczij", ket, ket)
     # Rebinding ``out`` frees each input, so at most three batches are alive.
     if model is not None:
-        out = decohere(out, model, prep_window_ns)
+        out = decohere(out, model, spam_window_ns)
     for op in circuit.ops:
-        out = _pulse(out, op.unitary)
+        out = _pulse(out, op)
         if model is not None:
             out = decohere(out, model, op.duration_ns)
     if model is not None:
-        out = decohere(out, model, meas_window_ns)
+        out = decohere(out, model, spam_window_ns)
     return out
 
 
@@ -303,20 +301,20 @@ def circuit_choi(
     circuit: Circuit,
     model: NoiseModel | None = None,
     *,
-    prep_window_ns: float = XY_PULSE_NS,
-    meas_window_ns: float = XY_PULSE_NS,
+    spam_window_ns: float = XY_PULSE_NS,
 ) -> ChoiMatrix:
     """Choi matrix of the qubit block of the full experimental cycle.
 
     The 64 qubit matrix units |i><j| run through the sequence as one batch.
-    With a noise model the preparation and measurement windows contribute
-    decoherence-only intervals before and after the pulse sequence; without
-    one the channel is the bare circuit unitary.  Weight left outside the
-    qubit block at the end shows up as a Choi trace below one.
+    With a noise model the preparation and measurement windows, each
+    ``spam_window_ns`` long, contribute decoherence-only intervals before and
+    after the pulse sequence; without one the channel is the bare circuit
+    unitary.  Weight left outside the qubit block at the end shows up as a
+    Choi trace below one.
     """
-    if not all(math.isfinite(w) and w >= 0 for w in (prep_window_ns, meas_window_ns)):
+    if not (math.isfinite(spam_window_ns) and spam_window_ns >= 0):
         raise ValueError("windows must be finite and non-negative")
-    out = _evolve(circuit, model, prep_window_ns, meas_window_ns)
+    out = _evolve(circuit, model, spam_window_ns)
     # Block (i, j) of the Choi matrix is E(|i><j|) / 8.
     blocks = out[:2, :2, :2, :2, :2, :2].transpose(6, 0, 2, 4, 7, 1, 3, 5)
     return ChoiMatrix(blocks.reshape(64, 64) / 8)

@@ -7,18 +7,17 @@ so the ket |abc> sits at flat index 9a + 3b + c.  The qubit view is the
 eight kets with every site in level 0 or 1, listed in ``QUBIT_KETS`` in the
 order of the three-qubit basis |000>, |001>, ..., |111>.
 
-The module holds what the rest of the package builds on: local operators
-that act on the ket axes of their target sites, and ``ChoiMatrix``, the one
-representation of a three-qubit channel that truth tables, tomography and
-certification all read.  Operators and Choi matrices are plain complex numpy
-arrays wrapped in small container types that validate their defining
-invariants, finiteness included, on construction.
+The module holds what the rest of the package builds on: site and basis
+indexing, the Pauli matrices, and ``ChoiMatrix``, the one representation of
+a three-qubit channel that truth tables, tomography and certification all
+read.  A Choi matrix is a plain complex numpy array wrapped in a small
+container type that validates its defining invariants, finiteness included,
+on construction.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,42 +82,6 @@ def basis_label(index: int) -> str:
     return f"{index // 9}{index // 3 % 3}{index % 3}"
 
 
-@dataclass(frozen=True, eq=False)
-class LocalOperator:
-    """A matrix acting on an ordered subset of register sites.
-
-    The first tensor factor of ``matrix`` belongs to ``targets[0]``, the
-    second to ``targets[1]``, and so on; targets need not be sorted.
-    """
-
-    targets: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        targets = tuple(site_index(t) for t in self.targets)
-        if len(set(targets)) != len(targets):
-            raise ValueError("target sites must be distinct")
-        if not targets:
-            raise ValueError("operator needs at least one target site")
-        mat = _readonly_complex(self.matrix, "operator matrix")
-        dim = 3 ** len(targets)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"operator on {targets} must be {dim}x{dim}, not {mat.shape}")
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def on_kets(self, tensor: np.ndarray) -> np.ndarray:
-        """``matrix`` on the target axes of a ``(3, 3, 3, ...)`` array; later axes ride along."""
-        front = range(len(self.targets))
-        moved = np.moveaxis(tensor, self.targets, front)
-        out = self.matrix @ moved.reshape(self.dim, -1)
-        return np.moveaxis(out.reshape(moved.shape), front, self.targets)
-
-
 class ChoiMatrix:
     """Normalized input (x) output state of a three-qubit channel.
 
@@ -128,17 +91,17 @@ class ChoiMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, atol: float = ATOL):
+    def __init__(self, matrix):
         mat = _readonly_complex(matrix, "Choi matrix")
         if mat.shape != (64, 64):
             raise ValueError("expected a 64x64 matrix")
-        if np.max(np.abs(mat - mat.conj().T)) >= atol:
+        if np.max(np.abs(mat - mat.conj().T)) >= ATOL:
             raise ValueError("matrix must be Hermitian")
         lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo <= -atol:
+        if lo <= -ATOL:
             raise ValueError(f"matrix must be positive semidefinite, min eig {lo}")
         tr = float(mat.trace().real)
-        if tr >= 1.0 + atol:
+        if tr >= 1.0 + ATOL:
             raise ValueError(f"trace {tr} exceeds 1")
         object.__setattr__(self, "matrix", mat)
 

@@ -39,6 +39,10 @@ PAULI_AXES = "IXYZ"
 # draw from depending on the rounding of the channel's arithmetic.
 READOUT_ZERO_TOL = 1e-12
 
+# Coverage of the percentile interval of ``bootstrap_ci``.
+BOOTSTRAP_CONFIDENCE = 0.90
+
+
 @functools.lru_cache(maxsize=1)
 def pauli_labels() -> tuple[str, ...]:
     return tuple("".join(p) for p in itertools.product(PAULI_AXES, repeat=3))
@@ -103,19 +107,21 @@ def task_rng(master_seed: int, task_index: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(task_index)])
 
 
-def _check_shots(shots) -> int:
-    """A per-setting shot count as an int; 0 means exact expectations.
+def _check_count(value, name: str, minimum: int) -> int:
+    """A count such as shots, samples, resamples or Newton steps as an int.
 
-    A count that is negative or not a whole number raises ValueError: a
-    binomial of a fractional count would draw from the rounded-down count
-    and divide by the unrounded one.
+    A count that is not a whole number or is below ``minimum`` raises
+    ValueError: a binomial of a fractional shot count, for one, would draw
+    from the rounded-down count and divide by the unrounded one.
     """
     try:
-        count = operator.index(shots)
+        count = operator.index(value)
     except TypeError:
-        raise ValueError(f"shots must be a whole number, got {shots!r}") from None
-    if count < 0:
-        raise ValueError("shots must be non-negative")
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(
+            f"{name} must be non-negative" if minimum == 0 else f"{name} must be at least {minimum}"
+        )
     return count
 
 
@@ -154,7 +160,7 @@ class Records:
             raise ValueError("expectations must be finite and lie in [-1, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "shots", _check_shots(self.shots))
+        object.__setattr__(self, "shots", _check_count(self.shots, "shots", 0))
 
 
 def _unit_readout(choi: ChoiMatrix) -> np.ndarray:
@@ -174,7 +180,7 @@ def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> R
     binomial estimate from ``shots`` single-shot outcomes, and row ``i``
     draws from ``task_rng(seed, i)``.
     """
-    shots = _check_shots(shots)
+    shots = _check_count(shots, "shots", 0)
     preparations = _input_qubit_matrices().reshape(64, 64)
     values = (preparations @ _unit_readout(choi).reshape(64, 64).T).real
     if shots:
@@ -187,23 +193,22 @@ def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> R
 class ChiMatrix:
     """Process matrix in the real product basis.
 
-    ``trace_deficit`` records how much weight the raw reconstruction lost to
-    leakage outside the measured levels; the matrix itself is stored without
-    renormalization.  Raw statistical estimates may have small negative
-    eigenvalues; feed them through :func:`ml_projection` to obtain the
-    nearest physical process.
+    ``trace_deficit`` is the weight the matrix lacks for unit trace: what a
+    raw reconstruction lost to leakage outside the measured levels, since
+    the matrix is stored without renormalization.  Raw statistical estimates
+    may have small negative eigenvalues; feed them through
+    :func:`ml_projection` to obtain the nearest physical process.
     """
 
-    __slots__ = ("matrix", "trace_deficit")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, trace_deficit: float = 0.0, atol: float = ATOL):
+    def __init__(self, matrix):
         mat = _readonly_complex(matrix, "chi matrix")
         if mat.shape != (64, 64):
             raise ValueError("chi matrix must be 64x64")
-        if np.max(np.abs(mat - mat.conj().T)) >= atol:
+        if np.max(np.abs(mat - mat.conj().T)) >= ATOL:
             raise ValueError("chi matrix must be Hermitian")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "trace_deficit", float(trace_deficit))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChiMatrix is immutable")
@@ -215,6 +220,10 @@ class ChiMatrix:
 
     def trace(self) -> float:
         return float(self.matrix.trace().real)
+
+    @property
+    def trace_deficit(self) -> float:
+        return 1.0 - self.trace()
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
@@ -237,7 +246,7 @@ def chi_of_choi(choi_matrix: np.ndarray) -> ChiMatrix:
     w = _choi_basis()
     chi = w.conj().T @ choi_matrix @ w
     chi = (chi + chi.conj().T) / 2.0
-    return ChiMatrix(chi, trace_deficit=1.0 - float(chi.trace().real))
+    return ChiMatrix(chi)
 
 
 def chi_of_unitary(unitary8: np.ndarray) -> ChiMatrix:
@@ -351,12 +360,12 @@ def ml_projection(
     over Hermitian 8x8 L, with X(L) = P+(J0 + L (x) I) and grad F = Tr_out X - I/8.
     X is returned, exactly positive semidefinite, once |8 Tr_out X - I| < tol;
     ProjectionError after ``max_iter`` Newton steps.  Non-finite input, a tol
-    that is not finite and positive, or max_iter < 1 raise ValueError.
+    that is not finite and positive, or a max_iter that is not a whole number
+    of at least 1 raise ValueError.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    max_iter = _check_count(max_iter, "max_iter", 1)
     start = chi.matrix if isinstance(chi, ChiMatrix) else _readonly_complex(chi, "chi matrix")
     if start.shape != (64, 64):
         raise ValueError("chi matrix must be 64x64")
@@ -389,10 +398,9 @@ def bootstrap_ci(
     records: Records,
     *,
     resamples: int = 200,
-    confidence: float = 0.90,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile confidence interval under parametric binomial resampling.
+    """``BOOTSTRAP_CONFIDENCE`` percentile interval under parametric binomial resampling.
 
     Resample ``b`` redraws every setting's outcome count around its observed
     frequency from ``task_rng(seed, b)`` and scores the raw linear-inversion
@@ -402,15 +410,12 @@ def bootstrap_ci(
     """
     if records.shots == 0:
         raise ValueError("bootstrap requires shot-based records")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    if resamples < 2:
-        raise ValueError("need at least two resamples")
+    resamples = _check_count(resamples, "resamples", 2)
     weights = _fidelity_weights()
     stats = [
         np.vdot(weights, _binomial_readout(task_rng(seed, b), records.shots, records.values))
         for b in range(resamples)
     ]
-    alpha = 1.0 - confidence
+    alpha = 1.0 - BOOTSTRAP_CONFIDENCE
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)

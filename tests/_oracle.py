@@ -2,7 +2,7 @@
 
 ``embed`` builds the dense 27x27 matrix of a local operator by a kron with the
 identity and an axis permutation.  It shares no code with the ``register``
-module, so it checks ``LocalOperator.on_kets`` and everything built on it.
+module, so it checks ``GateOp.on_kets`` and everything built on it.
 
 ``amplitude_damping_kraus`` and ``dephasing_kraus`` build each site's
 decoherence as Kraus operators: the relaxation cascade as four jump
@@ -119,28 +119,26 @@ def full_register_decohere(matrix, model, duration_ns):
     return out
 
 
-def qubit_block_oracle(rho8, circuit, model, prep_window_ns, meas_window_ns):
-    """Qubit block of the noisy cycle on the 8x8 input ``rho8``."""
+def qubit_block_oracle(rho8, circuit, model, spam_window_ns):
+    """Qubit block of the noisy cycle, SPAM windows included, on the 8x8 input ``rho8``."""
     idx = QUBIT_KETS
     out = np.zeros((27, 27), dtype=complex)
     out[np.ix_(idx, idx)] = rho8
     if model is not None:
-        out = full_register_decohere(out, model, prep_window_ns)
+        out = full_register_decohere(out, model, spam_window_ns)
     for op in circuit.ops:
-        full = embed(op.targets, op.unitary.matrix)
+        full = embed(op.targets, op.matrix)
         out = full @ out @ full.conj().T
         if model is not None:
             out = full_register_decohere(out, model, op.duration_ns)
     if model is not None:
-        out = full_register_decohere(out, model, meas_window_ns)
+        out = full_register_decohere(out, model, spam_window_ns)
     return out[np.ix_(idx, idx)]
 
 
 def device_channel8(rho8):
     """The device gate with its preparation and readout windows."""
-    return qubit_block_oracle(
-        rho8, toffoli_circuit(), NoiseModel.from_device(), XY_PULSE_NS, XY_PULSE_NS
-    )
+    return qubit_block_oracle(rho8, toffoli_circuit(), NoiseModel.from_device(), XY_PULSE_NS)
 
 
 def trace_out_oracle(choi_matrix):

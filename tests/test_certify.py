@@ -292,7 +292,6 @@ def test_monte_carlo_shot_mode():
     b = monte_carlo_fidelity(choi, samples=200, seed=7, shots=400)
     assert a.estimate == b.estimate
     assert 0.5 < a.estimate < 0.95
-    assert a.shots == 400
 
 
 def test_monte_carlo_shot_readout_matches_per_draw_dot():
@@ -323,6 +322,9 @@ def test_monte_carlo_input_validation():
     choi = device_choi()
     with pytest.raises(ValueError):
         monte_carlo_fidelity(choi, samples=0)
+    for samples in (2.5, 3.0):
+        with pytest.raises(ValueError, match="samples must be a whole number"):
+            monte_carlo_fidelity(choi, samples=samples)
     for shots in (-1, 2.5):
         with pytest.raises(ValueError, match="shots must be"):
             monte_carlo_fidelity(choi, samples=10, shots=shots)

@@ -38,7 +38,7 @@ def test_rotation_matches_exponential(axis, angle):
 
 def test_rotation_qutrit_leaves_level_two_alone():
     gate = rotation_single("C", "x", 1.234)
-    mat = gate.unitary.matrix
+    mat = gate.matrix
     assert mat[2, 2] == 1.0
     assert np.allclose(mat[2, :2], 0.0) and np.allclose(mat[:2, 2], 0.0)
 

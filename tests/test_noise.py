@@ -26,7 +26,6 @@ from qutrit_toffoli.noise import (
     parse_config_file,
     tphi_from_t2star,
 )
-from qutrit_toffoli.register import LocalOperator
 
 from _oracle import CUSTOM_MODEL, full_register_decohere, qubit_block_oracle, site_kraus
 
@@ -254,13 +253,16 @@ def test_dephasing_cptp_and_semigroup(scale):
 
 
 def test_negative_durations_rejected():
-    # NaN passes a plain `< 0` test and used to fail deep in the compile
+    # NaN passes a plain `< 0` test and used to fail deep in the compile; a
+    # negative interval grows weight, which no CPTP map does
+    pairs = np.ones((3,) * 6, dtype=complex)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="duration"):
-            GateOp("idle", LocalOperator((0,), np.eye(3)), bad)
-        for window in ("prep_window_ns", "meas_window_ns"):
-            with pytest.raises(ValueError, match="windows"):
-                circuit_choi(toffoli_circuit(), NoiseModel.from_device(), **{window: bad})
+            GateOp("idle", (0,), np.eye(3), bad)
+        with pytest.raises(ValueError, match="windows"):
+            circuit_choi(toffoli_circuit(), NoiseModel.from_device(), spam_window_ns=bad)
+        with pytest.raises(ValueError, match="duration must be finite and non-negative"):
+            decohere(pairs, NoiseModel.from_device(), bad)
 
 
 def test_noise_model_validation():
@@ -342,11 +344,11 @@ def test_circuit_choi_without_model_is_unitary_conjugation():
 def test_circuit_choi_matches_noisy_apply(model, window):
     # the compiled qubit block equals full-register evolution of each input
     circuit = toffoli_circuit()
-    choi = circuit_choi(circuit, model, prep_window_ns=window, meas_window_ns=window)
+    choi = circuit_choi(circuit, model, spam_window_ns=window)
     rng = np.random.default_rng(10)
     for _ in range(3):
         rho8 = random_density8(rng)
-        oracle = qubit_block_oracle(rho8, circuit, model, window, window)
+        oracle = qubit_block_oracle(rho8, circuit, model, window)
         assert np.max(np.abs(choi_apply(choi, rho8) - oracle)) < 1e-12
 
 
@@ -360,7 +362,7 @@ def test_circuit_choi_of_a_complex_circuit_matches_the_oracle(model):
         (
             rotation_single("A", "x", 0.7),
             subspace_rotation("BC", 0.5 * math.pi),
-            GateOp("mix", LocalOperator((2, 0), mixer), 5.0),
+            GateOp("mix", (2, 0), mixer, 5.0),
         )
     )
     # the mixer on (C, A) reaches level 2 of C, so every site keeps it
@@ -368,7 +370,7 @@ def test_circuit_choi_of_a_complex_circuit_matches_the_oracle(model):
     choi = circuit_choi(circuit, model)
     for _ in range(3):
         rho8 = random_density8(rng)
-        oracle = qubit_block_oracle(rho8, circuit, model, 8.0, 8.0)
+        oracle = qubit_block_oracle(rho8, circuit, model, 8.0)
         assert np.max(np.abs(choi_apply(choi, rho8) - oracle)) < 1e-12
 
 
@@ -385,7 +387,7 @@ def test_toffoli_and_phase_core_carry_two_levels_of_c():
     model = NoiseModel.from_device()
     for circuit in (toffoli_circuit(), ccphase_circuit()):
         assert noise._kept_levels(circuit) == (3, 3, 2)
-        assert noise._evolve(circuit, model, 8.0, 8.0).shape == (3, 3, 3, 3, 2, 2, 8, 8)
+        assert noise._evolve(circuit, model, 8.0).shape == (3, 3, 3, 3, 2, 2, 8, 8)
 
 
 @pytest.mark.parametrize("model", [None, CUSTOM_MODEL], ids=["none", "custom"])
@@ -394,9 +396,9 @@ def test_circuit_choi_keeps_a_level_the_circuit_reaches(model):
     # two levels would lose the returning weight and miss the oracle
     circuit = Circuit(
         (
-            GateOp("up", LocalOperator((2,), level_12_rotation(1.1, 0.3)), 8.0),
+            GateOp("up", (2,), level_12_rotation(1.1, 0.3), 8.0),
             subspace_rotation("AB", math.pi),
-            GateOp("down", LocalOperator((2,), level_12_rotation(-0.6, 0.3)), 5.0),
+            GateOp("down", (2,), level_12_rotation(-0.6, 0.3), 5.0),
         )
     )
     assert noise._kept_levels(circuit) == (3, 2, 3)
@@ -405,7 +407,7 @@ def test_circuit_choi_keeps_a_level_the_circuit_reaches(model):
     rng = np.random.default_rng(13)
     for _ in range(3):
         rho8 = random_density8(rng)
-        oracle = qubit_block_oracle(rho8, circuit, model, 8.0, 8.0)
+        oracle = qubit_block_oracle(rho8, circuit, model, 8.0)
         assert np.max(np.abs(choi_apply(choi, rho8) - oracle)) < 1e-12
 
 
@@ -427,9 +429,8 @@ def test_circuit_choi_uses_local_pulses_and_one_superoperator_per_duration():
 
 
 def test_circuit_choi_window_validation():
-    for window in ({"prep_window_ns": -1.0}, {"meas_window_ns": -1.0}):
-        with pytest.raises(ValueError):
-            circuit_choi(toffoli_circuit(), NoiseModel.from_device(), **window)
+    with pytest.raises(ValueError):
+        circuit_choi(toffoli_circuit(), NoiseModel.from_device(), spam_window_ns=-1.0)
 
 
 def test_truth_table_fidelity_decreases_with_spam_exposure():
@@ -437,7 +438,7 @@ def test_truth_table_fidelity_decreases_with_spam_exposure():
     model = NoiseModel.from_device()
     fidelities = []
     for window in (0.0, 8.0, 40.0):
-        choi = circuit_choi(circuit, model, prep_window_ns=window, meas_window_ns=window)
+        choi = circuit_choi(circuit, model, spam_window_ns=window)
         fidelities.append(truth_table_fidelity(truth_table(choi)))
     assert fidelities[0] > fidelities[1] > fidelities[2]
     noiseless = truth_table_fidelity(truth_table(circuit_choi(circuit, None)))

@@ -19,7 +19,6 @@ from qutrit_toffoli.noise import (  # noqa: E402
     noise_model_from_config,
     parse_config_file,
 )
-from qutrit_toffoli.register import LocalOperator  # noqa: E402
 from qutrit_toffoli.tomography import chi_of_choi, ml_projection  # noqa: E402
 
 from _oracle import CUSTOM_MODEL, qubit_block_oracle  # noqa: E402
@@ -64,7 +63,7 @@ def test_compiled_channel_is_cptp_and_matches_the_oracle(
 ):
     circuit = toffoli_circuit()
     model = NoiseModel(t1_us, tphi_us, relax_scale2, deph_scale2)
-    choi = circuit_choi(circuit, model, prep_window_ns=window, meas_window_ns=window)
+    choi = circuit_choi(circuit, model, spam_window_ns=window)
     tensor = choi.matrix.reshape(8, 8, 8, 8)  # [i, a, j, b] = E(|i><j|)[a, b] / 8
     assert np.linalg.eigvalsh(choi.matrix)[0] > -1e-12
     assert np.max(np.abs(np.einsum("iaja->ij", tensor) - np.eye(8) / 8)) < 1e-12
@@ -73,7 +72,7 @@ def test_compiled_channel_is_cptp_and_matches_the_oracle(
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho8 = a @ a.conj().T / np.trace(a @ a.conj().T)
         applied = 8.0 * np.einsum("ij,iajb->ab", rho8, tensor)
-        oracle = qubit_block_oracle(rho8, circuit, model, window, window)
+        oracle = qubit_block_oracle(rho8, circuit, model, window)
         assert np.max(np.abs(applied - oracle)) < 1e-12
 
 
@@ -108,7 +107,7 @@ def test_compiled_random_circuit_keeps_the_reached_levels_and_matches_the_oracle
     pulses, levels = [], [2, 2, 2]
     for targets, mixes, duration in ops:
         mixes = mixes[: len(targets)]
-        pulses.append(GateOp("random", LocalOperator(targets, random_pulse(rng, mixes)), duration))
+        pulses.append(GateOp("random", targets, random_pulse(rng, mixes), duration))
         for site, mix in zip(targets, mixes):
             levels[site] = 3 if mix else levels[site]
     circuit = Circuit(tuple(pulses))
@@ -118,7 +117,7 @@ def test_compiled_random_circuit_keeps_the_reached_levels_and_matches_the_oracle
     for model in (None, CUSTOM_MODEL):
         tensor = circuit_choi(circuit, model).matrix.reshape(8, 8, 8, 8)
         applied = 8.0 * np.einsum("ij,iajb->ab", rho8, tensor)
-        oracle = qubit_block_oracle(rho8, circuit, model, 8.0, 8.0)
+        oracle = qubit_block_oracle(rho8, circuit, model, 8.0)
         assert np.max(np.abs(applied - oracle)) < 1e-12
 
 

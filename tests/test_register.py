@@ -10,7 +10,6 @@ from qutrit_toffoli.register import (
     DIMS,
     QUBIT_KETS,
     SITE_NAMES,
-    LocalOperator,
     basis_index,
     basis_label,
     site_index,
@@ -27,12 +26,12 @@ def random_unitary(dim: int, rng=RNG) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def register_matrix(op: LocalOperator) -> np.ndarray:
-    """27x27 matrix of ``op`` through ``LocalOperator.on_kets``."""
-    return Circuit((GateOp("op", op, 0.0),)).unitary()
+def register_matrix(targets, matrix) -> np.ndarray:
+    """27x27 matrix of ``matrix`` on ``targets`` through ``GateOp.on_kets``."""
+    return Circuit((GateOp("op", targets, matrix, 0.0),)).unitary()
 
 
-def test_layout_basics():
+def test_register_constants_and_site_names():
     assert SITE_NAMES == "ABC"
     assert DIMS == (3, 3, 3)
     assert DIM == 27
@@ -51,8 +50,8 @@ def test_site_index_accepts_one_letter_or_index():
         rotation_single("AB", "x", 1.0)
 
 
-def test_layout_rejects_bad_dims():
-    # Every site has three levels, so an operator on k sites is 3**k square;
+def test_gate_op_rejects_wrongly_sized_matrices():
+    # Every site has three levels, so a gate on k sites is 3**k square;
     # a wrongly sized one fails when built, before any circuit holds it.
     wrong = [
         ((0,), rotation_matrix_qubit("x", 0.3)),
@@ -61,7 +60,7 @@ def test_layout_rejects_bad_dims():
     ]
     for targets, matrix in wrong:
         with pytest.raises(ValueError, match="must be"):
-            LocalOperator(targets, matrix)
+            GateOp("bad", targets, matrix, 1.0)
 
 
 def test_basis_index_site_a_slowest():
@@ -119,11 +118,11 @@ def test_embed_matches_digit_oracle(dims, targets):
     # the oracle's dense embed, the circuit unitary, each step of a circuit
     # trajectory and on_kets on an array of shape ``dims`` (batch axes after
     # the three sites) all agree with the element-by-element placement
-    op = LocalOperator(targets, random_unitary(3 ** len(targets)))
+    op = GateOp("op", targets, random_unitary(3 ** len(targets)), 0.0)
     expected = digit_oracle(targets, op.matrix)
-    steps = Circuit((GateOp("op", op, 0.0),) * 2).trajectory()
+    steps = Circuit((op,) * 2).trajectory()
     assert np.allclose(embed(targets, op.matrix), expected, atol=1e-12)
-    assert np.allclose(register_matrix(op), expected, atol=1e-12)
+    assert np.allclose(register_matrix(targets, op.matrix), expected, atol=1e-12)
     assert steps.shape == (3, DIM, DIM)
     assert np.array_equal(steps[0], np.eye(DIM))
     assert np.allclose(steps[1], expected, atol=1e-12)
@@ -134,36 +133,36 @@ def test_embed_matches_digit_oracle(dims, targets):
     assert np.allclose(out.reshape(DIM, -1), expected @ batch.reshape(DIM, -1), atol=1e-12)
 
 
-def test_embed_single_site_kron_structure():
+def test_single_site_gate_kron_structure():
     u = random_unitary(3)
     eye3 = np.eye(3)
-    assert np.allclose(register_matrix(LocalOperator((0,), u)), np.kron(u, np.eye(9)))
-    assert np.allclose(register_matrix(LocalOperator((1,), u)), np.kron(np.kron(eye3, u), eye3))
-    assert np.allclose(register_matrix(LocalOperator(("C",), u)), np.kron(np.eye(9), u))
+    assert np.allclose(register_matrix((0,), u), np.kron(u, np.eye(9)))
+    assert np.allclose(register_matrix((1,), u), np.kron(np.kron(eye3, u), eye3))
+    assert np.allclose(register_matrix(("C",), u), np.kron(np.eye(9), u))
 
 
-def test_embed_respects_target_order():
+def test_gate_respects_target_order():
     pair = random_unitary(9)
-    forward = register_matrix(LocalOperator((0, 1), pair))
+    forward = register_matrix((0, 1), pair)
     # the same matrix with its factors on (B, A): conjugate by the A <-> B swap
-    reversed_ = register_matrix(LocalOperator((1, 0), pair))
+    reversed_ = register_matrix((1, 0), pair)
     swap9 = np.eye(9)[[3 * y + x for x in range(3) for y in range(3)]]
-    swap = register_matrix(LocalOperator((0, 1), swap9))
+    swap = register_matrix((0, 1), swap9)
     assert np.allclose(reversed_, swap @ forward @ swap)
 
 
-def test_embed_validation():
+def test_gate_op_rejects_bad_targets_and_shapes():
     with pytest.raises(ValueError):
-        LocalOperator((3,), np.eye(3))  # site not in register
+        GateOp("bad", (3,), np.eye(3), 1.0)  # site not in register
     with pytest.raises(ValueError):
-        LocalOperator((0, 0), np.eye(9))  # duplicate targets
+        GateOp("bad", (0, 0), np.eye(9), 1.0)  # duplicate targets
     with pytest.raises(ValueError):
-        LocalOperator((0,), np.ones((2, 3)))  # not square
+        GateOp("bad", (0,), np.ones((2, 3)), 1.0)  # not square
     with pytest.raises(ValueError):
-        LocalOperator((), np.eye(1))  # no target
+        GateOp("bad", (), np.eye(1), 1.0)  # no target
 
 
-def test_computational_indices_order():
+def test_qubit_kets_order():
     assert QUBIT_KETS.tolist() == [0, 1, 3, 4, 9, 10, 12, 13]
     assert QUBIT_KETS.tolist() == [basis_index(f"{k:03b}") for k in range(8)]
     assert not QUBIT_KETS.flags.writeable
@@ -173,14 +172,14 @@ def test_gate_op_rejects_non_unitary():
     # the guard that keeps every trajectory step unitary
     for matrix in (2 * np.eye(3), np.diag([1, 1, 0.9])):
         with pytest.raises(ValueError, match="not unitary"):
-            GateOp("bad", LocalOperator((0,), matrix), 1.0)
-    GateOp("ok", LocalOperator((0,), random_unitary(3)), 1.0)
+            GateOp("bad", (0,), matrix, 1.0)
+    GateOp("ok", (0,), random_unitary(3), 1.0)
 
 
 def test_trajectory_follows_basis_kets():
     # a level 0 <-> 1 swap on site C moves |110> to |111>, then back
-    swap01 = LocalOperator((2,), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
-    circuit = Circuit((GateOp("swap", swap01, 0.0),) * 2)
+    swap01 = GateOp("swap", (2,), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), 0.0)
+    circuit = Circuit((swap01,) * 2)
     steps = circuit.trajectory()
     start = basis_index((1, 1, 0))
     columns = steps[:, :, start]

@@ -228,6 +228,14 @@ def test_linear_inversion_round_trip_in_both_bases():
         assert chi.trace_deficit == pytest.approx(1.0 - choi.trace(), abs=1e-12)
 
 
+def test_trace_deficit_is_derived_from_the_matrix():
+    # a deficit stored beside the matrix could contradict it
+    assert ChiMatrix(np.eye(64) / 128).trace_deficit == 0.5
+    for choi in (device_toffoli_choi(), choi_of_channel(lambda block: 0.6 * block)):
+        deficit = chi_of_choi(choi.matrix).trace_deficit
+        assert deficit == pytest.approx(1.0 - choi.trace(), abs=1e-12)
+
+
 def test_project_tp_is_the_orthogonal_projection_onto_tp_choi_matrices():
     rng = np.random.default_rng(30)
     choi = random_hermitian(64, rng) / 64.0
@@ -325,8 +333,15 @@ def test_non_finite_chi_fails_at_once(monkeypatch, bad):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"tol": np.nan}, {"tol": -1e-9}, {"tol": 0.0}, {"tol": np.inf}, {"max_iter": 0}],
-    ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max-iter-0"],
+    [
+        {"tol": np.nan},
+        {"tol": -1e-9},
+        {"tol": 0.0},
+        {"tol": np.inf},
+        {"max_iter": 0},
+        {"max_iter": 2.5},
+    ],
+    ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max-iter-0", "max-iter-2.5"],
 )
 def test_bad_solver_arguments_fail_at_once(monkeypatch, kwargs):
     chi = chi_of_unitary(ideal_toffoli_unitary())
@@ -467,11 +482,11 @@ def test_bootstrap_rejects_exact_records():
 
 def test_bootstrap_rejects_bad_confidence_and_resamples():
     records = measure_output_records(device_toffoli_choi(), shots=200, seed=18)
-    for confidence in (0.0, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            bootstrap_ci(records, confidence=confidence)
     with pytest.raises(ValueError):
         bootstrap_ci(records, resamples=1)
+    for resamples in (2.5, 200.0):
+        with pytest.raises(ValueError, match="resamples must be a whole number"):
+            bootstrap_ci(records, resamples=resamples)
 
 
 def test_bootstrap_matches_reference_interval():

@@ -24,6 +24,9 @@ simulated gate, ``choi_of_channel`` for any other callable) and read every
 eigenstate output off it.  A set of pairs is three aligned arrays: the
 input and output Pauli indices into ``pauli_labels()`` and the target
 correlations.
+
+Each estimate draws from one generator, ``default_rng(seed)``: the Monte
+Carlo pair choice first, then the drawn pairs' shot readouts in pair order.
 """
 
 from __future__ import annotations
@@ -37,12 +40,11 @@ from .gates import ideal_toffoli_unitary
 from .register import ChoiMatrix, choi_of_unitary
 from .tomography import (
     PAULI_AXES,
-    _binomial_readout,
     _check_count,
+    _readout_probabilities,
     _unit_readout,
     pauli_labels,
     standard_pauli_stack,
-    task_rng,
 )
 
 RELEVANCE_CUTOFF = 1e-9
@@ -143,27 +145,28 @@ def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
     return exact, values
 
 
-def _measured_pairs(choi: ChoiMatrix, draws: np.ndarray, shots: int, seed: int):
-    """Yield ``(index, measured)`` for each relevant Toffoli pair with ``draws[index] > 0``.
+def _measured_correlations(choi: ChoiMatrix, draws: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Measured correlations Q of every draw: ``draws[i]`` values for pair i, in pair order.
 
-    ``measured`` holds the pair's ``draws[index]`` measured correlations Q,
-    in pair order.  With ``shots=0`` each is the exact correlation; otherwise
-    each eigenstate readout is a binomial estimate from ``shots`` outcomes,
-    and pair ``index`` draws from ``task_rng(seed, index + 1)``.
+    With ``shots=0`` each is the pair's exact correlation.  Otherwise each
+    eigenstate readout is a binomial estimate from ``shots`` outcomes, and
+    each drawn pair takes its ``(draws[i], 8)`` counts in turn from ``rng``.
     """
     inputs, outputs, _ = _relevant_toffoli_paulis()
     exact, eigenvalues = _eigenstate_readout(choi)
-    for index in np.flatnonzero(draws):
-        m = inputs[index]
-        lam, row = eigenvalues[m], exact[m, :, outputs[index]]
-        if shots == 0:
-            yield index, np.full(draws[index], np.dot(lam, row) / 8.0)
-        else:
-            sampled = _binomial_readout(
-                task_rng(seed, index + 1), shots, np.broadcast_to(row, (draws[index], 8))
-            )
-            # lam is +-1, so each product is exact; summed left to right like np.dot
-            yield index, sum(l * s for l, s in zip(lam, sampled.T)) / 8.0
+    drawn = np.flatnonzero(draws)
+    if shots == 0:
+        # np.dot on the strided row: a contiguous or batched product rounds differently
+        exact_q = [np.dot(eigenvalues[inputs[i]], exact[inputs[i], :, outputs[i]]) for i in drawn]
+        return np.repeat(exact_q, draws[drawn]) / 8.0
+    lams = eigenvalues[inputs]
+    probs = _readout_probabilities(exact[inputs, :, outputs])
+    measured = []
+    for i in drawn:
+        sampled = 2.0 * rng.binomial(shots, probs[i], size=(draws[i], 8)) / shots - 1.0
+        # lam is +-1, so each product is exact; cumsum adds left to right like np.dot
+        measured.append(np.cumsum(sampled * lams[i], axis=1)[:, -1] / 8.0)
+    return np.concatenate(measured)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,15 +201,15 @@ def monte_carlo_fidelity(
     _, _, ideal = _relevant_toffoli_paulis()
     probs = ideal**2 / 64.0
     probs = probs / probs.sum()
-    chooser = task_rng(seed, 0)
-    draws = np.bincount(chooser.choice(len(ideal), size=samples, p=probs), minlength=len(ideal))
+    rng = np.random.default_rng(seed)
+    draws = np.bincount(rng.choice(len(ideal), size=samples, p=probs), minlength=len(ideal))
+    drawn = np.flatnonzero(draws)
+    measured = _measured_correlations(choi, draws, shots, rng)
+    per_pair = np.split(measured, np.cumsum(draws[drawn])[:-1])
     mean_values = np.full(len(ideal), np.nan)
-    x_values = []
-    for index, measured in _measured_pairs(choi, draws, shots, seed):
-        # an exact pair repeats one value, which its mean could round away from
-        mean_values[index] = measured[0] if shots == 0 else np.mean(measured)
-        x_values.append(measured / ideal[index])
-    x = np.concatenate(x_values)
+    # an exact pair repeats one value, which its mean could round away from
+    mean_values[drawn] = [q[0] if shots == 0 else q.mean() for q in per_pair]
+    x = measured / np.repeat(ideal[drawn], draws[drawn])
     estimate = float(x.mean())
     stderr = float(x.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     draws.setflags(write=False)
@@ -218,7 +221,7 @@ def exhaustive_fidelity(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> floa
     """Deterministic variant measuring every relevant pair exactly once."""
     shots = _check_count(shots, "shots", 0)
     _, _, ideal = _relevant_toffoli_paulis()
-    total = 0.0
-    for index, measured in _measured_pairs(choi, np.ones(len(ideal), int), shots, seed):
-        total += ideal[index] * float(measured[0])
-    return float(total / 64.0)
+    rng = np.random.default_rng(seed)
+    measured = _measured_correlations(choi, np.ones(len(ideal), int), shots, rng)
+    # cumsum adds left to right, as the per-pair sum this reproduces
+    return float(np.cumsum(ideal * measured)[-1] / 64.0)

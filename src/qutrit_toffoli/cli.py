@@ -63,8 +63,8 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ValueError("--samples must be at least 1")
     if args.seed < 0:
         raise ValueError("--seed must be non-negative")
-    if args.bootstrap < 0:
-        raise ValueError("--bootstrap must be non-negative")
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        raise ValueError("--bootstrap must be 0 or at least 2")
     if args.bootstrap and args.shots == 0:
         raise ValueError("--bootstrap requires --shots > 0")
 
@@ -106,7 +106,7 @@ def _run_truth_table(args: argparse.Namespace) -> str:
     (args.output / "truth_table.csv").write_text("\n".join(csv_lines) + "\n")
     payload = _common_meta(args) | {
         "fidelity": fidelity,
-        "populations": [[float(v) for v in row] for row in table.matrix],
+        "populations": table.matrix.tolist(),
         "basis": list(labels),
     }
     _write_json(args.output / "truth_table.json", payload)
@@ -150,13 +150,10 @@ def _run_process_tomo(args: argparse.Namespace) -> str:
         "fidelity_raw": fidelity_raw,
         "fidelity_ml": fidelity_ml,
         "trace_deficit": raw.trace_deficit,
-        "chi_raw": {
-            "real": [[float(v) for v in row] for row in raw.matrix.real],
-            "imag": [[float(v) for v in row] for row in raw.matrix.imag],
-        },
+        "chi_raw": {"real": raw.matrix.real.tolist(), "imag": raw.matrix.imag.tolist()},
         "chi_ml": {
-            "real": [[float(v) for v in row] for row in projected.matrix.real],
-            "imag": [[float(v) for v in row] for row in projected.matrix.imag],
+            "real": projected.matrix.real.tolist(),
+            "imag": projected.matrix.imag.tolist(),
         },
     }
     summary = (

@@ -102,11 +102,6 @@ def _input_qubit_matrices() -> np.ndarray:
     return stack
 
 
-def task_rng(master_seed: int, task_index: int) -> np.random.Generator:
-    """Independent generator for one task, seeded by (master seed, task index)."""
-    return np.random.default_rng([int(master_seed), int(task_index)])
-
-
 def _check_count(value, name: str, minimum: int) -> int:
     """A count such as shots, samples, resamples or Newton steps as an int.
 
@@ -125,18 +120,19 @@ def _check_count(value, name: str, minimum: int) -> int:
     return count
 
 
+def _readout_probabilities(expectations: np.ndarray) -> np.ndarray:
+    """Probability of outcome +1 for each expectation; below ``READOUT_ZERO_TOL`` read as 0."""
+    expectations = np.where(np.abs(expectations) < READOUT_ZERO_TOL, 0.0, expectations)
+    # The clip method skips np.clip's Python dispatch, about 2 us per call;
+    # the bootstrap makes one call per resample.
+    return ((1.0 + expectations) / 2.0).clip(0.0, 1.0)
+
+
 def _binomial_readout(
     rng: np.random.Generator, shots: int, expectations: np.ndarray
 ) -> np.ndarray:
-    """Pauli expectations re-estimated from ``shots`` single-shot outcomes each.
-
-    Expectations below ``READOUT_ZERO_TOL`` in size are read as exact zeros.
-    """
-    expectations = np.where(np.abs(expectations) < READOUT_ZERO_TOL, 0.0, expectations)
-    # The clip method skips np.clip's Python dispatch, about 2 us per call;
-    # a Monte Carlo certification makes one call per sampled string.
-    prob = ((1.0 + expectations) / 2.0).clip(0.0, 1.0)
-    return 2.0 * rng.binomial(shots, prob) / shots - 1.0
+    """Pauli expectations re-estimated from ``shots`` single-shot outcomes each."""
+    return 2.0 * rng.binomial(shots, _readout_probabilities(expectations)) / shots - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,16 +173,14 @@ def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> R
     """Measure all 64 x 64 Pauli expectations behind the channel of ``choi``.
 
     ``shots=0`` stores exact expectations; otherwise each value is a
-    binomial estimate from ``shots`` single-shot outcomes, and row ``i``
-    draws from ``task_rng(seed, i)``.
+    binomial estimate from ``shots`` single-shot outcomes, and all 4096 are
+    drawn in row-major order from the one generator ``default_rng(seed)``.
     """
     shots = _check_count(shots, "shots", 0)
     preparations = _input_qubit_matrices().reshape(64, 64)
     values = (preparations @ _unit_readout(choi).reshape(64, 64).T).real
     if shots:
-        values = np.stack(
-            [_binomial_readout(task_rng(seed, i), shots, row) for i, row in enumerate(values)]
-        )
+        values = _binomial_readout(np.random.default_rng(seed), shots, values)
     return Records(values, shots)
 
 
@@ -402,19 +396,22 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """``BOOTSTRAP_CONFIDENCE`` percentile interval under parametric binomial resampling.
 
-    Resample ``b`` redraws every setting's outcome count around its observed
-    frequency from ``task_rng(seed, b)`` and scores the raw linear-inversion
-    process fidelity against the ideal gate, the fixed linear functional
-    ``_fidelity_weights()`` of the redrawn records.  Exact-mode records carry
-    no sampling distribution and are rejected.
+    Each resample redraws every setting's outcome count around its observed
+    frequency and scores the raw linear-inversion process fidelity against
+    the ideal gate, the fixed linear functional ``_fidelity_weights()`` of
+    the redrawn records.  The resamples draw in turn from one generator,
+    ``default_rng([seed, 1])``, a stream disjoint from the records'
+    ``default_rng(seed)``.  Exact-mode records carry no sampling distribution
+    and are rejected.
     """
     if records.shots == 0:
         raise ValueError("bootstrap requires shot-based records")
     resamples = _check_count(resamples, "resamples", 2)
     weights = _fidelity_weights()
+    rng = np.random.default_rng([seed, 1])
     stats = [
-        np.vdot(weights, _binomial_readout(task_rng(seed, b), records.shots, records.values))
-        for b in range(resamples)
+        np.vdot(weights, _binomial_readout(rng, records.shots, records.values))
+        for _ in range(resamples)
     ]
     alpha = 1.0 - BOOTSTRAP_CONFIDENCE
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])

@@ -25,7 +25,6 @@ from qutrit_toffoli.tomography import (
     pauli_labels,
     process_fidelity,
     process_tomography,
-    task_rng,
 )
 
 from _oracle import device_channel8
@@ -203,7 +202,7 @@ def test_correlation_table_matches_direct_contraction_entry_by_entry(channel):
         assert kept.sum() == 4096 - 63 and not kept[1:, 0].any()
 
 
-def test_pauli_string_validation():
+def test_choi_expectation_direct_rejects_bad_labels():
     for bad in ("", "iii", "IIII", "XYW", "I Z", "IIQ", "II"):
         with pytest.raises(ValueError):
             choi_expectation_direct(ideal_toffoli_choi(), bad, "III")
@@ -211,7 +210,7 @@ def test_pauli_string_validation():
             choi_expectation_direct(ideal_toffoli_choi(), "III", bad)
 
 
-def test_eigenstate_protocol_matches_direct_contraction():
+def test_eigenstate_readout_matches_direct_contraction():
     rng = np.random.default_rng(32)
     labels = pauli_labels()
     for trial in range(5):
@@ -228,7 +227,7 @@ def test_eigenstate_protocol_matches_direct_contraction():
             assert abs(direct - via_states) < 1e-9
 
 
-def test_eigenstate_protocol_identity_factors():
+def test_eigenstate_readout_identity_factors():
     channel = device_channel8
     choi = device_choi()
     exact, eigenvalues = _eigenstate_readout(choi)
@@ -244,7 +243,7 @@ def test_eigenstate_protocol_identity_factors():
         )
 
 
-def test_eigenstate_protocol_shot_mode():
+def test_eigenstate_readout_shot_mode():
     exact, eigenvalues = _eigenstate_readout(device_choi())
     m = n = pauli_labels().index("IIZ")
     lam, row = eigenvalues[m], exact[m, :, n]
@@ -295,18 +294,22 @@ def test_monte_carlo_shot_mode():
 
 
 def test_monte_carlo_shot_readout_matches_per_draw_dot():
-    # the reference is the per-draw np.dot readout the column sum replaced
+    # replays the one stream, pair choice then each drawn pair's readout in
+    # pair order, through the per-draw np.dot readout the column sum replaced
     choi = device_choi()
     result = monte_carlo_fidelity(choi, samples=3000, seed=5, shots=1000)
     exact, eigenvalues = _eigenstate_readout(choi)
     inputs, outputs, ideal = enumerate_relevant_paulis(ideal_toffoli_choi())
+    rng = np.random.default_rng(5)
+    probs = ideal**2 / np.sum(ideal**2)
+    chosen = rng.choice(len(ideal), size=3000, p=probs)
+    assert np.array_equal(result.draws, np.bincount(chosen, minlength=len(ideal)))
     x = []
     for index in range(len(ideal)):
         m, n, draws = inputs[index], outputs[index], result.draws[index]
         if draws == 0:
             assert np.isnan(result.mean_values[index])
             continue
-        rng = task_rng(5, index + 1)
         sampled = _binomial_readout(rng, 1000, np.broadcast_to(exact[m, :, n], (draws, 8)))
         measured = [float(np.dot(eigenvalues[m], s) / 8.0) for s in sampled]
         assert result.mean_values[index] == float(np.mean(measured))
@@ -316,6 +319,17 @@ def test_monte_carlo_shot_readout_matches_per_draw_dot():
     assert result.stderr == float(np.std(x, ddof=1) / np.sqrt(3000))
     assert not any(arr.flags.writeable for arr in _eigenstates())
     assert not result.draws.flags.writeable and not result.mean_values.flags.writeable
+
+
+def test_certification_builds_one_generator_per_call(monkeypatch):
+    # one stream per estimate: the pair choice and every pair's readout share it
+    choi = device_choi()
+    build, built = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or build(*a))
+    monte_carlo_fidelity(choi, samples=10000, seed=5, shots=1000)
+    assert len(built) == 1
+    exhaustive_fidelity(choi, shots=1000, seed=5)
+    assert len(built) == 2
 
 
 def test_monte_carlo_input_validation():
@@ -342,9 +356,9 @@ def test_certification_reference_values():
     # so it must match bit for bit; exact mode may differ in rounding.
     choi = device_choi()
     sampled = monte_carlo_fidelity(choi, samples=10000, seed=5, shots=1000)
-    assert sampled.estimate == 0.7281890000000001
-    assert sampled.stderr == 0.0010025669270399458
-    assert exhaustive_fidelity(choi, shots=1000, seed=5) == 0.727982421875
+    assert sampled.estimate == 0.7279862750000002
+    assert sampled.stderr == 0.0010056127653032317
+    assert exhaustive_fidelity(choi, shots=1000, seed=5) == 0.7273750000000002
     exact = monte_carlo_fidelity(choi, samples=10000, seed=0)
     assert exact.estimate == pytest.approx(0.7275412318962139, abs=1e-12)
     assert exhaustive_fidelity(choi) == pytest.approx(0.7272702017500594, abs=1e-12)

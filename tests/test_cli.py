@@ -166,12 +166,18 @@ def test_no_spam_raises_fidelity(tmp_path, capsys):
         ["process-tomo", "--shots", "-5"],
         ["certify", "--seed", "-1"],
         ["process-tomo", "--shots", "10", "--bootstrap", "-1"],
+        ["process-tomo", "--shots", "10", "--bootstrap", "1"],  # no spread to take
     ],
 )
 def test_invalid_configuration_exits_2(argv, tmp_path, capsys):
     code = run_cli(argv + ["--output", str(tmp_path / "bad")])
     assert code == 2
-    assert "error" in capsys.readouterr().err.lower()
+    err = capsys.readouterr().err
+    assert "error" in err.lower()
+    # the message names the flag at fault, not the library argument it feeds
+    assert err.startswith("error: --") and err.split()[1] in argv
+    if "--bootstrap" in argv and argv[-1] in ("-1", "1"):
+        assert err == "error: --bootstrap must be 0 or at least 2\n"
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_tphi_limit_and_boundary():
         tphi_from_t2star(-1.0, 0.5)
 
 
-def test_device_params_defaults():
+def test_noise_model_from_device_defaults_and_validation():
     model = NoiseModel.from_device()
     assert model.t1_us == DEVICE_T1_US
     assert model == NoiseModel.from_device(DEVICE_T1_US, DEVICE_T2STAR_US)

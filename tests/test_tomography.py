@@ -161,7 +161,7 @@ def test_chi_of_toffoli_leading_element():
     assert chi.tp_residual() < 1e-9
 
 
-def test_apply_chi_reproduces_unitary_conjugation():
+def test_chi_of_unitary_reproduces_unitary_conjugation():
     rng = np.random.default_rng(21)
     for _ in range(5):
         unitary = random_unitary(8, rng)
@@ -480,7 +480,7 @@ def test_bootstrap_rejects_exact_records():
         bootstrap_ci(records)
 
 
-def test_bootstrap_rejects_bad_confidence_and_resamples():
+def test_bootstrap_rejects_bad_resamples():
     records = measure_output_records(device_toffoli_choi(), shots=200, seed=18)
     with pytest.raises(ValueError):
         bootstrap_ci(records, resamples=1)
@@ -490,11 +490,47 @@ def test_bootstrap_rejects_bad_confidence_and_resamples():
 
 
 def test_bootstrap_matches_reference_interval():
-    # interval written by the record-object implementation for these inputs
+    # interval of the one-generator records and resample streams for these inputs
     records = measure_output_records(device_toffoli_choi(), shots=1000, seed=5)
     lo, hi = bootstrap_ci(records, resamples=200, seed=5)
-    assert lo == pytest.approx(0.7255533203125, abs=1e-12)
-    assert hi == pytest.approx(0.7369654296875, abs=1e-12)
+    assert lo == pytest.approx(0.7240380859374999, abs=1e-12)
+    assert hi == pytest.approx(0.7348998046875, abs=1e-12)
+
+
+def generators_built(monkeypatch):
+    """Initial states of the generators ``np.random.default_rng`` builds from now on."""
+    build, states = np.random.default_rng, []
+
+    def recording(*args):
+        rng = build(*args)
+        states.append(repr(rng.bit_generator.state))
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return states
+
+
+def test_records_and_bootstrap_build_one_generator_per_call(monkeypatch):
+    # one stream per estimate, not one per record row or per resample
+    choi = device_toffoli_choi()
+    built = generators_built(monkeypatch)
+    records = measure_output_records(choi, shots=1000, seed=5)
+    assert len(built) == 1
+    bootstrap_ci(records, resamples=200, seed=5)
+    assert len(built) == 2
+
+
+def test_records_and_bootstrap_share_no_generator_state(monkeypatch):
+    # a resample drawn from the records' own stream would replay their noise
+    choi = device_toffoli_choi()
+    built = generators_built(monkeypatch)
+    for seed in (0, 5):
+        start = len(built)
+        records = measure_output_records(choi, shots=300, seed=seed)
+        middle = len(built)
+        bootstrap_ci(records, resamples=70, seed=seed)
+        assert start < middle < len(built)
+        assert set(built[start:middle]).isdisjoint(built[middle:])
 
 
 def test_fidelity_weights_are_the_raw_fidelity_functional():
@@ -513,8 +549,8 @@ def bootstrap_per_resample_inversion(records, resamples, seed, confidence=0.90):
     """The interval from a full linear inversion of every resample."""
     ideal = choi_of_unitary(ideal_toffoli_unitary()).matrix
     stats = []
-    for b in range(resamples):
-        rng = tomography.task_rng(seed, b)
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(resamples):
         values = tomography._binomial_readout(rng, records.shots, records.values)
         stats.append(process_fidelity(_choi_from_values(values), ideal))
     alpha = 1.0 - confidence

@@ -16,7 +16,8 @@ Q_n is measurable on hardware without tomography: expand the input Pauli in
 its eigenbasis, prepare the eight product eigenstates, and measure B_n on
 the channel output.  Sampling pairs with probability P_n^2 / 64 and
 averaging X = Q_n / P_n gives an unbiased fidelity estimate whose error
-shrinks with the sample count alone.
+shrinks with the sample count alone (direct fidelity estimation, Flammia &
+Liu, PRL 106, 230501 (2011)).
 
 Q_n is linear in the channel's Choi state, so the estimators take the
 ``ChoiMatrix`` of the channel under test (``noise.circuit_choi`` for the
@@ -26,7 +27,9 @@ input and output Pauli indices into ``pauli_labels()`` and the target
 correlations.
 
 Each estimate draws from one generator, ``default_rng(seed)``: the Monte
-Carlo pair choice first, then the drawn pairs' shot readouts in pair order.
+Carlo pair choice first, then one binomial call for the shot readouts of
+every draw, in pair order.  Each shot-mode Q and each pair's mean Q come
+from exact integer sums of the counts.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import numpy as np
 from .gates import ideal_toffoli_unitary
 from .register import ChoiMatrix, choi_of_unitary
 from .tomography import (
-    PAULI_AXES,
     _check_count,
     _readout_probabilities,
     _unit_readout,
@@ -63,15 +65,6 @@ _EIGEN = {
     "Z": (np.eye(2, dtype=complex), np.array([1.0, -1.0])),
 }
 
-_PAULI_INDEX = {labels: n for n, labels in enumerate(pauli_labels())}
-
-
-def _check_labels(labels: str) -> str:
-    if labels not in _PAULI_INDEX:
-        raise ValueError(f"expected three letters from {PAULI_AXES}, got {labels!r}")
-    return labels
-
-
 def choi_of_channel(channel8) -> ChoiMatrix:
     """Evaluate the channel on all matrix units; block (i, j) is E(|i><j|) / 8."""
     units = np.eye(64, dtype=complex).reshape(64, 8, 8)  # units[8i + j] = |i><j|
@@ -82,16 +75,6 @@ def choi_of_channel(channel8) -> ChoiMatrix:
 def ideal_toffoli_choi() -> ChoiMatrix:
     """Pure target state built from the ideal gate."""
     return choi_of_unitary(ideal_toffoli_unitary())
-
-
-def choi_expectation_direct(choi: ChoiMatrix, in_labels: str, out_labels: str) -> float:
-    """Single pair correlation by direct contraction."""
-    stack = standard_pauli_stack()
-    a = stack[_PAULI_INDEX[_check_labels(in_labels)]]
-    b = stack[_PAULI_INDEX[_check_labels(out_labels)]]
-    tensor = choi.matrix.reshape(8, 8, 8, 8)
-    val = complex(np.einsum("abcd,ac,db->", tensor, a, b))
-    return float(val.real)
 
 
 def enumerate_relevant_paulis(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,28 +128,38 @@ def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
     return exact, values
 
 
-def _measured_correlations(choi: ChoiMatrix, draws: np.ndarray, shots: int, rng) -> np.ndarray:
-    """Measured correlations Q of every draw: ``draws[i]`` values for pair i, in pair order.
+def _measured_correlations(
+    choi: ChoiMatrix, draws: np.ndarray, shots: int, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measured correlation Q of every draw, in pair order, and each pair's mean Q.
 
-    With ``shots=0`` each is the pair's exact correlation.  Otherwise each
-    eigenstate readout is a binomial estimate from ``shots`` outcomes, and
-    each drawn pair takes its ``(draws[i], 8)`` counts in turn from ``rng``.
+    Pair i is drawn ``draws[i]`` times; an undrawn pair's mean is NaN.  With
+    ``shots=0`` every draw of a pair is its exact Q = sum_k lam_k r_k / 8,
+    one product over all pairs, with r_k the output Pauli's readout on input
+    eigenstate k and lam_k = +-1 its eigenvalue.  Otherwise each readout is a
+    count c_k of +1 outcomes in ``shots``, all drawn by one ``rng.binomial``
+    in pair order, and Q = (2 S / shots - sum_k lam_k) / 8 with the integer
+    S = sum_k lam_k c_k.  A pair's mean takes the sum of its S the same way,
+    so neither shot-mode result depends on a summation order.
     """
     inputs, outputs, _ = _relevant_toffoli_paulis()
     exact, eigenvalues = _eigenstate_readout(choi)
-    drawn = np.flatnonzero(draws)
+    lams, rows = eigenvalues[inputs], exact[inputs, :, outputs]
+    pair = np.repeat(np.arange(len(draws)), draws)
+    drawn = draws > 0
     if shots == 0:
-        # np.dot on the strided row: a contiguous or batched product rounds differently
-        exact_q = [np.dot(eigenvalues[inputs[i]], exact[inputs[i], :, outputs[i]]) for i in drawn]
-        return np.repeat(exact_q, draws[drawn]) / 8.0
-    lams = eigenvalues[inputs]
-    probs = _readout_probabilities(exact[inputs, :, outputs])
-    measured = []
-    for i in drawn:
-        sampled = 2.0 * rng.binomial(shots, probs[i], size=(draws[i], 8)) / shots - 1.0
-        # lam is +-1, so each product is exact; cumsum adds left to right like np.dot
-        measured.append(np.cumsum(sampled * lams[i], axis=1)[:, -1] / 8.0)
-    return np.concatenate(measured)
+        exact_q = (lams * rows).sum(1) / 8.0
+        return exact_q[pair], np.where(drawn, exact_q, np.nan)
+    counts = rng.binomial(shots, _readout_probabilities(rows)[pair])
+    counts *= lams.astype(np.int8)[pair]
+    signed = counts.sum(1)
+    lam_sums = lams.sum(1)
+    measured = (2.0 * signed / shots - lam_sums[pair]) / 8.0
+    # integer sums below 2**53 are exact in float64
+    totals = np.bincount(pair, weights=signed, minlength=len(draws))[drawn]
+    means = np.full(len(draws), np.nan)
+    means[drawn] = (2.0 * totals / (shots * draws[drawn]) - lam_sums[drawn]) / 8.0
+    return measured, means
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +168,8 @@ class FidelityEstimate:
 
     ``draws`` and ``mean_values`` are aligned with the relevant Toffoli
     pairs: the draw count of each pair and its mean measured correlation,
-    NaN where a pair was not drawn.
+    NaN where a pair was not drawn.  In exact mode the mean is the pair's
+    exact correlation; with shots it comes from the pair's summed counts.
     """
 
     estimate: float
@@ -203,13 +197,8 @@ def monte_carlo_fidelity(
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = np.bincount(rng.choice(len(ideal), size=samples, p=probs), minlength=len(ideal))
-    drawn = np.flatnonzero(draws)
-    measured = _measured_correlations(choi, draws, shots, rng)
-    per_pair = np.split(measured, np.cumsum(draws[drawn])[:-1])
-    mean_values = np.full(len(ideal), np.nan)
-    # an exact pair repeats one value, which its mean could round away from
-    mean_values[drawn] = [q[0] if shots == 0 else q.mean() for q in per_pair]
-    x = measured / np.repeat(ideal[drawn], draws[drawn])
+    measured, mean_values = _measured_correlations(choi, draws, shots, rng)
+    x = measured / np.repeat(ideal, draws)
     estimate = float(x.mean())
     stderr = float(x.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     draws.setflags(write=False)
@@ -222,6 +211,5 @@ def exhaustive_fidelity(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> floa
     shots = _check_count(shots, "shots", 0)
     _, _, ideal = _relevant_toffoli_paulis()
     rng = np.random.default_rng(seed)
-    measured = _measured_correlations(choi, np.ones(len(ideal), int), shots, rng)
-    # cumsum adds left to right, as the per-pair sum this reproduces
-    return float(np.cumsum(ideal * measured)[-1] / 64.0)
+    measured, _ = _measured_correlations(choi, np.ones(len(ideal), int), shots, rng)
+    return float(ideal @ measured / 64.0)

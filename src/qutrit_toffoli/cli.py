@@ -3,7 +3,10 @@
 Every pipeline writes its artifacts into the output directory and prints a
 single summary line.  Given the same arguments and seed the artifacts are
 byte-identical.  The runners read the parsed ``argparse.Namespace``;
-``_check_args`` enforces the rules that argparse cannot express.
+``_check_args`` enforces the rules that argparse cannot express.  Each runner
+returns its summary and a ``{file name: payload}`` dict, text or a JSON
+object; ``main`` encodes them and creates the output directory only once the
+runner has succeeded, so a failed run leaves no directory behind.
 
 Exit codes: 0 on success, 2 for invalid arguments or configuration files,
 1 for runtime failures such as a non-convergent projection.
@@ -82,10 +85,6 @@ def _toffoli_choi(args: argparse.Namespace):
     return circuit_choi(toffoli_circuit(), _noise_model(args), spam_window_ns=window)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _common_meta(args: argparse.Namespace) -> dict:
     return {
         "version": __version__,
@@ -96,24 +95,24 @@ def _common_meta(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_truth_table(args: argparse.Namespace) -> str:
+def _run_truth_table(args: argparse.Namespace) -> tuple[str, dict]:
     table = truth_table(_toffoli_choi(args))
     fidelity = truth_table_fidelity(table)
     labels = table.column_labels()
     csv_lines = ["output\\input," + ",".join(labels)]
     for i, row in enumerate(table.matrix):
         csv_lines.append(labels[i] + "," + ",".join(f"{v:.12g}" for v in row))
-    (args.output / "truth_table.csv").write_text("\n".join(csv_lines) + "\n")
+    csv = "\n".join(csv_lines) + "\n"
     payload = _common_meta(args) | {
         "fidelity": fidelity,
         "populations": table.matrix.tolist(),
         "basis": list(labels),
     }
-    _write_json(args.output / "truth_table.json", payload)
-    return f"truth-table: fidelity={fidelity:.6f} noise={args.noise}"
+    summary = f"truth-table: fidelity={fidelity:.6f} noise={args.noise}"
+    return summary, {"truth_table.csv": csv, "truth_table.json": payload}
 
 
-def _run_table1_trace(args: argparse.Namespace) -> str:
+def _run_table1_trace(args: argparse.Namespace) -> tuple[str, dict]:
     circuit = ccphase_circuit()
     steps = ["initial"] + [op.label for op in circuit.ops]
     trajectory = circuit.trajectory()
@@ -132,11 +131,11 @@ def _run_table1_trace(args: argparse.Namespace) -> str:
         "circuit": circuit.to_json_dict(),
         "trajectories": inputs,
     }
-    _write_json(args.output / "trajectory.json", payload)
-    return f"table1-trace: 8 inputs, {len(steps)} snapshots each"
+    summary = f"table1-trace: 8 inputs, {len(steps)} snapshots each"
+    return summary, {"trajectory.json": payload}
 
 
-def _run_process_tomo(args: argparse.Namespace) -> str:
+def _run_process_tomo(args: argparse.Namespace) -> tuple[str, dict]:
     records = measure_output_records(
         _toffoli_choi(args), shots=args.shots, seed=args.seed
     )
@@ -168,11 +167,10 @@ def _run_process_tomo(args: argparse.Namespace) -> str:
             "high": hi,
         }
         summary += f" ci90=[{lo:.6f}, {hi:.6f}]"
-    _write_json(args.output / "process_tomo.json", payload)
-    return summary
+    return summary, {"process_tomo.json": payload}
 
 
-def _run_certify(args: argparse.Namespace) -> str:
+def _run_certify(args: argparse.Namespace) -> tuple[str, dict]:
     choi = _toffoli_choi(args)
     payload = _common_meta(args)
     inputs, outputs, ideal = _relevant_toffoli_paulis()
@@ -210,8 +208,7 @@ def _run_certify(args: argparse.Namespace) -> str:
             f"certify: estimate={result.estimate:.6f} stderr={result.stderr:.6f}"
             f" samples={args.samples}"
         )
-    _write_json(args.output / "certification.json", payload)
-    return summary
+    return summary, {"certification.json": payload}
 
 
 _RUNNERS = {
@@ -281,8 +278,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
+        summary, artifacts = _RUNNERS[args.pipeline](args)
+        texts = {
+            name: payload if isinstance(payload, str)
+            else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            for name, payload in artifacts.items()
+        }
         args.output.mkdir(parents=True, exist_ok=True)
-        summary = _RUNNERS[args.pipeline](args)
+        for name, text in texts.items():
+            (args.output / name).write_text(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -123,16 +123,14 @@ def _check_count(value, name: str, minimum: int) -> int:
 def _readout_probabilities(expectations: np.ndarray) -> np.ndarray:
     """Probability of outcome +1 for each expectation; below ``READOUT_ZERO_TOL`` read as 0."""
     expectations = np.where(np.abs(expectations) < READOUT_ZERO_TOL, 0.0, expectations)
-    # The clip method skips np.clip's Python dispatch, about 2 us per call;
-    # the bootstrap makes one call per resample.
-    return ((1.0 + expectations) / 2.0).clip(0.0, 1.0)
+    return np.clip((1.0 + expectations) / 2.0, 0.0, 1.0)
 
 
 def _binomial_readout(
-    rng: np.random.Generator, shots: int, expectations: np.ndarray
+    rng: np.random.Generator, shots: int, probabilities: np.ndarray
 ) -> np.ndarray:
-    """Pauli expectations re-estimated from ``shots`` single-shot outcomes each."""
-    return 2.0 * rng.binomial(shots, _readout_probabilities(expectations)) / shots - 1.0
+    """Pauli expectations estimated from ``shots`` outcomes at each +1 probability."""
+    return 2.0 * rng.binomial(shots, probabilities) / shots - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +178,8 @@ def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> R
     preparations = _input_qubit_matrices().reshape(64, 64)
     values = (preparations @ _unit_readout(choi).reshape(64, 64).T).real
     if shots:
-        values = _binomial_readout(np.random.default_rng(seed), shots, values)
+        rng = np.random.default_rng(seed)
+        values = _binomial_readout(rng, shots, _readout_probabilities(values))
     return Records(values, shots)
 
 
@@ -408,9 +407,10 @@ def bootstrap_ci(
         raise ValueError("bootstrap requires shot-based records")
     resamples = _check_count(resamples, "resamples", 2)
     weights = _fidelity_weights()
+    probabilities = _readout_probabilities(records.values)
     rng = np.random.default_rng([seed, 1])
     stats = [
-        np.vdot(weights, _binomial_readout(rng, records.shots, records.values))
+        np.vdot(weights, _binomial_readout(rng, records.shots, probabilities))
         for _ in range(resamples)
     ]
     alpha = 1.0 - BOOTSTRAP_CONFIDENCE

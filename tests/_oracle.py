@@ -22,6 +22,10 @@ so it checks all four.
 ``CUSTOM_MODEL`` is a noise model with both rate scales off their defaults,
 so the level-2 terms of every map are exercised.
 
+``choi_expectation_direct`` reads one pair correlation Tr[rho (A^T x B)] off a
+Choi matrix by a direct four-index contraction, one label pair at a time.
+It checks ``certify.enumerate_relevant_paulis`` and the eigenstate readout.
+
 ``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
 alternating projections, with its own partial trace and TP step.  It shares
 no code with ``tomography.ml_projection``, which solves the dual by Newton.
@@ -31,6 +35,7 @@ import numpy as np
 
 from qutrit_toffoli.gates import XY_PULSE_NS, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
+from qutrit_toffoli.tomography import PAULI_AXES, pauli_labels, standard_pauli_stack
 
 CUSTOM_MODEL = NoiseModel((0.4, 0.9, 1.3), (0.5, 0.8, 1.1), relax_scale2=1.3, deph_scale2=2.5)
 
@@ -175,3 +180,22 @@ def dykstra_projection(choi_matrix, tol=1e-13, max_iter=20000):
         if step < tol and residual < tol:
             return y
     raise RuntimeError(f"oracle did not converge in {max_iter} iterations")
+
+
+_PAULI_INDEX = {labels: n for n, labels in enumerate(pauli_labels())}
+
+
+def _check_labels(labels):
+    if labels not in _PAULI_INDEX:
+        raise ValueError(f"expected three letters from {PAULI_AXES}, got {labels!r}")
+    return labels
+
+
+def choi_expectation_direct(choi, in_labels, out_labels):
+    """Single pair correlation by direct contraction."""
+    stack = standard_pauli_stack()
+    a = stack[_PAULI_INDEX[_check_labels(in_labels)]]
+    b = stack[_PAULI_INDEX[_check_labels(out_labels)]]
+    tensor = choi.matrix.reshape(8, 8, 8, 8)
+    val = complex(np.einsum("abcd,ac,db->", tensor, a, b))
+    return float(val.real)

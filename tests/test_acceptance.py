@@ -17,7 +17,6 @@ import qutrit_toffoli.cli as cli
 import qutrit_toffoli.noise as noise
 from qutrit_toffoli.certify import (
     _eigenstate_readout,
-    choi_expectation_direct,
     choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
@@ -51,6 +50,8 @@ from qutrit_toffoli.tomography import (
     process_fidelity,
     process_tomography,
 )
+
+from _oracle import choi_expectation_direct
 
 
 @contextlib.contextmanager

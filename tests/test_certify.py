@@ -9,7 +9,6 @@ from qutrit_toffoli.certify import (
     ChoiMatrix,
     _eigenstate_readout,
     _eigenstates,
-    choi_expectation_direct,
     choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
@@ -21,13 +20,14 @@ from qutrit_toffoli.noise import NoiseModel, circuit_choi
 from qutrit_toffoli.register import PAULI, choi_of_unitary
 from qutrit_toffoli.tomography import (
     _binomial_readout,
+    _readout_probabilities,
     chi_of_unitary,
     pauli_labels,
     process_fidelity,
     process_tomography,
 )
 
-from _oracle import device_channel8
+from _oracle import choi_expectation_direct, device_channel8
 
 
 def random_unitary(dim, rng):
@@ -247,12 +247,15 @@ def test_eigenstate_readout_shot_mode():
     exact, eigenvalues = _eigenstate_readout(device_choi())
     m = n = pauli_labels().index("IIZ")
     lam, row = eigenvalues[m], exact[m, :, n]
+    probabilities = _readout_probabilities(row)
     # One batched readout of a repeated row draws what repeated readouts draw.
     batch = _binomial_readout(
-        np.random.default_rng(33), 4000, np.broadcast_to(row, (5, 8))
+        np.random.default_rng(33), 4000, np.broadcast_to(probabilities, (5, 8))
     )
     rng = np.random.default_rng(33)
-    assert np.array_equal(batch, [_binomial_readout(rng, 4000, row) for _ in range(5)])
+    assert np.array_equal(
+        batch, [_binomial_readout(rng, 4000, probabilities) for _ in range(5)]
+    )
     exact_value = np.dot(lam, row) / 8.0
     for sampled in batch:
         assert abs(np.dot(lam, sampled) / 8.0 - exact_value) < 0.1
@@ -293,9 +296,9 @@ def test_monte_carlo_shot_mode():
     assert 0.5 < a.estimate < 0.95
 
 
-def test_monte_carlo_shot_readout_matches_per_draw_dot():
-    # replays the one stream, pair choice then each drawn pair's readout in
-    # pair order, through the per-draw np.dot readout the column sum replaced
+def test_monte_carlo_shot_readout_matches_integer_count_oracle():
+    # replays the one stream, pair choice then one binomial over every draw's
+    # readout probabilities in pair order, and rebuilds each Q from its counts
     choi = device_choi()
     result = monte_carlo_fidelity(choi, samples=3000, seed=5, shots=1000)
     exact, eigenvalues = _eigenstate_readout(choi)
@@ -304,21 +307,55 @@ def test_monte_carlo_shot_readout_matches_per_draw_dot():
     probs = ideal**2 / np.sum(ideal**2)
     chosen = rng.choice(len(ideal), size=3000, p=probs)
     assert np.array_equal(result.draws, np.bincount(chosen, minlength=len(ideal)))
-    x = []
-    for index in range(len(ideal)):
-        m, n, draws = inputs[index], outputs[index], result.draws[index]
+    pair = np.repeat(np.arange(len(ideal)), result.draws)
+    counts = rng.binomial(1000, _readout_probabilities(exact[inputs, :, outputs])[pair])
+    assert set(np.unique(eigenvalues)) == {-1.0, 1.0}
+    x, totals = [], dict.fromkeys(range(len(ideal)), 0)
+    for index, row in zip(pair.tolist(), counts.tolist()):
+        lams = [int(lam) for lam in eigenvalues[inputs[index]]]
+        signed = sum(lam * count for lam, count in zip(lams, row))
+        x.append((2.0 * signed / 1000 - sum(lams)) / 8.0 / float(ideal[index]))
+        totals[index] += signed
+    for index, draws in enumerate(result.draws.tolist()):
         if draws == 0:
             assert np.isnan(result.mean_values[index])
             continue
-        sampled = _binomial_readout(rng, 1000, np.broadcast_to(exact[m, :, n], (draws, 8)))
-        measured = [float(np.dot(eigenvalues[m], s) / 8.0) for s in sampled]
-        assert result.mean_values[index] == float(np.mean(measured))
-        x.extend(q / float(ideal[index]) for q in measured)
+        lam_sum = sum(int(lam) for lam in eigenvalues[inputs[index]])
+        mean = (2.0 * totals[index] / (1000 * draws) - lam_sum) / 8.0
+        assert result.mean_values[index] == mean
     assert result.draws.sum() == 3000
     assert result.estimate == float(np.mean(x))
     assert result.stderr == float(np.std(x, ddof=1) / np.sqrt(3000))
     assert not any(arr.flags.writeable for arr in _eigenstates())
     assert not result.draws.flags.writeable and not result.mean_values.flags.writeable
+
+
+def test_each_estimate_calls_choice_once_and_binomial_at_most_once(monkeypatch):
+    # the batched readout: one draw over all pairs, not one per drawn pair
+    build, calls = np.random.default_rng, []
+
+    class CountingGenerator:
+        def __init__(self, *args):
+            self.rng = build(*args)
+
+        def choice(self, *args, **kwargs):
+            calls.append("choice")
+            return self.rng.choice(*args, **kwargs)
+
+        def binomial(self, *args, **kwargs):
+            calls.append("binomial")
+            return self.rng.binomial(*args, **kwargs)
+
+    choi = device_choi()
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    for shots, expected in ((1000, ["choice", "binomial"]), (0, ["choice"])):
+        calls.clear()
+        monte_carlo_fidelity(choi, samples=10000, seed=5, shots=shots)
+        assert calls == expected
+    for shots, expected in ((1000, ["binomial"]), (0, [])):
+        calls.clear()
+        exhaustive_fidelity(choi, shots=shots, seed=5)
+        assert calls == expected
 
 
 def test_certification_builds_one_generator_per_call(monkeypatch):
@@ -358,7 +395,7 @@ def test_certification_reference_values():
     sampled = monte_carlo_fidelity(choi, samples=10000, seed=5, shots=1000)
     assert sampled.estimate == 0.7279862750000002
     assert sampled.stderr == 0.0010056127653032317
-    assert exhaustive_fidelity(choi, shots=1000, seed=5) == 0.7273750000000002
+    assert exhaustive_fidelity(choi, shots=1000, seed=5) == 0.7273749999999999
     exact = monte_carlo_fidelity(choi, samples=10000, seed=0)
     assert exact.estimate == pytest.approx(0.7275412318962139, abs=1e-12)
     assert exhaustive_fidelity(choi) == pytest.approx(0.7272702017500594, abs=1e-12)

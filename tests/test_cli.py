@@ -178,6 +178,7 @@ def test_invalid_configuration_exits_2(argv, tmp_path, capsys):
     assert err.startswith("error: --") and err.split()[1] in argv
     if "--bootstrap" in argv and argv[-1] in ("-1", "1"):
         assert err == "error: --bootstrap must be 0 or at least 2\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -193,6 +194,8 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ]
     )
     assert code == 2
+    # the runner failed, so no artifact directory was made
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):

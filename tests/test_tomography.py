@@ -550,8 +550,9 @@ def bootstrap_per_resample_inversion(records, resamples, seed, confidence=0.90):
     ideal = choi_of_unitary(ideal_toffoli_unitary()).matrix
     stats = []
     rng = np.random.default_rng([seed, 1])
+    probabilities = tomography._readout_probabilities(records.values)
     for _ in range(resamples):
-        values = tomography._binomial_readout(rng, records.shots, records.values)
+        values = tomography._binomial_readout(rng, records.shots, probabilities)
         stats.append(process_fidelity(_choi_from_values(values), ideal))
     alpha = 1.0 - confidence
     return tuple(np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0]))
@@ -567,29 +568,43 @@ def test_bootstrap_matches_per_resample_inversion(seed):
 
 def test_bootstrap_draws_once_per_resample_and_never_inverts(monkeypatch):
     records = measure_output_records(device_toffoli_choi(), shots=300, seed=19)
-    draws, inversions = [], []
+    draws, inversions, probabilities = [], [], []
     readout, invert = tomography._binomial_readout, tomography._choi_from_values
+    to_probabilities = tomography._readout_probabilities
     monkeypatch.setattr(
         tomography, "_binomial_readout", lambda *a: draws.append(None) or readout(*a)
     )
     monkeypatch.setattr(
         tomography, "_choi_from_values", lambda v: inversions.append(None) or invert(v)
     )
+    monkeypatch.setattr(
+        tomography,
+        "_readout_probabilities",
+        lambda v: probabilities.append(None) or to_probabilities(v),
+    )
     bootstrap_ci(records, resamples=37, seed=2)
     assert len(draws) == 37
     assert len(inversions) == 0
+    # the records do not change between resamples, nor do their probabilities
+    assert len(probabilities) == 1
 
 
 def test_binomial_readout_reads_float_noise_as_exact_zero():
     # the sizes of the float-noise zeros of the shipped channels, both signs;
     # above 1.1e-16, (1 + x) / 2 rounds off 0.5 and numpy draws n - B(n, 1 - p)
     noise = np.array([1e-16, -1e-16, 4e-16, -4e-16, 8e-16, -8e-16] * 8)
-    rows = [tomography._binomial_readout(np.random.default_rng(21), 1000, x)
-            for x in (noise, np.zeros_like(noise))]
+    rows = [
+        tomography._binomial_readout(
+            np.random.default_rng(21), 1000, tomography._readout_probabilities(x)
+        )
+        for x in (noise, np.zeros_like(noise))
+    ]
     assert np.array_equal(rows[0], rows[1])
     # true expectations, the smallest of which is 2.8e-5, are sampled as given
     small = np.full(48, 2.8e-5)
-    kept = tomography._binomial_readout(np.random.default_rng(21), 1000, small)
+    kept = tomography._binomial_readout(
+        np.random.default_rng(21), 1000, tomography._readout_probabilities(small)
+    )
     unsnapped = np.random.default_rng(21).binomial(1000, (1.0 + small) / 2.0)
     assert np.array_equal(kept, 2.0 * unsnapped / 1000 - 1.0)
 

@@ -44,8 +44,10 @@ print(f"  ml TP residual:     {chi_ml.tp_residual():.2e}")
 print()
 
 # Error bars come from parametric resampling of the measurement records.
-# The resamples draw from a random stream of their own, so passing the
-# records' seed again does not replay the noise already in them.
+# The raw fidelity weighs only 1120 of the 4096 settings, so each resample
+# redraws those, in row-major order; the rest cannot move the score.  The
+# resamples draw from a random stream of their own, so passing the records'
+# seed again does not replay the noise already in them.
 low, high = bootstrap_ci(records, resamples=100, seed=7)
 print(f"90% bootstrap interval on the raw fidelity: [{low:.4f}, {high:.4f}]")
 print()

@@ -13,9 +13,7 @@ from .gates import (
     Circuit,
     GateOp,
     TruthTable,
-    align_global_phase,
     ccphase_circuit,
-    computational_block,
     ideal_toffoli_unitary,
     rotation_single,
     subspace_rotation,
@@ -61,14 +59,12 @@ __all__ = [
     "ProjectionError",
     "Records",
     "TruthTable",
-    "align_global_phase",
     "bootstrap_ci",
     "ccphase_circuit",
     "chi_from_records",
     "chi_of_unitary",
     "choi_of_channel",
     "circuit_choi",
-    "computational_block",
     "enumerate_relevant_paulis",
     "exhaustive_fidelity",
     "ideal_toffoli_choi",

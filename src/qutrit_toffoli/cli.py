@@ -48,6 +48,7 @@ from .tomography import (
     pauli_labels,
     process_fidelity,
     ProjectionError,
+    _check_count,
 )
 from .certify import _relevant_toffoli_paulis, exhaustive_fidelity, monte_carlo_fidelity
 
@@ -60,14 +61,13 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ValueError("--noise custom requires --config")
     if args.noise != "custom" and args.config is not None:
         raise ValueError("--config is only valid with --noise custom")
-    if args.shots < 0:
-        raise ValueError("--shots must be non-negative")
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
+    _check_count(args.shots, "--shots", 0)
+    _check_count(args.samples, "--samples", 1)
     if args.seed < 0:
         raise ValueError("--seed must be non-negative")
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise ValueError("--bootstrap must be 0 or at least 2")
+    _check_count(args.bootstrap, "--bootstrap", 0)
     if args.bootstrap and args.shots == 0:
         raise ValueError("--bootstrap requires --shots > 0")
 
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bootstrap",
         type=int,
         default=0,
-        help="resample count for a 90%% confidence interval (needs --shots)",
+        help="resample count for a 90%% confidence interval on fidelity_raw (needs --shots)",
     )
 
     ct = sub.add_parser("certify", help="Monte Carlo fidelity certification")

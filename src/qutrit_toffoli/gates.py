@@ -30,7 +30,6 @@ from .register import (
     DIM,
     DIMS,
     PAULI,
-    QUBIT_KETS,
     SITE_NAMES,
     ChoiMatrix,
     _readonly_complex,
@@ -199,26 +198,11 @@ def toffoli_circuit() -> Circuit:
     return Circuit(ops)
 
 
-def computational_block(unitary27: np.ndarray) -> np.ndarray:
-    """8x8 block of a 27x27 operator on the all-qubit basis kets."""
-    if unitary27.shape != (27, 27):
-        raise ValueError("expected a 27x27 matrix")
-    return np.ascontiguousarray(unitary27[np.ix_(QUBIT_KETS, QUBIT_KETS)])
-
-
 def ideal_toffoli_unitary() -> np.ndarray:
     """Exact 8x8 target: X on qubit C conditioned on A=0, B=1."""
     mat = np.eye(8, dtype=complex)
     mat[np.ix_([0b010, 0b011], [0b010, 0b011])] = np.array([[0, 1], [1, 0]])
     return mat
-
-
-def align_global_phase(matrix: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rephase ``matrix`` to maximize overlap with ``reference``."""
-    overlap = complex(np.trace(reference.conj().T @ matrix))
-    if abs(overlap) < 1e-12:
-        raise ValueError("matrices are orthogonal; no phase alignment exists")
-    return matrix * (overlap.conjugate() / abs(overlap))
 
 
 @dataclass(frozen=True, eq=False)

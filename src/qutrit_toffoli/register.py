@@ -62,19 +62,6 @@ def site_index(site: int | str) -> int:
     return idx
 
 
-def basis_index(digits) -> int:
-    """Flat index 9a + 3b + c of the basis ket |abc>, with ``digits`` = (a, b, c)."""
-    digits = tuple(int(d) for d in digits)
-    if len(digits) != len(DIMS):
-        raise ValueError("expected one digit per site")
-    idx = 0
-    for d, dim in zip(digits, DIMS):
-        if not 0 <= d < dim:
-            raise ValueError(f"digit {d} out of range for dimension {dim}")
-        idx = idx * dim + d
-    return idx
-
-
 def basis_label(index: int) -> str:
     """Symbols of basis ket ``index``, site A first: 5 gives '012'."""
     if not 0 <= index < DIM:

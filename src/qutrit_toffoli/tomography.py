@@ -105,9 +105,10 @@ def _input_qubit_matrices() -> np.ndarray:
 def _check_count(value, name: str, minimum: int) -> int:
     """A count such as shots, samples, resamples or Newton steps as an int.
 
-    A count that is not a whole number or is below ``minimum`` raises
-    ValueError: a binomial of a fractional shot count, for one, would draw
-    from the rounded-down count and divide by the unrounded one.
+    A count that is not a whole number, is below ``minimum`` or does not fit
+    numpy's int64 raises ValueError: a binomial of a fractional shot count,
+    for one, would draw from the rounded-down count and divide by the
+    unrounded one, and numpy's samplers overflow above 2**63 - 1.
     """
     try:
         count = operator.index(value)
@@ -117,6 +118,8 @@ def _check_count(value, name: str, minimum: int) -> int:
         raise ValueError(
             f"{name} must be non-negative" if minimum == 0 else f"{name} must be at least {minimum}"
         )
+    if count > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must be at most 2**63 - 1")
     return count
 
 
@@ -260,9 +263,12 @@ def _fidelity_weights() -> np.ndarray:
 
     Both Choi matrices expand in the Pauli tables ``Tr[P_n E(|i><j|)]`` of
     ``_choi_from_values``, so their overlap is Re <table(v), table_ideal> / 512.
+    Every weight is a whole multiple of 1/512 up to float noise (at most
+    2e-15/512), so the weights are rounded to those multiples: 1120 of them
+    are +-1, 2 or 4 over 512 and the other 2976 are exact zeros.
     """
     table = _unit_readout(choi_of_unitary(ideal_toffoli_unitary())).reshape(64, 64).T
-    weights = (_preparation_inverse().T @ table.conj()).real / 512.0
+    weights = np.rint((_preparation_inverse().T @ table.conj()).real) / 512.0
     weights.setflags(write=False)
     return weights
 
@@ -395,22 +401,25 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """``BOOTSTRAP_CONFIDENCE`` percentile interval under parametric binomial resampling.
 
-    Each resample redraws every setting's outcome count around its observed
-    frequency and scores the raw linear-inversion process fidelity against
+    Each resample scores the raw linear-inversion process fidelity against
     the ideal gate, the fixed linear functional ``_fidelity_weights()`` of
-    the redrawn records.  The resamples draw in turn from one generator,
-    ``default_rng([seed, 1])``, a stream disjoint from the records'
-    ``default_rng(seed)``.  Exact-mode records carry no sampling distribution
-    and are rejected.
+    the records.  Only the 1120 settings that functional weighs are redrawn,
+    each around its observed frequency and in row-major order; the other
+    records carry zero weight and cannot move the score.  The resamples draw
+    in turn from one generator, ``default_rng([seed, 1])``, a stream disjoint
+    from the records' ``default_rng(seed)``.  Exact-mode records carry no
+    sampling distribution and are rejected.
     """
     if records.shots == 0:
         raise ValueError("bootstrap requires shot-based records")
     resamples = _check_count(resamples, "resamples", 2)
-    weights = _fidelity_weights()
-    probabilities = _readout_probabilities(records.values)
+    weights = _fidelity_weights().ravel()
+    support = np.flatnonzero(weights)
+    weights = weights[support]
+    probabilities = _readout_probabilities(records.values.ravel()[support])
     rng = np.random.default_rng([seed, 1])
     stats = [
-        np.vdot(weights, _binomial_readout(rng, records.shots, probabilities))
+        np.dot(weights, _binomial_readout(rng, records.shots, probabilities))
         for _ in range(resamples)
     ]
     alpha = 1.0 - BOOTSTRAP_CONFIDENCE

@@ -26,6 +26,10 @@ so the level-2 terms of every map are exercised.
 Choi matrix by a direct four-index contraction, one label pair at a time.
 It checks ``certify.enumerate_relevant_paulis`` and the eigenstate readout.
 
+``basis_index``, ``computational_block`` and ``align_global_phase`` are the
+indexing and phase helpers that only tests need: the flat index of a ket,
+the qubit block of a 27x27 operator, and a rephasing onto a target.
+
 ``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
 alternating projections, with its own partial trace and TP step.  It shares
 no code with ``tomography.ml_projection``, which solves the dual by Newton.
@@ -53,6 +57,34 @@ def embed(targets, matrix):
     perm = [order.index(s) for s in range(3)]
     tensor = full.reshape((3,) * 6).transpose(perm + [p + 3 for p in perm])
     return tensor.reshape(27, 27)
+
+
+def basis_index(digits):
+    """Flat index 9a + 3b + c of the basis ket |abc>, with ``digits`` = (a, b, c)."""
+    digits = tuple(int(d) for d in digits)
+    if len(digits) != 3:
+        raise ValueError("expected one digit per site")
+    idx = 0
+    for d in digits:
+        if not 0 <= d < 3:
+            raise ValueError(f"digit {d} out of range for dimension 3")
+        idx = idx * 3 + d
+    return idx
+
+
+def computational_block(unitary27):
+    """8x8 block of a 27x27 operator on the all-qubit basis kets."""
+    if unitary27.shape != (27, 27):
+        raise ValueError("expected a 27x27 matrix")
+    return np.ascontiguousarray(unitary27[np.ix_(QUBIT_KETS, QUBIT_KETS)])
+
+
+def align_global_phase(matrix, reference):
+    """Rephase ``matrix`` to maximize overlap with ``reference``."""
+    overlap = complex(np.trace(reference.conj().T @ matrix))
+    if abs(overlap) < 1e-12:
+        raise ValueError("matrices are orthogonal; no phase alignment exists")
+    return matrix * (overlap.conjugate() / abs(overlap))
 
 
 def cascade_transfer(duration_ns, t1_us, relax_scale2):

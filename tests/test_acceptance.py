@@ -24,9 +24,7 @@ from qutrit_toffoli.certify import (
     monte_carlo_fidelity,
 )
 from qutrit_toffoli.gates import (
-    align_global_phase,
     ccphase_circuit,
-    computational_block,
     ideal_toffoli_unitary,
     ideal_truth_table,
     toffoli_circuit,
@@ -40,7 +38,7 @@ from qutrit_toffoli.noise import (
     circuit_choi,
     tphi_from_t2star,
 )
-from qutrit_toffoli.register import PAULI, QUBIT_KETS, basis_index
+from qutrit_toffoli.register import PAULI, QUBIT_KETS
 from qutrit_toffoli.tomography import (
     chi_from_records,
     chi_of_unitary,
@@ -51,7 +49,7 @@ from qutrit_toffoli.tomography import (
     process_tomography,
 )
 
-from _oracle import choi_expectation_direct
+from _oracle import align_global_phase, basis_index, choi_expectation_direct, computational_block
 
 
 @contextlib.contextmanager

@@ -167,6 +167,11 @@ def test_no_spam_raises_fidelity(tmp_path, capsys):
         ["certify", "--seed", "-1"],
         ["process-tomo", "--shots", "10", "--bootstrap", "-1"],
         ["process-tomo", "--shots", "10", "--bootstrap", "1"],  # no spread to take
+        # counts beyond int64 overflowed numpy's samplers or looped without end
+        ["process-tomo", "--shots", "99999999999999999999"],
+        ["certify", "--shots", "99999999999999999999"],
+        ["certify", "--samples", "99999999999999999999"],
+        ["process-tomo", "--shots", "10", "--bootstrap", "99999999999999999999"],
     ],
 )
 def test_invalid_configuration_exits_2(argv, tmp_path, capsys):
@@ -176,6 +181,7 @@ def test_invalid_configuration_exits_2(argv, tmp_path, capsys):
     assert "error" in err.lower()
     # the message names the flag at fault, not the library argument it feeds
     assert err.startswith("error: --") and err.split()[1] in argv
+    assert err.count("\n") == 1  # one line, no traceback
     if "--bootstrap" in argv and argv[-1] in ("-1", "1"):
         assert err == "error: --bootstrap must be 0 or at least 2\n"
     assert not (tmp_path / "bad").exists()

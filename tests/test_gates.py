@@ -7,9 +7,7 @@ import pytest
 from qutrit_toffoli.certify import choi_of_channel
 from qutrit_toffoli.gates import (
     TruthTable,
-    align_global_phase,
     ccphase_circuit,
-    computational_block,
     exchange_matrix,
     ideal_toffoli_unitary,
     ideal_truth_table,
@@ -20,7 +18,9 @@ from qutrit_toffoli.gates import (
     truth_table,
     truth_table_fidelity,
 )
-from qutrit_toffoli.register import PAULI, basis_index
+from qutrit_toffoli.register import PAULI
+
+from _oracle import align_global_phase, basis_index, computational_block
 
 
 def expm_oracle(hermitian: np.ndarray) -> np.ndarray:

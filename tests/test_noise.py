@@ -9,7 +9,6 @@ from qutrit_toffoli.gates import (
     Circuit,
     GateOp,
     ccphase_circuit,
-    computational_block,
     rotation_single,
     subspace_rotation,
     toffoli_circuit,
@@ -27,7 +26,13 @@ from qutrit_toffoli.noise import (
     tphi_from_t2star,
 )
 
-from _oracle import CUSTOM_MODEL, full_register_decohere, qubit_block_oracle, site_kraus
+from _oracle import (
+    CUSTOM_MODEL,
+    computational_block,
+    full_register_decohere,
+    qubit_block_oracle,
+    site_kraus,
+)
 
 OFF = math.inf  # a decay time that switches its process off
 

@@ -10,12 +10,11 @@ from qutrit_toffoli.register import (
     DIMS,
     QUBIT_KETS,
     SITE_NAMES,
-    basis_index,
     basis_label,
     site_index,
 )
 
-from _oracle import embed
+from _oracle import basis_index, embed
 
 RNG = np.random.default_rng(20240817)
 

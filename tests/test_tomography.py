@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from qutrit_toffoli.certify import choi_of_channel
+from qutrit_toffoli.certify import choi_of_channel, exhaustive_fidelity, monte_carlo_fidelity
 from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_choi
 from qutrit_toffoli.register import PAULI, choi_of_unitary
@@ -489,12 +489,32 @@ def test_bootstrap_rejects_bad_resamples():
             bootstrap_ci(records, resamples=resamples)
 
 
+def test_counts_beyond_int64_raise_value_error():
+    # numpy's binomial and choice overflow above 2**63 - 1; the bound is checked
+    # before anything is drawn, so no large count is ever run here
+    too_many = 2**63
+    assert tomography._check_count(too_many - 1, "shots", 0) == too_many - 1
+    choi = device_toffoli_choi()
+    records = measure_output_records(choi, shots=10, seed=1)
+    for call in (
+        lambda: measure_output_records(choi, shots=too_many),
+        lambda: Records(records.values, shots=too_many),
+        lambda: bootstrap_ci(records, resamples=too_many),
+        lambda: ml_projection(chi_from_records(records), max_iter=too_many),
+        lambda: monte_carlo_fidelity(choi, samples=too_many),
+        lambda: monte_carlo_fidelity(choi, samples=10, shots=too_many),
+        lambda: exhaustive_fidelity(choi, shots=too_many),
+    ):
+        with pytest.raises(ValueError, match=r"must be at most 2\*\*63 - 1"):
+            call()
+
+
 def test_bootstrap_matches_reference_interval():
     # interval of the one-generator records and resample streams for these inputs
     records = measure_output_records(device_toffoli_choi(), shots=1000, seed=5)
     lo, hi = bootstrap_ci(records, resamples=200, seed=5)
-    assert lo == pytest.approx(0.7240380859374999, abs=1e-12)
-    assert hi == pytest.approx(0.7348998046875, abs=1e-12)
+    assert lo == pytest.approx(0.7223714843750001, abs=1e-12)
+    assert hi == pytest.approx(0.733980859375, abs=1e-12)
 
 
 def generators_built(monkeypatch):
@@ -545,14 +565,34 @@ def test_fidelity_weights_are_the_raw_fidelity_functional():
         assert abs(np.vdot(_fidelity_weights(), records.values) - expected) < 1e-13
 
 
+def test_fidelity_weights_are_exact_multiples_of_one_512th():
+    # the weights before rounding, as the adjoint of the linear inversion
+    table = tomography._unit_readout(choi_of_unitary(ideal_toffoli_unitary()))
+    unrounded = (
+        tomography._preparation_inverse().T @ table.reshape(64, 64).T.conj()
+    ).real / 512.0
+    assert np.max(np.abs(512.0 * unrounded - np.rint(512.0 * unrounded))) < 1e-12
+    weights = _fidelity_weights()
+    assert np.array_equal(weights, np.rint(512.0 * unrounded) / 512.0)
+    support = weights[weights != 0.0]
+    assert support.size == 1120
+    assert set(np.abs(512.0 * support).tolist()) == {1.0, 2.0, 4.0}
+
+
 def bootstrap_per_resample_inversion(records, resamples, seed, confidence=0.90):
-    """The interval from a full linear inversion of every resample."""
+    """The interval from a full linear inversion of every resample.
+
+    Each resample redraws the settings the fidelity weighs, in row-major
+    order, and holds every other record at its observed value.
+    """
     ideal = choi_of_unitary(ideal_toffoli_unitary()).matrix
+    support = _fidelity_weights() != 0.0
     stats = []
     rng = np.random.default_rng([seed, 1])
-    probabilities = tomography._readout_probabilities(records.values)
+    probabilities = tomography._readout_probabilities(records.values[support])
     for _ in range(resamples):
-        values = tomography._binomial_readout(rng, records.shots, probabilities)
+        values = records.values.copy()
+        values[support] = tomography._binomial_readout(rng, records.shots, probabilities)
         stats.append(process_fidelity(_choi_from_values(values), ideal))
     alpha = 1.0 - confidence
     return tuple(np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0]))
@@ -572,7 +612,7 @@ def test_bootstrap_draws_once_per_resample_and_never_inverts(monkeypatch):
     readout, invert = tomography._binomial_readout, tomography._choi_from_values
     to_probabilities = tomography._readout_probabilities
     monkeypatch.setattr(
-        tomography, "_binomial_readout", lambda *a: draws.append(None) or readout(*a)
+        tomography, "_binomial_readout", lambda *a: draws.append(a[2].shape) or readout(*a)
     )
     monkeypatch.setattr(
         tomography, "_choi_from_values", lambda v: inversions.append(None) or invert(v)
@@ -583,7 +623,8 @@ def test_bootstrap_draws_once_per_resample_and_never_inverts(monkeypatch):
         lambda v: probabilities.append(None) or to_probabilities(v),
     )
     bootstrap_ci(records, resamples=37, seed=2)
-    assert len(draws) == 37
+    # one draw per resample, over the 1120 settings the fidelity weighs
+    assert draws == [(1120,)] * 37
     assert len(inversions) == 0
     # the records do not change between resamples, nor do their probabilities
     assert len(probabilities) == 1

@@ -3,26 +3,25 @@ import numpy as np
 from qutrit_toffoli.gates import (
     ideal_truth_table,
     toffoli_circuit,
-    truth_table,
     truth_table_fidelity,
 )
-from qutrit_toffoli.noise import NoiseModel, circuit_choi
+from qutrit_toffoli.noise import NoiseModel, circuit_truth_table
 
 # The truth table is the classical shadow of the gate: populate each
 # computational input, run the channel, and record the output populations.
-# The pulse sequence is compiled once into its Choi matrix, whose diagonal
-# holds every one of those populations.  Noiseless, the table is the exact
+# Only the eight computational inputs run through the pulse sequence, and
+# each output state's diagonal holds the populations.  Noiseless, the table is the exact
 # permutation that flips C when A is low and B is high.
 
 ideal = ideal_truth_table()
-noiseless = truth_table(circuit_choi(toffoli_circuit(), None))
+noiseless = circuit_truth_table(toffoli_circuit(), None)
 print(f"noiseless fidelity: {truth_table_fidelity(noiseless):.12f}")
 print()
 
 # With the measured relaxation and dephasing times the picture changes.
 # Every pulse window now leaks population, and the 8 ns preparation and
 # readout windows are included by default.
-device = truth_table(circuit_choi(toffoli_circuit(), NoiseModel.from_device()))
+device = circuit_truth_table(toffoli_circuit(), NoiseModel.from_device())
 fidelity = truth_table_fidelity(device)
 print(f"device fidelity: {fidelity:.4f}")
 print()
@@ -45,6 +44,6 @@ for i in np.argsort(correct):
 
 # Dropping the preparation and readout windows isolates the error budget of
 # the pulses themselves.
-bare = truth_table(circuit_choi(toffoli_circuit(), NoiseModel.from_device(), spam_window_ns=0))
+bare = circuit_truth_table(toffoli_circuit(), NoiseModel.from_device(), spam_window_ns=0)
 print()
 print(f"fidelity without prep/readout windows: {truth_table_fidelity(bare):.4f}")

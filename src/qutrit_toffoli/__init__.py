@@ -18,12 +18,12 @@ from .gates import (
     rotation_single,
     subspace_rotation,
     toffoli_circuit,
-    truth_table,
     truth_table_fidelity,
 )
 from .noise import (
     NoiseModel,
     circuit_choi,
+    circuit_truth_table,
     tphi_from_t2star,
 )
 from .tomography import (
@@ -65,6 +65,7 @@ __all__ = [
     "chi_of_unitary",
     "choi_of_channel",
     "circuit_choi",
+    "circuit_truth_table",
     "enumerate_relevant_paulis",
     "exhaustive_fidelity",
     "ideal_toffoli_choi",
@@ -78,6 +79,5 @@ __all__ = [
     "subspace_rotation",
     "toffoli_circuit",
     "tphi_from_t2star",
-    "truth_table",
     "truth_table_fidelity",
 ]

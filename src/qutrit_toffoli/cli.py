@@ -28,12 +28,12 @@ from .gates import (
     ccphase_circuit,
     ideal_toffoli_unitary,
     toffoli_circuit,
-    truth_table,
     truth_table_fidelity,
 )
 from .noise import (
     NoiseModel,
     circuit_choi,
+    circuit_truth_table,
     noise_model_from_config,
     parse_config_file,
 )
@@ -80,9 +80,10 @@ def _noise_model(args: argparse.Namespace) -> NoiseModel | None:
     return noise_model_from_config(parse_config_file(args.config))
 
 
-def _toffoli_choi(args: argparse.Namespace):
+def _compile_toffoli(compile_, args: argparse.Namespace):
+    """``compile_`` (``circuit_choi`` or ``circuit_truth_table``) of the Toffoli under ``args``."""
     window = 0.0 if args.no_spam else XY_PULSE_NS
-    return circuit_choi(toffoli_circuit(), _noise_model(args), spam_window_ns=window)
+    return compile_(toffoli_circuit(), _noise_model(args), spam_window_ns=window)
 
 
 def _common_meta(args: argparse.Namespace) -> dict:
@@ -96,7 +97,7 @@ def _common_meta(args: argparse.Namespace) -> dict:
 
 
 def _run_truth_table(args: argparse.Namespace) -> tuple[str, dict]:
-    table = truth_table(_toffoli_choi(args))
+    table = _compile_toffoli(circuit_truth_table, args)
     fidelity = truth_table_fidelity(table)
     labels = table.column_labels()
     csv_lines = ["output\\input," + ",".join(labels)]
@@ -137,7 +138,7 @@ def _run_table1_trace(args: argparse.Namespace) -> tuple[str, dict]:
 
 def _run_process_tomo(args: argparse.Namespace) -> tuple[str, dict]:
     records = measure_output_records(
-        _toffoli_choi(args), shots=args.shots, seed=args.seed
+        _compile_toffoli(circuit_choi, args), shots=args.shots, seed=args.seed
     )
     raw = chi_from_records(records)
     projected = ml_projection(raw)
@@ -171,7 +172,7 @@ def _run_process_tomo(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def _run_certify(args: argparse.Namespace) -> tuple[str, dict]:
-    choi = _toffoli_choi(args)
+    choi = _compile_toffoli(circuit_choi, args)
     payload = _common_meta(args)
     inputs, outputs, ideal = _relevant_toffoli_paulis()
     if args.exhaustive:

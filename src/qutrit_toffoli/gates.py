@@ -20,6 +20,7 @@ as an exact X on C when A and B are in |0> and |1> respectively.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import isfinite, pi
 
@@ -31,7 +32,6 @@ from .register import (
     DIMS,
     PAULI,
     SITE_NAMES,
-    ChoiMatrix,
     _readonly_complex,
     site_index,
 )
@@ -176,6 +176,9 @@ class Circuit:
         }
 
 
+# A Circuit and its GateOps are frozen and hold read-only matrices, so one
+# instance serves every caller and the unitarity checks run once.
+@functools.lru_cache(maxsize=1)
 def ccphase_circuit() -> Circuit:
     """Three exchange pulses realizing diag(1,1,1,-1,1,1,1,1) on the qubit block."""
     return Circuit(
@@ -187,6 +190,7 @@ def ccphase_circuit() -> Circuit:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def toffoli_circuit() -> Circuit:
     """Doubly-controlled X on site C, active when A=0 and B=1."""
     phase = ccphase_circuit()
@@ -230,15 +234,6 @@ class TruthTable:
 
     def column_labels(self) -> tuple[str, ...]:
         return tuple(f"{i:03b}" for i in range(8))
-
-
-def truth_table(choi: ChoiMatrix) -> TruthTable:
-    """Output populations of every computational ket, read off ``choi``.
-
-    Diagonal entry 8j + i of the Choi matrix is <i|E(|j><j|)|i> / 8.
-    """
-    populations = 8.0 * np.real(np.diag(choi.matrix)).reshape(8, 8)
-    return TruthTable(populations.T.clip(min=0.0))
 
 
 def ideal_truth_table() -> np.ndarray:

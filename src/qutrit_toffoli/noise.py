@@ -23,14 +23,14 @@ accumulated over the pulse duration.  State preparation and measurement are
 modelled as two extra decoherence-only windows of equal length (one x/y
 pulse time by default) before and after the sequence.
 
-``circuit_choi`` compiles the whole gate once into its ``ChoiMatrix``: the
-64 qubit matrix units run through the sequence as one batch in a site-pair
-layout, axes (a, a', b, b', c, c', batch), each site's ket axis beside its
-bra axis.  A pulse applies its ``GateOp.matrix`` to its target ket axes and
-the conjugate to their bra axes.  An interval applies each site's relaxation
-then dephasing as one real 9x9 superoperator on that site's axis pair, built
-in closed form (the vectorized form of Wood, Biamonte & Cory,
-arXiv:1111.6950).
+``_evolve`` runs a batch of qubit matrix units |i><j| through the sequence
+in a site-pair layout, axes (a, a', b, b', c, c', batch), each site's ket
+axis beside its bra axis: all 64 for ``circuit_choi``, only the 8 inputs
+|j><j| for ``circuit_truth_table``.  A pulse applies its ``GateOp.matrix``
+to its target ket axes and the conjugate to their bra axes.  An interval
+applies each site's relaxation then dephasing as one real 9x9
+superoperator on that site's axis pair, built in closed form (the
+vectorized form of Wood, Biamonte & Cory, arXiv:1111.6950).
 
 A site that no pulse of the circuit drives out of {0, 1} is carried with
 two levels: its axes have size 2, pulses act on their kept kets, and its
@@ -49,8 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .register import ChoiMatrix
-from .gates import XY_PULSE_NS, Circuit, GateOp
+from .register import ChoiMatrix, _check_states
+from .gates import XY_PULSE_NS, Circuit, GateOp, TruthTable
 
 # Measured coherence times, microseconds, sites (A, B, C).
 DEVICE_T1_US = (0.55, 0.70, 1.10)
@@ -276,15 +276,22 @@ def _kept_levels(circuit: Circuit) -> tuple[int, int, int]:
     return tuple(levels)
 
 
-def _evolve(circuit: Circuit, model: NoiseModel | None, spam_window_ns: float) -> np.ndarray:
-    """The noisy cycle on each qubit unit |i><j|, axes (a, a', b, b', c, c', i, j).
+def _evolve(circuit: Circuit, model: NoiseModel | None, spam_window_ns: float, units) -> np.ndarray:
+    """The noisy cycle on each qubit unit |rows[k]><cols[k]|, axes (a, a', b, b', c, c', k).
 
-    Each site's axes have ``_kept_levels(circuit)`` entries.
+    ``units`` is the pair (rows, cols) of index arrays.  Each site's axes
+    have ``_kept_levels(circuit)`` entries.  With a noise model the
+    preparation and measurement windows, each ``spam_window_ns`` long, add
+    decoherence-only intervals before and after the pulse sequence; without
+    one the cycle is the bare circuit unitary.
     """
+    if not (math.isfinite(spam_window_ns) and spam_window_ns >= 0):
+        raise ValueError("windows must be finite and non-negative")
+    rows, cols = units
     ket = np.eye(8).reshape(2, 2, 2, 8)  # ket[a, b, c, i] = <abc|i>
     sizes = tuple(n for n in _kept_levels(circuit) for _ in range(2))
-    out = np.zeros(sizes + (8, 8), dtype=complex)
-    out[:2, :2, :2, :2, :2, :2] = np.einsum("abci,xyzj->axbyczij", ket, ket)
+    out = np.zeros(sizes + (len(rows),), dtype=complex)
+    out[:2, :2, :2, :2, :2, :2] = np.einsum("abck,xyzk->axbyczk", ket[..., rows], ket[..., cols])
     # Rebinding ``out`` frees each input, so at most three batches are alive.
     if model is not None:
         out = decohere(out, model, spam_window_ns)
@@ -298,23 +305,29 @@ def _evolve(circuit: Circuit, model: NoiseModel | None, spam_window_ns: float) -
 
 
 def circuit_choi(
-    circuit: Circuit,
-    model: NoiseModel | None = None,
-    *,
-    spam_window_ns: float = XY_PULSE_NS,
+    circuit: Circuit, model: NoiseModel | None = None, *, spam_window_ns: float = XY_PULSE_NS
 ) -> ChoiMatrix:
     """Choi matrix of the qubit block of the full experimental cycle.
 
-    The 64 qubit matrix units |i><j| run through the sequence as one batch.
-    With a noise model the preparation and measurement windows, each
-    ``spam_window_ns`` long, contribute decoherence-only intervals before and
-    after the pulse sequence; without one the channel is the bare circuit
-    unitary.  Weight left outside the qubit block at the end shows up as a
-    Choi trace below one.
+    The 64 qubit matrix units |i><j| run through ``_evolve`` as one batch.
+    Weight left outside the qubit block at the end shows up as a Choi trace
+    below one.
     """
-    if not (math.isfinite(spam_window_ns) and spam_window_ns >= 0):
-        raise ValueError("windows must be finite and non-negative")
-    out = _evolve(circuit, model, spam_window_ns)
+    out = _evolve(circuit, model, spam_window_ns, np.divmod(np.arange(64), 8))
     # Block (i, j) of the Choi matrix is E(|i><j|) / 8.
-    blocks = out[:2, :2, :2, :2, :2, :2].transpose(6, 0, 2, 4, 7, 1, 3, 5)
-    return ChoiMatrix(blocks.reshape(64, 64) / 8)
+    blocks = out[:2, :2, :2, :2, :2, :2].reshape((2,) * 6 + (8, 8))
+    return ChoiMatrix(blocks.transpose(6, 0, 2, 4, 7, 1, 3, 5).reshape(64, 64) / 8)
+
+
+def circuit_truth_table(
+    circuit: Circuit, model: NoiseModel | None = None, *, spam_window_ns: float = XY_PULSE_NS
+) -> TruthTable:
+    """Populations <i|E(|j><j|)|i> of the cycle ``circuit_choi`` compiles, as ``matrix[i, j]``.
+
+    Only the 8 inputs |j><j| run through ``_evolve``.  Their qubit-block
+    output states get the checks of the Choi matrix they are blocks of.
+    """
+    out = _evolve(circuit, model, spam_window_ns, (np.arange(8),) * 2)
+    states = out[:2, :2, :2, :2, :2, :2].transpose(6, 0, 2, 4, 1, 3, 5).reshape(8, 8, 8)
+    _check_states(states, "output state")
+    return TruthTable(np.diagonal(states, axis1=1, axis2=2).real.T.clip(min=0.0))

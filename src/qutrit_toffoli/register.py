@@ -9,10 +9,10 @@ order of the three-qubit basis |000>, |001>, ..., |111>.
 
 The module holds what the rest of the package builds on: site and basis
 indexing, the Pauli matrices, and ``ChoiMatrix``, the one representation of
-a three-qubit channel that truth tables, tomography and certification all
-read.  A Choi matrix is a plain complex numpy array wrapped in a small
-container type that validates its defining invariants, finiteness included,
-on construction.
+a three-qubit channel that tomography and certification read.  A Choi
+matrix is a plain complex numpy array in a small container type that
+validates its defining invariants, finiteness included, on construction,
+as ``_check_states`` does for the output states of a truth table.
 """
 
 from __future__ import annotations
@@ -50,6 +50,20 @@ def _readonly_complex(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_states(states: np.ndarray, name: str) -> None:
+    """Raise ValueError unless each matrix of ``states`` is finite, Hermitian, PSD, trace <= 1."""
+    if not np.all(np.isfinite(states)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if np.max(np.abs(states - np.swapaxes(states, -1, -2).conj())) >= ATOL:
+        raise ValueError(f"{name} must be Hermitian")
+    lo = float(np.linalg.eigvalsh(states).min())
+    if lo <= -ATOL:
+        raise ValueError(f"{name} must be positive semidefinite, min eig {lo}")
+    tr = float(np.trace(states, axis1=-2, axis2=-1).real.max())
+    if tr >= 1.0 + ATOL:
+        raise ValueError(f"{name} trace {tr} exceeds 1")
+
+
 def site_index(site: int | str) -> int:
     """Resolve a site given as its integer position 0-2 or its letter A-C (either case)."""
     if isinstance(site, str):
@@ -79,17 +93,11 @@ class ChoiMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        mat = _readonly_complex(matrix, "Choi matrix")
+        mat = np.array(matrix, dtype=complex)
         if mat.shape != (64, 64):
             raise ValueError("expected a 64x64 matrix")
-        if np.max(np.abs(mat - mat.conj().T)) >= ATOL:
-            raise ValueError("matrix must be Hermitian")
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo <= -ATOL:
-            raise ValueError(f"matrix must be positive semidefinite, min eig {lo}")
-        tr = float(mat.trace().real)
-        if tr >= 1.0 + ATOL:
-            raise ValueError(f"trace {tr} exceeds 1")
+        _check_states(mat, "Choi matrix")
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     def __setattr__(self, name, value):

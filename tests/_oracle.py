@@ -30,6 +30,9 @@ It checks ``certify.enumerate_relevant_paulis`` and the eigenstate readout.
 indexing and phase helpers that only tests need: the flat index of a ket,
 the qubit block of a 27x27 operator, and a rephasing onto a target.
 
+``choi_truth_table`` reads a truth table off the diagonal of a Choi matrix.
+It checks ``noise.circuit_truth_table``, which never builds one.
+
 ``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
 alternating projections, with its own partial trace and TP step.  It shares
 no code with ``tomography.ml_projection``, which solves the dual by Newton.
@@ -37,7 +40,7 @@ no code with ``tomography.ml_projection``, which solves the dual by Newton.
 
 import numpy as np
 
-from qutrit_toffoli.gates import XY_PULSE_NS, toffoli_circuit
+from qutrit_toffoli.gates import XY_PULSE_NS, TruthTable, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
 from qutrit_toffoli.tomography import PAULI_AXES, pauli_labels, standard_pauli_stack
 
@@ -176,6 +179,12 @@ def qubit_block_oracle(rho8, circuit, model, spam_window_ns):
 def device_channel8(rho8):
     """The device gate with its preparation and readout windows."""
     return qubit_block_oracle(rho8, toffoli_circuit(), NoiseModel.from_device(), XY_PULSE_NS)
+
+
+def choi_truth_table(choi):
+    """Output populations of every computational ket: entry 8j + i of the diagonal is <i|E(|j><j|)|i> / 8."""
+    populations = 8.0 * np.real(np.diag(choi.matrix)).reshape(8, 8)
+    return TruthTable(populations.T.clip(min=0.0))
 
 
 def trace_out_oracle(choi_matrix):

@@ -28,7 +28,6 @@ from qutrit_toffoli.gates import (
     ideal_toffoli_unitary,
     ideal_truth_table,
     toffoli_circuit,
-    truth_table,
     truth_table_fidelity,
 )
 from qutrit_toffoli.noise import (
@@ -36,6 +35,7 @@ from qutrit_toffoli.noise import (
     DEVICE_T2STAR_US,
     NoiseModel,
     circuit_choi,
+    circuit_truth_table,
     tphi_from_t2star,
 )
 from qutrit_toffoli.register import PAULI, QUBIT_KETS
@@ -112,9 +112,7 @@ def test_criterion_2_ideal_gate_exactness():
             computational_block(toffoli_circuit().unitary()), ideal_toffoli_unitary()
         )
         assert np.max(np.abs(block - ideal_toffoli_unitary())) < 1e-10
-        fidelity = truth_table_fidelity(
-            truth_table(circuit_choi(toffoli_circuit(), None))
-        )
+        fidelity = truth_table_fidelity(circuit_truth_table(toffoli_circuit(), None))
         assert abs(fidelity - 1.0) < 1e-12
 
 
@@ -140,7 +138,7 @@ def test_criterion_4_noiseless_pipeline_consistency(chi_ideal):
 def test_criterion_5_device_noise_headline_numbers(device_choi, chi_ideal):
     with criterion(5, "device-noise fidelities in band, worst inputs have A excited"):
         start = time.perf_counter()
-        table = truth_table(device_choi)
+        table = circuit_truth_table(toffoli_circuit(), NoiseModel.from_device())
         tt_fidelity = truth_table_fidelity(table)
         chi = process_tomography(device_choi)
         proc_fidelity = process_fidelity(chi, chi_ideal)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import qutrit_toffoli.cli as cli
+import qutrit_toffoli.noise as noise
 from qutrit_toffoli.tomography import ProjectionError
 
 
@@ -249,14 +250,15 @@ def test_non_finite_config_value_exits_2(text, lineno, tmp_path, capsys):
 
 
 def test_each_pipeline_compiles_the_channel_once(tmp_path, monkeypatch):
+    # every compile, Choi matrix or truth table, is one batch through _evolve
     calls = []
-    build = cli.circuit_choi
+    evolve = noise._evolve
 
-    def counting_circuit_choi(*args, **kwargs):
+    def counting_evolve(*args, **kwargs):
         calls.append(1)
-        return build(*args, **kwargs)
+        return evolve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "circuit_choi", counting_circuit_choi)
+    monkeypatch.setattr(noise, "_evolve", counting_evolve)
     runs = (
         ["truth-table"],
         ["process-tomo", "--shots", "100", "--bootstrap", "10"],

@@ -15,12 +15,11 @@ from qutrit_toffoli.gates import (
     rotation_single,
     subspace_rotation,
     toffoli_circuit,
-    truth_table,
     truth_table_fidelity,
 )
 from qutrit_toffoli.register import PAULI
 
-from _oracle import align_global_phase, basis_index, computational_block
+from _oracle import align_global_phase, basis_index, choi_truth_table, computational_block
 
 
 def expm_oracle(hermitian: np.ndarray) -> np.ndarray:
@@ -193,7 +192,7 @@ def test_ccphase_per_pulse_trajectories(digits):
 
 def test_truth_table_of_ideal_channel():
     block = computational_block(toffoli_circuit().unitary())
-    table = truth_table(choi_of_channel(lambda rho: block @ rho @ block.conj().T))
+    table = choi_truth_table(choi_of_channel(lambda rho: block @ rho @ block.conj().T))
     assert np.allclose(table.matrix, ideal_truth_table(), atol=1e-12)
     assert truth_table_fidelity(table) == pytest.approx(1.0, abs=1e-12)
 

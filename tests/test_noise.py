@@ -12,7 +12,6 @@ from qutrit_toffoli.gates import (
     rotation_single,
     subspace_rotation,
     toffoli_circuit,
-    truth_table,
     truth_table_fidelity,
 )
 from qutrit_toffoli.noise import (
@@ -20,6 +19,7 @@ from qutrit_toffoli.noise import (
     DEVICE_T2STAR_US,
     NoiseModel,
     circuit_choi,
+    circuit_truth_table,
     decohere,
     noise_model_from_config,
     parse_config_file,
@@ -28,6 +28,7 @@ from qutrit_toffoli.noise import (
 
 from _oracle import (
     CUSTOM_MODEL,
+    choi_truth_table,
     computational_block,
     full_register_decohere,
     qubit_block_oracle,
@@ -264,8 +265,9 @@ def test_negative_durations_rejected():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="duration"):
             GateOp("idle", (0,), np.eye(3), bad)
-        with pytest.raises(ValueError, match="windows"):
-            circuit_choi(toffoli_circuit(), NoiseModel.from_device(), spam_window_ns=bad)
+        for compile_ in (circuit_choi, circuit_truth_table):
+            with pytest.raises(ValueError, match="windows"):
+                compile_(toffoli_circuit(), NoiseModel.from_device(), spam_window_ns=bad)
         with pytest.raises(ValueError, match="duration must be finite and non-negative"):
             decohere(pairs, NoiseModel.from_device(), bad)
 
@@ -355,6 +357,9 @@ def test_circuit_choi_matches_noisy_apply(model, window):
         rho8 = random_density8(rng)
         oracle = qubit_block_oracle(rho8, circuit, model, window)
         assert np.max(np.abs(choi_apply(choi, rho8) - oracle)) < 1e-12
+    # carrying only the 8 inputs |j><j| reads the same bits as the 64-unit compile
+    table = circuit_truth_table(circuit, model, spam_window_ns=window)
+    assert np.array_equal(table.matrix, choi_truth_table(choi).matrix)
 
 
 @pytest.mark.parametrize("model", [None, CUSTOM_MODEL], ids=["none", "custom"])
@@ -392,7 +397,10 @@ def test_toffoli_and_phase_core_carry_two_levels_of_c():
     model = NoiseModel.from_device()
     for circuit in (toffoli_circuit(), ccphase_circuit()):
         assert noise._kept_levels(circuit) == (3, 3, 2)
-        assert noise._evolve(circuit, model, 8.0).shape == (3, 3, 3, 3, 2, 2, 8, 8)
+        units = np.divmod(np.arange(64), 8)
+        assert noise._evolve(circuit, model, 8.0, units).shape == (3, 3, 3, 3, 2, 2, 64)
+        inputs = (np.arange(8),) * 2
+        assert noise._evolve(circuit, model, 8.0, inputs).shape == (3, 3, 3, 3, 2, 2, 8)
 
 
 @pytest.mark.parametrize("model", [None, CUSTOM_MODEL], ids=["none", "custom"])
@@ -409,6 +417,7 @@ def test_circuit_choi_keeps_a_level_the_circuit_reaches(model):
     assert noise._kept_levels(circuit) == (3, 2, 3)
     choi = circuit_choi(circuit, model)
     assert choi.trace() < 1.0 - 1e-3
+    assert np.array_equal(circuit_truth_table(circuit, model).matrix, choi_truth_table(choi).matrix)
     rng = np.random.default_rng(13)
     for _ in range(3):
         rho8 = random_density8(rng)
@@ -434,8 +443,47 @@ def test_circuit_choi_uses_local_pulses_and_one_superoperator_per_duration():
 
 
 def test_circuit_choi_window_validation():
-    with pytest.raises(ValueError):
-        circuit_choi(toffoli_circuit(), NoiseModel.from_device(), spam_window_ns=-1.0)
+    for compile_ in (circuit_choi, circuit_truth_table):
+        with pytest.raises(ValueError):
+            compile_(toffoli_circuit(), NoiseModel.from_device(), spam_window_ns=-1.0)
+
+
+def negate(out):
+    out[..., 3] *= -1
+
+
+def double(out):
+    out *= 2
+
+
+def skew(out):
+    out[0, 0, 0, 1, 0, 0, 5] += 1e-3
+
+
+def poison(out):
+    out[0, 0, 0, 0, 0, 0, 6] = math.nan
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (negate, "positive semidefinite"),
+        (double, "trace"),
+        (skew, "Hermitian"),
+        (poison, "non-finite"),
+    ],
+)
+def test_circuit_truth_table_rejects_an_unphysical_output_state(monkeypatch, corrupt, message):
+    evolve = noise._evolve
+
+    def corrupted(*args):
+        out = evolve(*args)
+        corrupt(out)
+        return out
+
+    monkeypatch.setattr(noise, "_evolve", corrupted)
+    with pytest.raises(ValueError, match=message):
+        circuit_truth_table(toffoli_circuit(), NoiseModel.from_device())
 
 
 def test_truth_table_fidelity_decreases_with_spam_exposure():
@@ -443,10 +491,10 @@ def test_truth_table_fidelity_decreases_with_spam_exposure():
     model = NoiseModel.from_device()
     fidelities = []
     for window in (0.0, 8.0, 40.0):
-        choi = circuit_choi(circuit, model, spam_window_ns=window)
-        fidelities.append(truth_table_fidelity(truth_table(choi)))
+        table = circuit_truth_table(circuit, model, spam_window_ns=window)
+        fidelities.append(truth_table_fidelity(table))
     assert fidelities[0] > fidelities[1] > fidelities[2]
-    noiseless = truth_table_fidelity(truth_table(circuit_choi(circuit, None)))
+    noiseless = truth_table_fidelity(circuit_truth_table(circuit, None))
     assert noiseless == pytest.approx(1.0, abs=1e-12)
     assert fidelities[0] < 1.0
 

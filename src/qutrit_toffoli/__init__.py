@@ -32,11 +32,10 @@ from .tomography import (
     Records,
     bootstrap_ci,
     chi_of_unitary,
-    chi_from_records,
+    choi_from_records,
     measure_output_records,
     ml_projection,
     process_fidelity,
-    process_tomography,
 )
 from .certify import (
     FidelityEstimate,
@@ -61,8 +60,8 @@ __all__ = [
     "TruthTable",
     "bootstrap_ci",
     "ccphase_circuit",
-    "chi_from_records",
     "chi_of_unitary",
+    "choi_from_records",
     "choi_of_channel",
     "circuit_choi",
     "circuit_truth_table",
@@ -74,7 +73,6 @@ __all__ = [
     "ml_projection",
     "monte_carlo_fidelity",
     "process_fidelity",
-    "process_tomography",
     "rotation_single",
     "subspace_rotation",
     "toffoli_circuit",

@@ -41,8 +41,9 @@ from .register import QUBIT_KETS, basis_label
 from .tomography import (
     BOOTSTRAP_CONFIDENCE,
     bootstrap_ci,
+    chi_of_choi,
     chi_of_unitary,
-    chi_from_records,
+    choi_from_records,
     measure_output_records,
     ml_projection,
     pauli_labels,
@@ -140,21 +141,19 @@ def _run_process_tomo(args: argparse.Namespace) -> tuple[str, dict]:
     records = measure_output_records(
         _compile_toffoli(circuit_choi, args), shots=args.shots, seed=args.seed
     )
-    raw = chi_from_records(records)
-    projected = ml_projection(raw)
-    ideal = chi_of_unitary(ideal_toffoli_unitary())
+    raw_choi = choi_from_records(records)
+    raw = chi_of_choi(raw_choi).matrix
+    projected = chi_of_choi(ml_projection(raw_choi)).matrix
+    ideal = chi_of_unitary(ideal_toffoli_unitary()).matrix
     fidelity_raw = process_fidelity(raw, ideal)
     fidelity_ml = process_fidelity(projected, ideal)
     payload = _common_meta(args) | {
         "basis": list(pauli_labels()),
         "fidelity_raw": fidelity_raw,
         "fidelity_ml": fidelity_ml,
-        "trace_deficit": raw.trace_deficit,
-        "chi_raw": {"real": raw.matrix.real.tolist(), "imag": raw.matrix.imag.tolist()},
-        "chi_ml": {
-            "real": projected.matrix.real.tolist(),
-            "imag": projected.matrix.imag.tolist(),
-        },
+        "trace_deficit": 1.0 - float(raw.trace().real),
+        "chi_raw": {"real": raw.real.tolist(), "imag": raw.imag.tolist()},
+        "chi_ml": {"real": projected.real.tolist(), "imag": projected.imag.tolist()},
     }
     summary = (
         f"process-tomo: fidelity_ml={fidelity_ml:.6f} fidelity_raw={fidelity_raw:.6f}"

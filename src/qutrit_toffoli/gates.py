@@ -224,6 +224,8 @@ class TruthTable:
         mat = np.array(self.matrix, dtype=float)
         if mat.shape != (8, 8):
             raise ValueError("truth table must be 8x8")
+        if not np.isfinite(mat).all():
+            raise ValueError("populations must be finite")
         if mat.min() <= -1e-9 or mat.max() >= 1 + 1e-9:
             raise ValueError("populations must lie in [0, 1]")
         sums = mat.sum(axis=0)

@@ -7,14 +7,15 @@ levels reduce the reconstructed trace, and the deficit is reported rather
 than renormalized away.
 
 The estimators (linear inversion, the least-squares projection onto CPTP
-maps by dual Newton, the bootstrap) are array algebra on the normalized Choi
-matrix J of ``register.ChoiMatrix``, reported as the process matrix chi of
-E(rho) = sum_mn chi_mn B_m rho B_n^dag, in a basis of 64 real three-fold
-products of {1, sigma_x, -i sigma_y, sigma_z}; replacing sigma_y by its real
-counterpart keeps every basis matrix real while preserving orthogonality,
-Tr[B_m^dag B_n] = 8 delta_mn.  Site A is the slowest label, and per site the
-factor order is I, X, Y, Z, so the string "XZI" sits at index 16*1 + 4*3 + 0.
-The two are related by one unitary, chi = W^dag J W.
+maps by dual Newton, the bootstrap) take and return the normalized Choi
+matrix J of ``register.ChoiMatrix`` as a plain array.  ``process_tomo.json``
+reports the process matrix chi of E(rho) = sum_mn chi_mn B_m rho B_n^dag, in
+a basis of 64 real three-fold products of {1, sigma_x, -i sigma_y, sigma_z};
+replacing sigma_y by its real counterpart keeps every basis matrix real
+while preserving orthogonality, Tr[B_m^dag B_n] = 8 delta_mn.  Site A is the
+slowest label, and per site the factor order is I, X, Y, Z, so the string
+"XZI" sits at index 16*1 + 4*3 + 0.  The two are related by one unitary,
+chi = W^dag J W, and chi is formed only there, by ``chi_of_choi``.
 """
 
 from __future__ import annotations
@@ -187,13 +188,11 @@ def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> R
 
 
 class ChiMatrix:
-    """Process matrix in the real product basis.
+    """Process matrix in the real product basis, the form ``process_tomo.json`` reports.
 
-    ``trace_deficit`` is the weight the matrix lacks for unit trace: what a
-    raw reconstruction lost to leakage outside the measured levels, since
-    the matrix is stored without renormalization.  Raw statistical estimates
-    may have small negative eigenvalues; feed them through
-    :func:`ml_projection` to obtain the nearest physical process.
+    :func:`chi_of_choi` and :func:`chi_of_unitary` make it; the estimators
+    work on the Choi matrix.  A raw estimate may have small negative
+    eigenvalues, so only Hermiticity is checked.
     """
 
     __slots__ = ("matrix",)
@@ -208,25 +207,6 @@ class ChiMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ChiMatrix is immutable")
-
-    def __repr__(self) -> str:
-        return (
-            f"ChiMatrix(trace={self.trace():.6f}, min_eig={self.min_eigenvalue():.2e})"
-        )
-
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
-
-    @property
-    def trace_deficit(self) -> float:
-        return 1.0 - self.trace()
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def tp_residual(self) -> float:
-        """Frobenius distance of sum_mn chi_mn B_n^dag B_m from the identity."""
-        return _tp_residual(_choi_basis() @ self.matrix @ _choi_basis().conj().T)
 
 
 @functools.lru_cache(maxsize=1)
@@ -259,10 +239,10 @@ def _preparation_inverse() -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _fidelity_weights() -> np.ndarray:
-    """Real w with ``process_fidelity(_choi_from_values(v), ideal Toffoli) = <w, v>``.
+    """Real w with ``process_fidelity(choi_from_records(v), ideal Toffoli J) = <w, v>``.
 
     Both Choi matrices expand in the Pauli tables ``Tr[P_n E(|i><j|)]`` of
-    ``_choi_from_values``, so their overlap is Re <table(v), table_ideal> / 512.
+    ``choi_from_records``, so their overlap is Re <table(v), table_ideal> / 512.
     Every weight is a whole multiple of 1/512 up to float noise (at most
     2e-15/512), so the weights are rounded to those multiples: 1120 of them
     are +-1, 2 or 4 over 512 and the other 2976 are exact zeros.
@@ -273,31 +253,21 @@ def _fidelity_weights() -> np.ndarray:
     return weights
 
 
-def _choi_from_values(values: np.ndarray) -> np.ndarray:
-    """Linear-inversion Choi matrix from a (64, 64) record array.
+def choi_from_records(records: Records) -> np.ndarray:
+    """Read-only linear-inversion Choi matrix of ``records``; no positivity enforced.
 
     Undoing the preparations gives ``table[(i, j), n] = Tr[P_n E(|i><j|)]``,
     and E(|i><j|) = (1/8) sum_n table[(i, j), n] P_n fills block (i, j).
     """
-    table = (_preparation_inverse() @ values).reshape(8, 8, 64)
+    table = (_preparation_inverse() @ records.values).reshape(8, 8, 64)
     tensor = np.einsum("ijn,nab->iajb", table, standard_pauli_stack())
-    return tensor.reshape(64, 64) / 64.0
+    choi = tensor.reshape(64, 64) / 64.0
+    choi.setflags(write=False)
+    return choi
 
 
-def chi_from_records(records: Records) -> ChiMatrix:
-    """Linear inversion from measurement records; no positivity enforced."""
-    return chi_of_choi(_choi_from_values(records.values))
-
-
-def process_tomography(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> ChiMatrix:
-    """Full tomography of the channel of ``choi``, returning the raw chi."""
-    return chi_from_records(measure_output_records(choi, shots=shots, seed=seed))
-
-
-def process_fidelity(chi_a: ChiMatrix | np.ndarray, chi_b: ChiMatrix | np.ndarray) -> float:
-    """Overlap Tr[a b] of two Hermitian chi (or Choi) matrices; |Tr[U^dag V]/8|^2 if unitary."""
-    a = chi_a.matrix if isinstance(chi_a, ChiMatrix) else np.asarray(chi_a)
-    b = chi_b.matrix if isinstance(chi_b, ChiMatrix) else np.asarray(chi_b)
+def process_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Overlap Tr[a b] of two Hermitian chi or Choi matrices; |Tr[U^dag V]/8|^2 if unitary."""
     return float(np.vdot(a, b).real)
 
 
@@ -348,29 +318,28 @@ class ProjectionError(RuntimeError):
 
 
 def ml_projection(
-    chi: ChiMatrix | np.ndarray, *, tol: float = 1e-9, max_iter: int = 50
-) -> ChiMatrix:
-    """Frobenius-nearest completely positive trace-preserving chi.
+    choi_matrix: np.ndarray, *, tol: float = 1e-9, max_iter: int = 50
+) -> np.ndarray:
+    """Frobenius-nearest completely positive trace-preserving Choi matrix.
 
-    A least-squares projection, not a likelihood maximum.  On the Choi matrix
-    J0 = W chi W^dag (W unitary) trace preservation reads Tr_out J = I/8, and
-    semismooth Newton on the dual (Malick, SIAM J. Matrix Anal. Appl. 26, 272
-    (2004); Qi & Sun, ibid. 28, 360 (2006)) minimizes F(L) = |X(L)|^2/2 - Tr L/8
-    over Hermitian 8x8 L, with X(L) = P+(J0 + L (x) I) and grad F = Tr_out X - I/8.
-    X is returned, exactly positive semidefinite, once |8 Tr_out X - I| < tol;
-    ProjectionError after ``max_iter`` Newton steps.  Non-finite input, a tol
-    that is not finite and positive, or a max_iter that is not a whole number
-    of at least 1 raise ValueError.
+    A least-squares projection, not a likelihood maximum.  Trace preservation
+    reads Tr_out J = I/8, and semismooth Newton on the dual (Malick, SIAM J.
+    Matrix Anal. Appl. 26, 272 (2004); Qi & Sun, ibid. 28, 360 (2006))
+    minimizes F(L) = |X(L)|^2/2 - Tr L/8 over Hermitian 8x8 L, with
+    X(L) = P+(J0 + L (x) I), J0 the Hermitian part of ``choi_matrix`` and
+    grad F = Tr_out X - I/8.  X is returned as a read-only array, exactly
+    positive semidefinite, once |8 Tr_out X - I| < tol; its trace is then 1
+    only to about tol.  ProjectionError after ``max_iter`` Newton steps.
+    Non-finite input, a tol that is not finite and positive, or a max_iter
+    that is not a whole number of at least 1 raise ValueError.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
     max_iter = _check_count(max_iter, "max_iter", 1)
-    start = chi.matrix if isinstance(chi, ChiMatrix) else _readonly_complex(chi, "chi matrix")
+    start = _readonly_complex(choi_matrix, "Choi matrix")
     if start.shape != (64, 64):
-        raise ValueError("chi matrix must be 64x64")
-    w = _choi_basis()
-    x = w @ ((start + start.conj().T) / 2.0) @ w.conj().T
-    base = (x + x.conj().T) / 2.0
+        raise ValueError("Choi matrix must be 64x64")
+    base = (start + start.conj().T) / 2.0
     vals, vecs, proj = _project_psd(base)
     objective = np.sum(np.clip(vals, 0.0, None) ** 2) / 2.0
     multiplier, steps = np.zeros((8, 8), dtype=complex), 0
@@ -390,7 +359,8 @@ def ml_projection(
         else:
             raise ProjectionError(f"line search failed at residual {residual:.2e}")
         multiplier, objective, steps = trial, value, steps + 1
-    return chi_of_choi(proj)
+    proj.setflags(write=False)
+    return proj
 
 
 def bootstrap_ci(

@@ -92,6 +92,13 @@ def test_process_tomo_pipeline(tmp_path, capsys):
     assert "process-tomo: fidelity_ml=" in capsys.readouterr().out
 
 
+def test_process_tomo_accepts_a_projection_just_above_unit_trace(tmp_path):
+    # at this seed the CPTP projection ends at trace 1 + 1.2e-10, inside its
+    # 1e-9 tolerance but above what a ChoiMatrix accepts
+    argv = ["process-tomo", "--shots", "1000", "--seed", "8", "--output", str(tmp_path)]
+    assert run_cli(argv) == 0
+
+
 def test_process_tomo_exact_mode(tmp_path):
     out = tmp_path / "tomo0"
     assert run_cli(["process-tomo", "--output", str(out), "--noise", "ideal"]) == 0

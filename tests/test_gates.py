@@ -208,6 +208,8 @@ def test_truth_table_validation():
         TruthTable(bad)
     with pytest.raises(ValueError):
         TruthTable(np.eye(4))
+    with pytest.raises(ValueError, match="finite"):
+        TruthTable(np.full((8, 8), np.nan))
 
 
 def test_truth_table_columns_may_be_subnormalized():

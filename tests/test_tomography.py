@@ -1,8 +1,10 @@
 import functools
+import json
 
 import numpy as np
 import pytest
 
+from qutrit_toffoli import cli
 from qutrit_toffoli.certify import choi_of_channel, exhaustive_fidelity, monte_carlo_fidelity
 from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_choi
@@ -15,21 +17,20 @@ from qutrit_toffoli.tomography import (
     Records,
     bootstrap_ci,
     chi_basis,
-    chi_from_records,
     chi_of_choi,
     chi_of_unitary,
+    choi_from_records,
     input_prep_labels,
     measure_output_records,
     ml_projection,
     pauli_labels,
     process_fidelity,
-    process_tomography,
     standard_pauli_stack,
     _choi_basis,
-    _choi_from_values,
     _fidelity_weights,
     _input_qubit_matrices,
     _prep_matrix,
+    _tp_residual,
 )
 
 from _oracle import device_channel8, dykstra_projection, project_tp
@@ -83,6 +84,29 @@ def unitary_choi(unitary8):
 @functools.lru_cache(maxsize=1)
 def device_toffoli_choi():
     return circuit_choi(toffoli_circuit(), NoiseModel.from_device())
+
+
+def raw_choi(choi, shots=0, seed=0):
+    """Linear-inversion Choi matrix of the records measured behind ``choi``."""
+    return choi_from_records(measure_output_records(choi, shots=shots, seed=seed))
+
+
+def raw_chi(choi):
+    """The chi matrix ``process-tomo`` reports as ``chi_raw`` for exact records."""
+    return chi_of_choi(raw_choi(choi))
+
+
+def choi_of_chi(chi):
+    """W chi W^dag, the Choi matrix of a chi matrix."""
+    return _choi_basis() @ chi @ _choi_basis().conj().T
+
+
+def trace(matrix):
+    return float(np.trace(matrix).real)
+
+
+def min_eigenvalue(matrix):
+    return float(np.linalg.eigvalsh(matrix)[0])
 
 
 def chi_apply(chi, rho8):
@@ -154,11 +178,11 @@ def test_chi_of_identity_and_single_x():
 
 
 def test_chi_of_toffoli_leading_element():
-    chi = chi_of_unitary(ideal_toffoli_unitary())
-    assert chi.matrix[0, 0].real == pytest.approx(0.5625, abs=1e-12)
-    assert chi.trace() == pytest.approx(1.0, abs=1e-12)
-    assert chi.min_eigenvalue() > -1e-12
-    assert chi.tp_residual() < 1e-9
+    chi = chi_of_unitary(ideal_toffoli_unitary()).matrix
+    assert chi[0, 0].real == pytest.approx(0.5625, abs=1e-12)
+    assert trace(chi) == pytest.approx(1.0, abs=1e-12)
+    assert min_eigenvalue(chi) > -1e-12
+    assert _tp_residual(choi_of_chi(chi)) < 1e-9
 
 
 def test_chi_of_unitary_reproduces_unitary_conjugation():
@@ -173,19 +197,19 @@ def test_chi_of_unitary_reproduces_unitary_conjugation():
 
 
 def test_process_tomography_identity_channel():
-    chi = process_tomography(choi_of_channel(lambda b: b))
+    chi = raw_chi(choi_of_channel(lambda b: b))
     expected = np.zeros((64, 64))
     expected[0, 0] = 1.0
     assert np.max(np.abs(chi.matrix - expected)) < 1e-10
-    assert chi.trace_deficit == pytest.approx(0.0, abs=1e-10)
+    assert 1.0 - trace(chi.matrix) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_process_tomography_random_unitary_round_trip():
     rng = np.random.default_rng(22)
     unitary = random_unitary(8, rng)
-    chi = process_tomography(unitary_choi(unitary))
-    direct = chi_of_unitary(unitary)
-    assert np.max(np.abs(chi.matrix - direct.matrix)) < 1e-8
+    chi = raw_chi(unitary_choi(unitary)).matrix
+    direct = chi_of_unitary(unitary).matrix
+    assert np.max(np.abs(chi - direct)) < 1e-8
     assert process_fidelity(chi, direct) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -198,12 +222,12 @@ def test_process_tomography_recovers_generic_cptp_action():
     def apply8(block):
         return sum(k @ block @ k.conj().T for k in kraus)
 
-    chi = process_tomography(choi_of_channel(apply8))
+    chi = raw_chi(choi_of_channel(apply8))
     for _ in range(10):
         rho = random_density(8, rng)
         assert np.allclose(chi_apply(chi, rho), apply8(rho), atol=1e-9)
 
-    chi_dev = process_tomography(device_toffoli_choi())
+    chi_dev = raw_chi(device_toffoli_choi())
     for _ in range(5):
         rho = random_density(8, rng)
         assert np.allclose(chi_apply(chi_dev, rho), device_channel8(rho), atol=1e-9)
@@ -221,19 +245,24 @@ def test_choi_basis_is_unitary_and_matches_rank_one_chi():
 
 def test_linear_inversion_round_trip_in_both_bases():
     for choi in (device_toffoli_choi(), random_cptp_choi(np.random.default_rng(29))):
-        records = measure_output_records(choi)
-        assert np.max(np.abs(_choi_from_values(records.values) - choi.matrix)) < 1e-12
-        chi = chi_from_records(records)
-        assert np.max(np.abs(chi.matrix - chi_of_choi(choi.matrix).matrix)) < 1e-12
-        assert chi.trace_deficit == pytest.approx(1.0 - choi.trace(), abs=1e-12)
+        estimate = raw_choi(choi)
+        assert not estimate.flags.writeable
+        assert np.max(np.abs(estimate - choi.matrix)) < 1e-12
+        chi = chi_of_choi(estimate).matrix
+        assert np.max(np.abs(chi - chi_of_choi(choi.matrix).matrix)) < 1e-12
+        assert 1.0 - trace(chi) == pytest.approx(1.0 - choi.trace(), abs=1e-12)
 
 
-def test_trace_deficit_is_derived_from_the_matrix():
+def test_trace_deficit_is_derived_from_the_matrix(tmp_path):
     # a deficit stored beside the matrix could contradict it
-    assert ChiMatrix(np.eye(64) / 128).trace_deficit == 0.5
     for choi in (device_toffoli_choi(), choi_of_channel(lambda block: 0.6 * block)):
-        deficit = chi_of_choi(choi.matrix).trace_deficit
+        deficit = 1.0 - trace(chi_of_choi(choi.matrix).matrix)
         assert deficit == pytest.approx(1.0 - choi.trace(), abs=1e-12)
+    for argv in ([], ["--shots", "300", "--seed", "2"]):
+        assert cli.main(["process-tomo", "--output", str(tmp_path), *argv]) == 0
+        data = json.loads((tmp_path / "process_tomo.json").read_text())
+        chi_raw = np.array(data["chi_raw"]["real"]) + 1j * np.array(data["chi_raw"]["imag"])
+        assert data["trace_deficit"] == 1.0 - trace(chi_raw)
 
 
 def test_project_tp_is_the_orthogonal_projection_onto_tp_choi_matrices():
@@ -256,7 +285,7 @@ def test_tp_residual_is_the_chi_basis_trace_condition():
         # sum_mn chi_mn B_n^dag B_m is the identity for a trace-preserving chi
         direct = np.einsum("mn,nba,mbc->ac", chi, basis.conj(), basis)
         expected = np.linalg.norm(direct - np.eye(8))
-        assert ChiMatrix(chi).tp_residual() == pytest.approx(expected, rel=1e-12, abs=1e-13)
+        assert _tp_residual(choi_of_chi(chi)) == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
 def test_process_fidelity_is_the_same_in_chi_and_choi_bases():
@@ -264,9 +293,8 @@ def test_process_fidelity_is_the_same_in_chi_and_choi_bases():
     a, b = random_cptp_choi(rng, 2), random_cptp_choi(rng, 2)
     in_choi = process_fidelity(a.matrix, b.matrix)
     assert in_choi == pytest.approx(np.trace(a.matrix @ b.matrix).real, abs=1e-15)
-    assert process_fidelity(chi_of_choi(a.matrix), chi_of_choi(b.matrix)) == pytest.approx(
-        in_choi, abs=1e-15
-    )
+    in_chi = process_fidelity(chi_of_choi(a.matrix).matrix, chi_of_choi(b.matrix).matrix)
+    assert in_chi == pytest.approx(in_choi, abs=1e-15)
 
 
 def record_value(records, input_label, pauli_label):
@@ -344,10 +372,10 @@ def test_non_finite_chi_fails_at_once(monkeypatch, bad):
     ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max-iter-0", "max-iter-2.5"],
 )
 def test_bad_solver_arguments_fail_at_once(monkeypatch, kwargs):
-    chi = chi_of_unitary(ideal_toffoli_unitary())
+    choi = choi_of_unitary(ideal_toffoli_unitary()).matrix
     calls = count_eigendecompositions(monkeypatch)
     with pytest.raises(ValueError, match="tol|max_iter"):
-        ml_projection(chi, **kwargs)
+        ml_projection(choi, **kwargs)
     assert len(calls) == 0
 
 
@@ -359,33 +387,42 @@ def test_ml_projection_of_a_matrix_without_positive_part(scale):
     # depolarizing one, and every iterate is c I, so |c - 1/64| is the
     # residual / (64 sqrt 8)
     projected = ml_projection(scale * np.eye(64))
-    assert projected.tp_residual() < 1e-9
-    assert np.max(np.abs(projected.matrix - np.eye(64) / 64.0)) < 1e-9 / (64 * np.sqrt(8))
+    assert _tp_residual(projected) < 1e-9
+    assert np.max(np.abs(projected - np.eye(64) / 64.0)) < 1e-9 / (64 * np.sqrt(8))
 
 
 def test_ml_projection_fixed_point_on_physical_chi():
-    chi = chi_of_unitary(ideal_toffoli_unitary())
-    projected = ml_projection(chi)
-    assert np.max(np.abs(projected.matrix - chi.matrix)) < 1e-8
+    choi = choi_of_unitary(ideal_toffoli_unitary()).matrix
+    projected = ml_projection(choi)
+    assert np.max(np.abs(projected - choi)) < 1e-8
 
 
 def test_ml_projection_restores_physicality():
-    chi = process_tomography(device_toffoli_choi(), shots=1000, seed=12)
-    assert chi.min_eigenvalue() < -1e-3  # raw estimate is genuinely unphysical
-    projected = ml_projection(chi)
-    assert projected.min_eigenvalue() > -1e-10
-    assert projected.tp_residual() < 1e-8
+    choi = raw_choi(device_toffoli_choi(), shots=1000, seed=12)
+    assert min_eigenvalue(choi) < -1e-3  # raw estimate is genuinely unphysical
+    projected = ml_projection(choi)
+    assert min_eigenvalue(projected) > -1e-10
+    assert _tp_residual(projected) < 1e-8
     again = ml_projection(projected)
-    assert np.max(np.abs(again.matrix - projected.matrix)) < 1e-9
+    assert np.max(np.abs(again - projected)) < 1e-9
+
+
+def test_ml_projection_returns_a_read_only_array_that_may_exceed_unit_trace():
+    # the projection stops at TP residual < 1e-9, so its trace is 1 only to
+    # about 1e-9; at this seed it ends 1.2e-10 above 1, where a ChoiMatrix,
+    # which rejects a trace of 1 + 1e-10, would refuse it
+    projected = ml_projection(raw_choi(device_toffoli_choi(), shots=1000, seed=8))
+    assert type(projected) is np.ndarray and not projected.flags.writeable
+    assert min_eigenvalue(projected) > -1e-10
+    assert _tp_residual(projected) < 1e-9
+    assert abs(trace(projected) - 1.0) < 1e-9
 
 
 def test_ml_projection_trace_change_on_tp_class_input():
-    records = measure_output_records(device_toffoli_choi(), shots=700, seed=13)
-    tp_input = chi_of_choi(project_tp(_choi_from_values(records.values)))
-    assert tp_input.tp_residual() < 1e-12
-    before = tp_input.trace()
+    tp_input = project_tp(raw_choi(device_toffoli_choi(), shots=700, seed=13))
+    assert _tp_residual(tp_input) < 1e-12
     projected = ml_projection(tp_input, tol=1e-10)
-    assert abs(projected.trace() - before) < 1e-10
+    assert abs(trace(projected) - trace(tp_input)) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -395,60 +432,58 @@ def test_ml_projection_trace_change_on_tp_class_input():
 )
 def test_ml_projection_eigendecomposition_counts(monkeypatch, shots, eigendecompositions):
     if shots is None:  # far from the CPTP maps, where a step can pass Armijo on F alone
-        chi = random_hermitian(64, np.random.default_rng(33))
-        chi *= 0.1 / np.linalg.norm(chi)
+        choi = random_hermitian(64, np.random.default_rng(33))
+        choi *= 0.1 / np.linalg.norm(choi)
     else:
-        chi = process_tomography(device_toffoli_choi(), shots=shots, seed=5)
+        choi = raw_choi(device_toffoli_choi(), shots=shots, seed=5)
     calls = count_eigendecompositions(monkeypatch)
-    ml_projection(chi)
+    ml_projection(choi)
     assert len(calls) == eigendecompositions
 
 
-def perturbed_cptp_chi(seed, n_kraus, noise_norm):
+def perturbed_cptp_choi(seed, n_kraus, noise_norm):
     rng = np.random.default_rng(seed)
     choi = random_cptp_choi(rng, n_kraus)
     noise = random_hermitian(64, rng)
-    return chi_of_choi(choi.matrix).matrix + noise * (noise_norm / np.linalg.norm(noise))
+    return choi.matrix + noise * (noise_norm / np.linalg.norm(noise))
 
 
 def test_ml_projection_matches_the_dykstra_oracle():
-    w = _choi_basis()
-    device = [process_tomography(device_toffoli_choi(), shots=s, seed=5) for s in (1000, 100)]
-    randoms = [perturbed_cptp_chi(40 + k, 1 + k, 0.05) for k in range(3)]
+    device = [raw_choi(device_toffoli_choi(), shots=s, seed=5) for s in (1000, 100)]
+    randoms = [perturbed_cptp_choi(40 + k, 1 + k, 0.05) for k in range(3)]
     # device records at the default tol; random maps at the oracle's own tol, because a
     # residual anywhere below 1e-9 leaves J up to about 1e-11 from the exact projection
-    for chi, tol in [(c.matrix, 1e-9) for c in device] + [(c, 1e-13) for c in randoms]:
-        expected = dykstra_projection(w @ chi @ w.conj().T, tol=1e-13)
-        projected = ml_projection(chi, tol=tol)
-        assert projected.min_eigenvalue() > -1e-12
-        assert projected.tp_residual() < tol
-        assert np.max(np.abs(w @ projected.matrix @ w.conj().T - expected)) < 1e-12
+    for choi, tol in [(c, 1e-9) for c in device] + [(c, 1e-13) for c in randoms]:
+        expected = dykstra_projection(choi, tol=1e-13)
+        projected = ml_projection(choi, tol=tol)
+        assert min_eigenvalue(projected) > -1e-12
+        assert _tp_residual(projected) < tol
+        assert np.max(np.abs(projected - expected)) < 1e-12
 
 
 def test_ml_projection_is_nearest_feasible_point():
     # variational inequality: <x0 - x*, y - x*> <= 0 for feasible y
     rng = np.random.default_rng(26)
-    chi_raw = process_tomography(device_toffoli_choi(), shots=300, seed=14)
-    x0 = np.array(chi_raw.matrix)
-    x_star = np.array(ml_projection(chi_raw).matrix)
+    x0 = raw_choi(device_toffoli_choi(), shots=300, seed=14)
+    x_star = ml_projection(x0)
     gap = x0 - x_star
     dist = np.linalg.norm(gap)
     for _ in range(12):
-        feasible = chi_of_unitary(random_unitary(8, rng)).matrix
+        feasible = choi_of_unitary(random_unitary(8, rng)).matrix
         inner = np.real(np.vdot(gap, feasible - x_star))
         assert inner <= 1e-7
         assert np.linalg.norm(x0 - feasible) >= dist - 1e-9
     # mixtures of unitary channels are feasible too
-    mix = 0.5 * chi_of_unitary(random_unitary(8, rng)).matrix + 0.5 * chi_of_unitary(
+    mix = 0.5 * choi_of_unitary(random_unitary(8, rng)).matrix + 0.5 * choi_of_unitary(
         random_unitary(8, rng)
     ).matrix
     assert np.real(np.vdot(gap, mix - x_star)) <= 1e-7
 
 
 def test_ml_projection_nonconvergence_raises():
-    chi = process_tomography(device_toffoli_choi(), shots=200, seed=15)
+    choi = raw_choi(device_toffoli_choi(), shots=200, seed=15)
     with pytest.raises(ProjectionError):
-        ml_projection(chi, max_iter=2)
+        ml_projection(choi, max_iter=2)
 
 
 def test_process_fidelity_unitary_overlap_formula():
@@ -457,8 +492,9 @@ def test_process_fidelity_unitary_overlap_formula():
         u = random_unitary(8, rng)
         v = random_unitary(8, rng)
         expected = abs(np.trace(u.conj().T @ v) / 8.0) ** 2
-        got = process_fidelity(chi_of_unitary(u), chi_of_unitary(v))
-        assert got == pytest.approx(expected, abs=1e-10)
+        for form in (chi_of_unitary, choi_of_unitary):
+            got = process_fidelity(form(u).matrix, form(v).matrix)
+            assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_bootstrap_ci_brackets_the_estimate():
@@ -466,7 +502,7 @@ def test_bootstrap_ci_brackets_the_estimate():
     lo, hi = bootstrap_ci(records, resamples=120, seed=17)
     assert lo < hi
     point = process_fidelity(
-        chi_from_records(records), chi_of_unitary(ideal_toffoli_unitary())
+        choi_from_records(records), choi_of_unitary(ideal_toffoli_unitary()).matrix
     )
     assert lo - 0.01 < point < hi + 0.01
     assert hi - lo < 0.1
@@ -500,7 +536,7 @@ def test_counts_beyond_int64_raise_value_error():
         lambda: measure_output_records(choi, shots=too_many),
         lambda: Records(records.values, shots=too_many),
         lambda: bootstrap_ci(records, resamples=too_many),
-        lambda: ml_projection(chi_from_records(records), max_iter=too_many),
+        lambda: ml_projection(choi_from_records(records), max_iter=too_many),
         lambda: monte_carlo_fidelity(choi, samples=too_many),
         lambda: monte_carlo_fidelity(choi, samples=10, shots=too_many),
         lambda: exhaustive_fidelity(choi, shots=too_many),
@@ -554,14 +590,14 @@ def test_records_and_bootstrap_share_no_generator_state(monkeypatch):
 
 
 def test_fidelity_weights_are_the_raw_fidelity_functional():
-    ideal = chi_of_unitary(ideal_toffoli_unitary())
+    ideal = choi_of_unitary(ideal_toffoli_unitary()).matrix
     rng = np.random.default_rng(33)
     for records in (
         measure_output_records(device_toffoli_choi()),
         measure_output_records(device_toffoli_choi(), shots=1000, seed=5),
         Records(rng.uniform(-1.0, 1.0, size=(64, 64))),
     ):
-        expected = process_fidelity(chi_from_records(records), ideal)
+        expected = process_fidelity(choi_from_records(records), ideal)
         assert abs(np.vdot(_fidelity_weights(), records.values) - expected) < 1e-13
 
 
@@ -593,7 +629,7 @@ def bootstrap_per_resample_inversion(records, resamples, seed, confidence=0.90):
     for _ in range(resamples):
         values = records.values.copy()
         values[support] = tomography._binomial_readout(rng, records.shots, probabilities)
-        stats.append(process_fidelity(_choi_from_values(values), ideal))
+        stats.append(process_fidelity(choi_from_records(Records(values, records.shots)), ideal))
     alpha = 1.0 - confidence
     return tuple(np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0]))
 
@@ -609,13 +645,13 @@ def test_bootstrap_matches_per_resample_inversion(seed):
 def test_bootstrap_draws_once_per_resample_and_never_inverts(monkeypatch):
     records = measure_output_records(device_toffoli_choi(), shots=300, seed=19)
     draws, inversions, probabilities = [], [], []
-    readout, invert = tomography._binomial_readout, tomography._choi_from_values
+    readout, invert = tomography._binomial_readout, tomography.choi_from_records
     to_probabilities = tomography._readout_probabilities
     monkeypatch.setattr(
         tomography, "_binomial_readout", lambda *a: draws.append(a[2].shape) or readout(*a)
     )
     monkeypatch.setattr(
-        tomography, "_choi_from_values", lambda v: inversions.append(None) or invert(v)
+        tomography, "choi_from_records", lambda r: inversions.append(None) or invert(r)
     )
     monkeypatch.setattr(
         tomography,
@@ -667,11 +703,11 @@ def test_record_validation():
         Records(values).values[0, 0] = 0.5
 
 
-def test_chi_from_records_requires_complete_coverage():
+def test_choi_from_records_requires_complete_coverage():
     values = measure_output_records(device_toffoli_choi()).values
     with pytest.raises(ValueError):
-        chi_from_records(Records(values[:-1]))
+        choi_from_records(Records(values[:-1]))
     with pytest.raises(ValueError):
-        chi_from_records(Records(np.vstack([values, values[-1:]])))
+        choi_from_records(Records(np.vstack([values, values[-1:]])))
     with pytest.raises(ValueError):
-        chi_from_records(Records(values.reshape(-1)))
+        choi_from_records(Records(values.reshape(-1)))

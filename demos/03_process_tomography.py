@@ -21,7 +21,7 @@ from qutrit_toffoli.tomography import (
 # and linear inversion of the records returns a Choi matrix again.
 
 choi = circuit_choi(toffoli_circuit(), NoiseModel.from_device())
-ideal = ideal_toffoli_choi().matrix
+ideal = ideal_toffoli_choi()
 
 exact = choi_from_records(measure_output_records(choi))
 print(f"exact-mode process fidelity: {process_fidelity(exact, ideal):.4f}")

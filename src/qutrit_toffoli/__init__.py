@@ -8,7 +8,7 @@ projection, and sampling-based fidelity certification that needs only a
 handful of Pauli correlations.
 """
 
-from .register import ChoiMatrix
+from .register import checked_choi
 from .gates import (
     Circuit,
     GateOp,
@@ -51,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Circuit",
     "ChiMatrix",
-    "ChoiMatrix",
     "FidelityEstimate",
     "GateOp",
     "NoiseModel",
@@ -60,6 +59,7 @@ __all__ = [
     "TruthTable",
     "bootstrap_ci",
     "ccphase_circuit",
+    "checked_choi",
     "chi_of_unitary",
     "choi_from_records",
     "choi_of_channel",

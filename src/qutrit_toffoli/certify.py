@@ -20,7 +20,7 @@ shrinks with the sample count alone (direct fidelity estimation, Flammia &
 Liu, PRL 106, 230501 (2011)).
 
 Q_n is linear in the channel's Choi state, so the estimators take the
-``ChoiMatrix`` of the channel under test (``noise.circuit_choi`` for the
+64x64 Choi matrix of the channel under test (``noise.circuit_choi`` for the
 simulated gate, ``choi_of_channel`` for any other callable) and read every
 eigenstate output off it.  A set of pairs is three aligned arrays: the
 input and output Pauli indices into ``pauli_labels()`` and the target
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import ideal_toffoli_unitary
-from .register import ChoiMatrix, choi_of_unitary
+from .register import checked_choi, choi_of_unitary
 from .tomography import (
     _check_count,
     _readout_probabilities,
@@ -65,19 +65,19 @@ _EIGEN = {
     "Z": (np.eye(2, dtype=complex), np.array([1.0, -1.0])),
 }
 
-def choi_of_channel(channel8) -> ChoiMatrix:
-    """Evaluate the channel on all matrix units; block (i, j) is E(|i><j|) / 8."""
+def choi_of_channel(channel8) -> np.ndarray:
+    """Checked Choi matrix of the callable ``channel8``: block (i, j) is E(|i><j|) / 8."""
     units = np.eye(64, dtype=complex).reshape(64, 8, 8)  # units[8i + j] = |i><j|
     blocks = np.stack([channel8(unit.copy()) for unit in units]).reshape(8, 8, 8, 8)
-    return ChoiMatrix(blocks.transpose(0, 2, 1, 3).reshape(64, 64) / 8.0)
+    return checked_choi(blocks.transpose(0, 2, 1, 3).reshape(64, 64) / 8.0)
 
 
-def ideal_toffoli_choi() -> ChoiMatrix:
+def ideal_toffoli_choi() -> np.ndarray:
     """Pure target state built from the ideal gate."""
     return choi_of_unitary(ideal_toffoli_unitary())
 
 
-def enumerate_relevant_paulis(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def enumerate_relevant_paulis(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``(inputs, outputs, ideal)`` of the pairs above ``RELEVANCE_CUTOFF``.
 
     The correlation Tr[rho (A_m^T x B_n)] is Tr[B_n E(A_m)] / 8, one matmul
@@ -113,7 +113,7 @@ def _eigenstates() -> tuple[np.ndarray, np.ndarray]:
     return vectors, values
 
 
-def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _eigenstate_readout(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact readout of every input Pauli's product eigenstates.
 
     Returns ``exact[m, k, n] = Tr[P_n E(|v_mk><v_mk|)]``, where v_mk is the
@@ -129,7 +129,7 @@ def _eigenstate_readout(choi: ChoiMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _measured_correlations(
-    choi: ChoiMatrix, draws: np.ndarray, shots: int, rng
+    choi: np.ndarray, draws: np.ndarray, shots: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measured correlation Q of every draw, in pair order, and each pair's mean Q.
 
@@ -179,7 +179,7 @@ class FidelityEstimate:
 
 
 def monte_carlo_fidelity(
-    choi: ChoiMatrix,
+    choi: np.ndarray,
     samples: int = 10000,
     seed: int = 0,
     shots: int = 0,
@@ -206,7 +206,7 @@ def monte_carlo_fidelity(
     return FidelityEstimate(estimate, stderr, draws, mean_values)
 
 
-def exhaustive_fidelity(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> float:
+def exhaustive_fidelity(choi: np.ndarray, shots: int = 0, seed: int = 0) -> float:
     """Deterministic variant measuring every relevant pair exactly once."""
     shots = _check_count(shots, "shots", 0)
     _, _, ideal = _relevant_toffoli_paulis()

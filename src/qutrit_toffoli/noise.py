@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .register import ChoiMatrix, _check_states
+from .register import _check_states, checked_choi
 from .gates import XY_PULSE_NS, Circuit, GateOp, TruthTable
 
 # Measured coherence times, microseconds, sites (A, B, C).
@@ -306,8 +306,8 @@ def _evolve(circuit: Circuit, model: NoiseModel | None, spam_window_ns: float, u
 
 def circuit_choi(
     circuit: Circuit, model: NoiseModel | None = None, *, spam_window_ns: float = XY_PULSE_NS
-) -> ChoiMatrix:
-    """Choi matrix of the qubit block of the full experimental cycle.
+) -> np.ndarray:
+    """Read-only Choi matrix of the qubit block of the full experimental cycle.
 
     The 64 qubit matrix units |i><j| run through ``_evolve`` as one batch.
     Weight left outside the qubit block at the end shows up as a Choi trace
@@ -316,7 +316,7 @@ def circuit_choi(
     out = _evolve(circuit, model, spam_window_ns, np.divmod(np.arange(64), 8))
     # Block (i, j) of the Choi matrix is E(|i><j|) / 8.
     blocks = out[:2, :2, :2, :2, :2, :2].reshape((2,) * 6 + (8, 8))
-    return ChoiMatrix(blocks.transpose(6, 0, 2, 4, 7, 1, 3, 5).reshape(64, 64) / 8)
+    return checked_choi(blocks.transpose(6, 0, 2, 4, 7, 1, 3, 5).reshape(64, 64) / 8)
 
 
 def circuit_truth_table(

@@ -8,11 +8,12 @@ eight kets with every site in level 0 or 1, listed in ``QUBIT_KETS`` in the
 order of the three-qubit basis |000>, |001>, ..., |111>.
 
 The module holds what the rest of the package builds on: site and basis
-indexing, the Pauli matrices, and ``ChoiMatrix``, the one representation of
-a three-qubit channel that tomography and certification read.  A Choi
-matrix is a plain complex numpy array in a small container type that
-validates its defining invariants, finiteness included, on construction,
-as ``_check_states`` does for the output states of a truth table.
+indexing, the Pauli matrices, and ``checked_choi``, which makes the one
+representation of a three-qubit channel that tomography and certification
+read.  A Choi matrix is a read-only complex 64x64 numpy array; its producers
+pass it through ``checked_choi``, which validates its defining invariants,
+finiteness included, as ``_check_states`` does for the output states of a
+truth table.
 """
 
 from __future__ import annotations
@@ -83,41 +84,27 @@ def basis_label(index: int) -> str:
     return f"{index // 9}{index // 3 % 3}{index % 3}"
 
 
-class ChoiMatrix:
-    """Normalized input (x) output state of a three-qubit channel.
+def checked_choi(matrix) -> np.ndarray:
+    """Read-only copy of the normalized input (x) output state of a three-qubit channel.
 
     Entry ``[8i + a, 8j + b]`` is ``E(|i><j|)[a, b] / 8``; weight the
     channel loses out of the qubit block shows up as a trace below one.
+    ValueError unless ``matrix`` is 64x64, finite, Hermitian, positive
+    semidefinite and of trace at most one.
     """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        mat = np.array(matrix, dtype=complex)
-        if mat.shape != (64, 64):
-            raise ValueError("expected a 64x64 matrix")
-        _check_states(mat, "Choi matrix")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChoiMatrix is immutable")
-
-    def __repr__(self) -> str:
-        return f"ChoiMatrix(trace={self.trace():.6f}, purity={self.purity():.6f})"
-
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
-
-    def purity(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
+    mat = np.array(matrix, dtype=complex)
+    if mat.shape != (64, 64):
+        raise ValueError("expected a 64x64 matrix")
+    _check_states(mat, "Choi matrix")
+    mat.setflags(write=False)
+    return mat
 
 
-def choi_of_unitary(unitary8) -> ChoiMatrix:
+def choi_of_unitary(unitary8) -> np.ndarray:
     """Pure Choi matrix of an 8x8 unitary: entry ``8i + a`` of its vector is U[a, i]/sqrt(8)."""
     unitary = np.asarray(unitary8, dtype=complex)
     if unitary.shape != (8, 8):
         raise ValueError("expected an 8x8 unitary")
     phi = unitary.T.reshape(-1) / np.sqrt(8.0)
-    return ChoiMatrix(np.outer(phi, phi.conj()))
+    return checked_choi(np.outer(phi, phi.conj()))
 

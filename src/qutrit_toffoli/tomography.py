@@ -8,11 +8,12 @@ than renormalized away.
 
 The estimators (linear inversion, the least-squares projection onto CPTP
 maps by dual Newton, the bootstrap) take and return the normalized Choi
-matrix J of ``register.ChoiMatrix`` as a plain array.  ``process_tomo.json``
-reports the process matrix chi of E(rho) = sum_mn chi_mn B_m rho B_n^dag, in
-a basis of 64 real three-fold products of {1, sigma_x, -i sigma_y, sigma_z};
-replacing sigma_y by its real counterpart keeps every basis matrix real
-while preserving orthogonality, Tr[B_m^dag B_n] = 8 delta_mn.  Site A is the
+matrix J as a read-only complex 64x64 array, the form every channel has
+(``register.checked_choi``).  ``process_tomo.json`` reports the process
+matrix chi of E(rho) = sum_mn chi_mn B_m rho B_n^dag, in a basis of 64 real
+three-fold products of {1, sigma_x, -i sigma_y, sigma_z}; replacing sigma_y
+by its real counterpart keeps every basis matrix real while preserving
+orthogonality, Tr[B_m^dag B_n] = 8 delta_mn.  Site A is the
 slowest label, and per site the factor order is I, X, Y, Z, so the string
 "XZI" sits at index 16*1 + 4*3 + 0.  The two are related by one unitary,
 chi = W^dag J W, and chi is formed only there, by ``chi_of_choi``.
@@ -29,7 +30,7 @@ from math import pi
 import numpy as np
 
 from .gates import ideal_toffoli_unitary, rotation_matrix_qutrit
-from .register import ATOL, PAULI, ChoiMatrix, _readonly_complex, choi_of_unitary
+from .register import ATOL, PAULI, _readonly_complex, choi_of_unitary
 
 PREP_LABELS = ("id", "x90", "y90", "x180")
 PAULI_AXES = "IXYZ"
@@ -66,13 +67,6 @@ def chi_basis() -> np.ndarray:
     stack = standard_pauli_stack() * phases[:, None, None]
     stack.setflags(write=False)
     return stack
-
-
-@functools.lru_cache(maxsize=1)
-def input_prep_labels() -> tuple[str, ...]:
-    return tuple(
-        ".".join(combo) for combo in itertools.product(PREP_LABELS, repeat=3)
-    )
 
 
 def _prep_matrix(label: str) -> np.ndarray:
@@ -142,9 +136,10 @@ class Records:
     """All 64 x 64 tomography data points of one run.
 
     ``values[i, p]`` is the estimated expectation of observable
-    ``pauli_labels()[p]`` on the output for preparation
-    ``input_prep_labels()[i]``; ``shots`` is the per-setting shot count,
-    0 for exact expectations.
+    ``pauli_labels()[p]`` on the output for input i, prepared from |000> by
+    the pulses ``PREP_LABELS[i // 16]``, ``PREP_LABELS[i // 4 % 4]`` and
+    ``PREP_LABELS[i % 4]`` on sites A, B and C (site A the slowest index);
+    ``shots`` is the per-setting shot count, 0 for exact expectations.
     """
 
     values: np.ndarray
@@ -161,17 +156,22 @@ class Records:
         object.__setattr__(self, "shots", _check_count(self.shots, "shots", 0))
 
 
-def _unit_readout(choi: ChoiMatrix) -> np.ndarray:
+def _unit_readout(choi: np.ndarray) -> np.ndarray:
     """``table[n, i, j] = Tr[P_n E(|i><j|)]`` for the channel E of ``choi``.
 
     With C the Choi matrix reshaped to (8, 8, 8, 8),
-    E(M) = 8 sum_ij M_ij C[i, :, j, :].
+    E(M) = 8 sum_ij M_ij C[i, :, j, :].  Every reader of a channel comes
+    through here, so anything but a finite 64x64 array raises ValueError;
+    positivity and trace are checked once, by the producer's ``checked_choi``.
     """
-    tensor = choi.matrix.reshape(8, 8, 8, 8)
+    choi = np.asarray(choi)
+    if choi.shape != (64, 64) or not np.all(np.isfinite(choi)):
+        raise ValueError("Choi matrix must be a finite 64x64 array")
+    tensor = choi.reshape(8, 8, 8, 8)
     return 8.0 * np.einsum("iajb,nba->nij", tensor, standard_pauli_stack())
 
 
-def measure_output_records(choi: ChoiMatrix, shots: int = 0, seed: int = 0) -> Records:
+def measure_output_records(choi: np.ndarray, shots: int = 0, seed: int = 0) -> Records:
     """Measure all 64 x 64 Pauli expectations behind the channel of ``choi``.
 
     ``shots=0`` stores exact expectations; otherwise each value is a
@@ -227,7 +227,7 @@ def chi_of_choi(choi_matrix: np.ndarray) -> ChiMatrix:
 
 def chi_of_unitary(unitary8: np.ndarray) -> ChiMatrix:
     """Rank-one process matrix of an 8x8 unitary."""
-    return chi_of_choi(choi_of_unitary(unitary8).matrix)
+    return chi_of_choi(choi_of_unitary(unitary8))
 
 
 @functools.lru_cache(maxsize=1)

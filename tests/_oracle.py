@@ -33,16 +33,27 @@ the qubit block of a 27x27 operator, and a rephasing onto a target.
 ``choi_truth_table`` reads a truth table off the diagonal of a Choi matrix.
 It checks ``noise.circuit_truth_table``, which never builds one.
 
+``input_prep_labels`` names the 64 tomography inputs in record order, such as
+"x180.id.id" for x180 on site A alone; ``tomography.Records`` states that
+order.
+
 ``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
 alternating projections, with its own partial trace and TP step.  It shares
 no code with ``tomography.ml_projection``, which solves the dual by Newton.
 """
 
+import itertools
+
 import numpy as np
 
 from qutrit_toffoli.gates import XY_PULSE_NS, TruthTable, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
-from qutrit_toffoli.tomography import PAULI_AXES, pauli_labels, standard_pauli_stack
+from qutrit_toffoli.tomography import (
+    PAULI_AXES,
+    PREP_LABELS,
+    pauli_labels,
+    standard_pauli_stack,
+)
 
 CUSTOM_MODEL = NoiseModel((0.4, 0.9, 1.3), (0.5, 0.8, 1.1), relax_scale2=1.3, deph_scale2=2.5)
 
@@ -181,9 +192,14 @@ def device_channel8(rho8):
     return qubit_block_oracle(rho8, toffoli_circuit(), NoiseModel.from_device(), XY_PULSE_NS)
 
 
+def input_prep_labels():
+    """Dot-joined site pulses of each tomography input, site A first and slowest."""
+    return tuple(".".join(combo) for combo in itertools.product(PREP_LABELS, repeat=3))
+
+
 def choi_truth_table(choi):
     """Output populations of every computational ket: entry 8j + i of the diagonal is <i|E(|j><j|)|i> / 8."""
-    populations = 8.0 * np.real(np.diag(choi.matrix)).reshape(8, 8)
+    populations = 8.0 * np.real(np.diag(choi)).reshape(8, 8)
     return TruthTable(populations.T.clip(min=0.0))
 
 
@@ -237,6 +253,6 @@ def choi_expectation_direct(choi, in_labels, out_labels):
     stack = standard_pauli_stack()
     a = stack[_PAULI_INDEX[_check_labels(in_labels)]]
     b = stack[_PAULI_INDEX[_check_labels(out_labels)]]
-    tensor = choi.matrix.reshape(8, 8, 8, 8)
+    tensor = choi.reshape(8, 8, 8, 8)
     val = complex(np.einsum("abcd,ac,db->", tensor, a, b))
     return float(val.real)

@@ -6,7 +6,6 @@ import pytest
 
 from qutrit_toffoli.certify import (
     RELEVANCE_CUTOFF,
-    ChoiMatrix,
     _eigenstate_readout,
     _eigenstates,
     choi_of_channel,
@@ -17,7 +16,7 @@ from qutrit_toffoli.certify import (
 )
 from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_choi
-from qutrit_toffoli.register import PAULI, choi_of_unitary
+from qutrit_toffoli.register import PAULI, checked_choi, choi_of_unitary
 from qutrit_toffoli.tomography import (
     _binomial_readout,
     _readout_probabilities,
@@ -25,11 +24,12 @@ from qutrit_toffoli.tomography import (
     chi_of_unitary,
     choi_from_records,
     measure_output_records,
+    ml_projection,
     pauli_labels,
     process_fidelity,
 )
 
-from _oracle import choi_expectation_direct, device_channel8
+from _oracle import CUSTOM_MODEL, choi_expectation_direct, device_channel8
 
 
 def random_unitary(dim, rng):
@@ -91,43 +91,100 @@ def device_choi():
 
 def test_ideal_choi_is_pure_and_normalized():
     choi = ideal_toffoli_choi()
-    assert choi.trace() == pytest.approx(1.0, abs=1e-12)
-    assert choi.purity() == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(choi).real == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(choi, choi).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_choi_of_channel_matches_ideal_construction():
     channel = unitary_channel8(ideal_toffoli_unitary())
     choi = choi_of_channel(channel)
-    assert np.max(np.abs(choi.matrix - ideal_toffoli_choi().matrix)) < 1e-12
+    assert np.max(np.abs(choi - ideal_toffoli_choi())) < 1e-12
 
 
 def test_choi_of_unitary_matches_choi_of_channel():
     rng = np.random.default_rng(35)
     for _ in range(3):
         unitary = random_unitary(8, rng)
-        expected = choi_of_channel(unitary_channel8(unitary)).matrix
-        assert np.max(np.abs(choi_of_unitary(unitary).matrix - expected)) < 1e-12
+        expected = choi_of_channel(unitary_channel8(unitary))
+        assert np.max(np.abs(choi_of_unitary(unitary) - expected)) < 1e-12
     with pytest.raises(ValueError):
         choi_of_unitary(np.eye(4))
 
 
 def test_choi_validation():
     with pytest.raises(ValueError):
-        ChoiMatrix(np.triu(np.ones((64, 64))))  # not Hermitian
+        checked_choi(np.triu(np.ones((64, 64))))  # not Hermitian
     with pytest.raises(ValueError):
-        ChoiMatrix(-np.eye(64) / 64)  # negative
+        checked_choi(-np.eye(64) / 64)  # negative
     with pytest.raises(ValueError):
-        ChoiMatrix(np.eye(64))  # trace 64
+        checked_choi(np.eye(64))  # trace 64
     for bad in (np.nan, np.inf, complex(0, np.inf)):
         matrix = np.eye(64, dtype=complex) / 64
         matrix[5, 5] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            ChoiMatrix(matrix)
+            checked_choi(matrix)
+    # the transpose is positive but not completely positive: its Choi
+    # matrix is SWAP/8, with minimum eigenvalue -1/8
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        choi_of_channel(lambda rho: rho.T)
     choi = ideal_toffoli_choi()
-    with pytest.raises(AttributeError):
-        choi.matrix = np.eye(64) / 64
     with pytest.raises(ValueError):
-        choi.matrix[0, 0] = 0.5  # read-only
+        choi[0, 0] = 0.5  # read-only
+
+
+def noisy_estimate():
+    return choi_from_records(measure_output_records(device_choi(), shots=300, seed=3))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: circuit_choi(toffoli_circuit()),
+        device_choi,
+        lambda: circuit_choi(toffoli_circuit(), CUSTOM_MODEL),
+        lambda: choi_of_unitary(ideal_toffoli_unitary()),
+        ideal_toffoli_choi,
+        lambda: choi_of_channel(unitary_channel8(ideal_toffoli_unitary())),
+        noisy_estimate,
+        lambda: ml_projection(noisy_estimate()),
+    ],
+    ids=[
+        "circuit-ideal",
+        "circuit-device",
+        "circuit-custom",
+        "choi-of-unitary",
+        "ideal-toffoli",
+        "choi-of-channel",
+        "choi-from-records",
+        "ml-projection",
+    ],
+)
+def test_every_choi_matrix_is_a_read_only_complex_array(make):
+    choi = make()
+    assert type(choi) is np.ndarray
+    assert choi.shape == (64, 64) and choi.dtype == complex
+    assert not choi.flags.writeable
+
+
+def nan_choi():
+    matrix = np.eye(64, dtype=complex) / 64
+    matrix[5, 5] = np.nan
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "read",
+    [measure_output_records, enumerate_relevant_paulis, monte_carlo_fidelity, exhaustive_fidelity],
+    ids=lambda read: read.__name__,
+)
+@pytest.mark.parametrize(
+    "bad",
+    [np.eye(8), np.eye(64).ravel() / 64, nan_choi()],
+    ids=["8x8", "flat", "nan"],
+)
+def test_readers_reject_anything_but_a_finite_64x64_choi_matrix(read, bad):
+    with pytest.raises(ValueError, match="Choi matrix"):
+        read(bad)
 
 
 def test_choi_trace_below_one_for_leaky_channel():
@@ -135,7 +192,7 @@ def test_choi_trace_below_one_for_leaky_channel():
         return 0.9 * rho
 
     choi = choi_of_channel(leaky)
-    assert choi.trace() == pytest.approx(0.9, abs=1e-12)
+    assert np.trace(choi).real == pytest.approx(0.9, abs=1e-12)
 
 
 def test_correlation_against_slow_oracle():
@@ -426,8 +483,8 @@ def test_choi_purity_bridge_to_chi_overlap():
     u = random_unitary(8, rng)
     v = random_unitary(8, rng)
     choi_overlap = np.trace(
-        choi_of_channel(unitary_channel8(u)).matrix
-        @ choi_of_channel(unitary_channel8(v)).matrix
+        choi_of_channel(unitary_channel8(u))
+        @ choi_of_channel(unitary_channel8(v))
     ).real
     chi_overlap = process_fidelity(chi_of_unitary(u).matrix, chi_of_unitary(v).matrix)
     assert choi_overlap == pytest.approx(chi_overlap, abs=1e-10)

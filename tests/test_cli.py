@@ -94,7 +94,7 @@ def test_process_tomo_pipeline(tmp_path, capsys):
 
 def test_process_tomo_accepts_a_projection_just_above_unit_trace(tmp_path):
     # at this seed the CPTP projection ends at trace 1 + 1.2e-10, inside its
-    # 1e-9 tolerance but above what a ChoiMatrix accepts
+    # 1e-9 tolerance but above what ``checked_choi`` accepts
     argv = ["process-tomo", "--shots", "1000", "--seed", "8", "--output", str(tmp_path)]
     assert run_cli(argv) == 0
 

@@ -90,7 +90,7 @@ def random_density8(rng) -> np.ndarray:
 
 def choi_apply(choi, rho8):
     """E(rho) = 8 sum_ij rho_ij C[i, :, j, :]."""
-    return 8.0 * np.einsum("ij,iajb->ab", rho8, choi.matrix.reshape(8, 8, 8, 8))
+    return 8.0 * np.einsum("ij,iajb->ab", rho8, choi.reshape(8, 8, 8, 8))
 
 
 def test_tphi_device_site_a_exact_fraction():
@@ -416,7 +416,7 @@ def test_circuit_choi_keeps_a_level_the_circuit_reaches(model):
     )
     assert noise._kept_levels(circuit) == (3, 2, 3)
     choi = circuit_choi(circuit, model)
-    assert choi.trace() < 1.0 - 1e-3
+    assert np.trace(choi).real < 1.0 - 1e-3
     assert np.array_equal(circuit_truth_table(circuit, model).matrix, choi_truth_table(choi).matrix)
     rng = np.random.default_rng(13)
     for _ in range(3):
@@ -427,8 +427,8 @@ def test_circuit_choi_keeps_a_level_the_circuit_reaches(model):
 
 def test_circuit_choi_of_device_is_psd_and_trace_preserving():
     choi = circuit_choi(toffoli_circuit(), NoiseModel.from_device())
-    assert np.linalg.eigvalsh(choi.matrix)[0] > -1e-12
-    assert abs(choi.trace() - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(choi)[0] > -1e-12
+    assert abs(np.trace(choi).real - 1.0) < 1e-12
 
 
 def test_circuit_choi_uses_local_pulses_and_one_superoperator_per_duration():

@@ -39,7 +39,7 @@ def test_ml_projection_of_perturbed_cptp_chi_is_physical(seed, n_kraus, noise_no
     noise = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     noise = noise + noise.conj().T
     noise *= noise_norm / np.linalg.norm(noise)
-    projected = ml_projection(choi.matrix + noise)
+    projected = ml_projection(choi + noise)
     assert np.linalg.eigvalsh(projected)[0] > -1e-10
     assert _tp_residual(projected) < 1e-8
 
@@ -64,8 +64,8 @@ def test_compiled_channel_is_cptp_and_matches_the_oracle(
     circuit = toffoli_circuit()
     model = NoiseModel(t1_us, tphi_us, relax_scale2, deph_scale2)
     choi = circuit_choi(circuit, model, spam_window_ns=window)
-    tensor = choi.matrix.reshape(8, 8, 8, 8)  # [i, a, j, b] = E(|i><j|)[a, b] / 8
-    assert np.linalg.eigvalsh(choi.matrix)[0] > -1e-12
+    tensor = choi.reshape(8, 8, 8, 8)  # [i, a, j, b] = E(|i><j|)[a, b] / 8
+    assert np.linalg.eigvalsh(choi)[0] > -1e-12
     assert np.max(np.abs(np.einsum("iaja->ij", tensor) - np.eye(8) / 8)) < 1e-12
     rng = np.random.default_rng(seed)
     for _ in range(2):
@@ -115,7 +115,7 @@ def test_compiled_random_circuit_keeps_the_reached_levels_and_matches_the_oracle
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho8 = a @ a.conj().T / np.trace(a @ a.conj().T)
     for model in (None, CUSTOM_MODEL):
-        tensor = circuit_choi(circuit, model).matrix.reshape(8, 8, 8, 8)
+        tensor = circuit_choi(circuit, model).reshape(8, 8, 8, 8)
         applied = 8.0 * np.einsum("ij,iajb->ab", rho8, tensor)
         oracle = qubit_block_oracle(rho8, circuit, model, 8.0)
         assert np.max(np.abs(applied - oracle)) < 1e-12
@@ -155,6 +155,6 @@ def test_config_gives_a_cptp_model_or_a_value_error(entries, extra):
             return
     assert isinstance(model, NoiseModel)
     choi = circuit_choi(toffoli_circuit(), model)
-    tensor = choi.matrix.reshape(8, 8, 8, 8)
-    assert np.linalg.eigvalsh(choi.matrix)[0] > -1e-12
+    tensor = choi.reshape(8, 8, 8, 8)
+    assert np.linalg.eigvalsh(choi)[0] > -1e-12
     assert np.max(np.abs(np.einsum("iaja->ij", tensor) - np.eye(8) / 8)) < 1e-12

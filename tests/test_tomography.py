@@ -20,7 +20,6 @@ from qutrit_toffoli.tomography import (
     chi_of_choi,
     chi_of_unitary,
     choi_from_records,
-    input_prep_labels,
     measure_output_records,
     ml_projection,
     pauli_labels,
@@ -33,7 +32,7 @@ from qutrit_toffoli.tomography import (
     _tp_residual,
 )
 
-from _oracle import device_channel8, dykstra_projection, project_tp
+from _oracle import device_channel8, dykstra_projection, input_prep_labels, project_tp
 
 
 def random_unitary(dim, rng):
@@ -247,17 +246,17 @@ def test_linear_inversion_round_trip_in_both_bases():
     for choi in (device_toffoli_choi(), random_cptp_choi(np.random.default_rng(29))):
         estimate = raw_choi(choi)
         assert not estimate.flags.writeable
-        assert np.max(np.abs(estimate - choi.matrix)) < 1e-12
+        assert np.max(np.abs(estimate - choi)) < 1e-12
         chi = chi_of_choi(estimate).matrix
-        assert np.max(np.abs(chi - chi_of_choi(choi.matrix).matrix)) < 1e-12
-        assert 1.0 - trace(chi) == pytest.approx(1.0 - choi.trace(), abs=1e-12)
+        assert np.max(np.abs(chi - chi_of_choi(choi).matrix)) < 1e-12
+        assert 1.0 - trace(chi) == pytest.approx(1.0 - np.trace(choi).real, abs=1e-12)
 
 
 def test_trace_deficit_is_derived_from_the_matrix(tmp_path):
     # a deficit stored beside the matrix could contradict it
     for choi in (device_toffoli_choi(), choi_of_channel(lambda block: 0.6 * block)):
-        deficit = 1.0 - trace(chi_of_choi(choi.matrix).matrix)
-        assert deficit == pytest.approx(1.0 - choi.trace(), abs=1e-12)
+        deficit = 1.0 - trace(chi_of_choi(choi).matrix)
+        assert deficit == pytest.approx(1.0 - np.trace(choi).real, abs=1e-12)
     for argv in ([], ["--shots", "300", "--seed", "2"]):
         assert cli.main(["process-tomo", "--output", str(tmp_path), *argv]) == 0
         data = json.loads((tmp_path / "process_tomo.json").read_text())
@@ -291,9 +290,9 @@ def test_tp_residual_is_the_chi_basis_trace_condition():
 def test_process_fidelity_is_the_same_in_chi_and_choi_bases():
     rng = np.random.default_rng(32)
     a, b = random_cptp_choi(rng, 2), random_cptp_choi(rng, 2)
-    in_choi = process_fidelity(a.matrix, b.matrix)
-    assert in_choi == pytest.approx(np.trace(a.matrix @ b.matrix).real, abs=1e-15)
-    in_chi = process_fidelity(chi_of_choi(a.matrix).matrix, chi_of_choi(b.matrix).matrix)
+    in_choi = process_fidelity(a, b)
+    assert in_choi == pytest.approx(np.trace(a @ b).real, abs=1e-15)
+    in_chi = process_fidelity(chi_of_choi(a).matrix, chi_of_choi(b).matrix)
     assert in_chi == pytest.approx(in_choi, abs=1e-15)
 
 
@@ -372,7 +371,7 @@ def test_non_finite_chi_fails_at_once(monkeypatch, bad):
     ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max-iter-0", "max-iter-2.5"],
 )
 def test_bad_solver_arguments_fail_at_once(monkeypatch, kwargs):
-    choi = choi_of_unitary(ideal_toffoli_unitary()).matrix
+    choi = choi_of_unitary(ideal_toffoli_unitary())
     calls = count_eigendecompositions(monkeypatch)
     with pytest.raises(ValueError, match="tol|max_iter"):
         ml_projection(choi, **kwargs)
@@ -392,7 +391,7 @@ def test_ml_projection_of_a_matrix_without_positive_part(scale):
 
 
 def test_ml_projection_fixed_point_on_physical_chi():
-    choi = choi_of_unitary(ideal_toffoli_unitary()).matrix
+    choi = choi_of_unitary(ideal_toffoli_unitary())
     projected = ml_projection(choi)
     assert np.max(np.abs(projected - choi)) < 1e-8
 
@@ -409,7 +408,7 @@ def test_ml_projection_restores_physicality():
 
 def test_ml_projection_returns_a_read_only_array_that_may_exceed_unit_trace():
     # the projection stops at TP residual < 1e-9, so its trace is 1 only to
-    # about 1e-9; at this seed it ends 1.2e-10 above 1, where a ChoiMatrix,
+    # about 1e-9; at this seed it ends 1.2e-10 above 1, where ``checked_choi``,
     # which rejects a trace of 1 + 1e-10, would refuse it
     projected = ml_projection(raw_choi(device_toffoli_choi(), shots=1000, seed=8))
     assert type(projected) is np.ndarray and not projected.flags.writeable
@@ -445,7 +444,7 @@ def perturbed_cptp_choi(seed, n_kraus, noise_norm):
     rng = np.random.default_rng(seed)
     choi = random_cptp_choi(rng, n_kraus)
     noise = random_hermitian(64, rng)
-    return choi.matrix + noise * (noise_norm / np.linalg.norm(noise))
+    return choi + noise * (noise_norm / np.linalg.norm(noise))
 
 
 def test_ml_projection_matches_the_dykstra_oracle():
@@ -469,14 +468,14 @@ def test_ml_projection_is_nearest_feasible_point():
     gap = x0 - x_star
     dist = np.linalg.norm(gap)
     for _ in range(12):
-        feasible = choi_of_unitary(random_unitary(8, rng)).matrix
+        feasible = choi_of_unitary(random_unitary(8, rng))
         inner = np.real(np.vdot(gap, feasible - x_star))
         assert inner <= 1e-7
         assert np.linalg.norm(x0 - feasible) >= dist - 1e-9
     # mixtures of unitary channels are feasible too
-    mix = 0.5 * choi_of_unitary(random_unitary(8, rng)).matrix + 0.5 * choi_of_unitary(
+    mix = 0.5 * choi_of_unitary(random_unitary(8, rng)) + 0.5 * choi_of_unitary(
         random_unitary(8, rng)
-    ).matrix
+    )
     assert np.real(np.vdot(gap, mix - x_star)) <= 1e-7
 
 
@@ -492,8 +491,8 @@ def test_process_fidelity_unitary_overlap_formula():
         u = random_unitary(8, rng)
         v = random_unitary(8, rng)
         expected = abs(np.trace(u.conj().T @ v) / 8.0) ** 2
-        for form in (chi_of_unitary, choi_of_unitary):
-            got = process_fidelity(form(u).matrix, form(v).matrix)
+        for form in (lambda w: chi_of_unitary(w).matrix, choi_of_unitary):
+            got = process_fidelity(form(u), form(v))
             assert got == pytest.approx(expected, abs=1e-10)
 
 
@@ -502,7 +501,7 @@ def test_bootstrap_ci_brackets_the_estimate():
     lo, hi = bootstrap_ci(records, resamples=120, seed=17)
     assert lo < hi
     point = process_fidelity(
-        choi_from_records(records), choi_of_unitary(ideal_toffoli_unitary()).matrix
+        choi_from_records(records), choi_of_unitary(ideal_toffoli_unitary())
     )
     assert lo - 0.01 < point < hi + 0.01
     assert hi - lo < 0.1
@@ -590,7 +589,7 @@ def test_records_and_bootstrap_share_no_generator_state(monkeypatch):
 
 
 def test_fidelity_weights_are_the_raw_fidelity_functional():
-    ideal = choi_of_unitary(ideal_toffoli_unitary()).matrix
+    ideal = choi_of_unitary(ideal_toffoli_unitary())
     rng = np.random.default_rng(33)
     for records in (
         measure_output_records(device_toffoli_choi()),
@@ -621,7 +620,7 @@ def bootstrap_per_resample_inversion(records, resamples, seed, confidence=0.90):
     Each resample redraws the settings the fidelity weighs, in row-major
     order, and holds every other record at its observed value.
     """
-    ideal = choi_of_unitary(ideal_toffoli_unitary()).matrix
+    ideal = choi_of_unitary(ideal_toffoli_unitary())
     support = _fidelity_weights() != 0.0
     stats = []
     rng = np.random.default_rng([seed, 1])

@@ -6,6 +6,7 @@ from qutrit_toffoli.gates import (
     truth_table_fidelity,
 )
 from qutrit_toffoli.noise import NoiseModel, circuit_truth_table
+from qutrit_toffoli.register import QUBIT_KETS, basis_label
 
 # The truth table is the classical shadow of the gate: populate each
 # computational input, run the channel, and record the output populations.
@@ -26,9 +27,9 @@ fidelity = truth_table_fidelity(device)
 print(f"device fidelity: {fidelity:.4f}")
 print()
 
-labels = device.column_labels()
+labels = [basis_label(k) for k in QUBIT_KETS]
 print("      " + "  ".join(f"{lab:>5}" for lab in labels))
-for i, row in enumerate(device.matrix):
+for i, row in enumerate(device):
     print(f"{labels[i]:>5} " + "  ".join(f"{v:5.3f}" for v in row))
 print()
 
@@ -37,7 +38,7 @@ print()
 # the |11x> inputs additionally ride through the fast-decaying second
 # excited state.
 perm = np.argmax(ideal, axis=0)
-correct = np.array([device.matrix[perm[i], i] for i in range(8)])
+correct = device[perm, np.arange(8)]
 print("input  correct-output probability")
 for i in np.argsort(correct):
     print(f"{labels[i]}    {correct[i]:.4f}")

@@ -1,12 +1,10 @@
 import numpy as np
 
-from qutrit_toffoli.certify import ideal_toffoli_choi
-from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
+from qutrit_toffoli.gates import ideal_toffoli_choi, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_choi
 from qutrit_toffoli.tomography import (
     bootstrap_ci,
     chi_of_choi,
-    chi_of_unitary,
     choi_from_records,
     measure_output_records,
     ml_projection,
@@ -63,7 +61,7 @@ print()
 # weight of the ideal gate inside the reconstruction.  For this gate the
 # leading value of a perfect run is 0.5625.
 magnitudes = np.abs(chi_of_choi(exact).matrix)
-chi_ideal = chi_of_unitary(ideal_toffoli_unitary()).matrix
+chi_ideal = chi_of_choi(ideal).matrix
 m, n = np.unravel_index(np.argmax(magnitudes), magnitudes.shape)
 print(f"largest chi element: |chi[{m},{n}]| = {magnitudes[m, n]:.4f}")
 print(f"ideal leading value: {chi_ideal[0, 0].real:.4f}")

@@ -3,10 +3,9 @@ import numpy as np
 from qutrit_toffoli.certify import (
     enumerate_relevant_paulis,
     exhaustive_fidelity,
-    ideal_toffoli_choi,
     monte_carlo_fidelity,
 )
-from qutrit_toffoli.gates import toffoli_circuit
+from qutrit_toffoli.gates import ideal_toffoli_choi, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_choi
 from qutrit_toffoli.tomography import pauli_labels
 

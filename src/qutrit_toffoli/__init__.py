@@ -12,8 +12,8 @@ from .register import checked_choi
 from .gates import (
     Circuit,
     GateOp,
-    TruthTable,
     ccphase_circuit,
+    ideal_toffoli_choi,
     ideal_toffoli_unitary,
     rotation_single,
     subspace_rotation,
@@ -42,7 +42,6 @@ from .certify import (
     choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
-    ideal_toffoli_choi,
     monte_carlo_fidelity,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "NoiseModel",
     "ProjectionError",
     "Records",
-    "TruthTable",
     "bootstrap_ci",
     "ccphase_circuit",
     "checked_choi",

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import ideal_toffoli_unitary
-from .register import checked_choi, choi_of_unitary
+from .gates import ideal_toffoli_choi
+from .register import checked_choi
 from .tomography import (
     _check_count,
     _readout_probabilities,
@@ -70,11 +70,6 @@ def choi_of_channel(channel8) -> np.ndarray:
     units = np.eye(64, dtype=complex).reshape(64, 8, 8)  # units[8i + j] = |i><j|
     blocks = np.stack([channel8(unit.copy()) for unit in units]).reshape(8, 8, 8, 8)
     return checked_choi(blocks.transpose(0, 2, 1, 3).reshape(64, 64) / 8.0)
-
-
-def ideal_toffoli_choi() -> np.ndarray:
-    """Pure target state built from the ideal gate."""
-    return choi_of_unitary(ideal_toffoli_unitary())
 
 
 def enumerate_relevant_paulis(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,11 +2,13 @@
 
 Every pipeline writes its artifacts into the output directory and prints a
 single summary line.  Given the same arguments and seed the artifacts are
-byte-identical.  The runners read the parsed ``argparse.Namespace``;
-``_check_args`` enforces the rules that argparse cannot express.  Each runner
-returns its summary and a ``{file name: payload}`` dict, text or a JSON
-object; ``main`` encodes them and creates the output directory only once the
-runner has succeeded, so a failed run leaves no directory behind.
+byte-identical.  ``_check_args`` enforces the rules that argparse cannot
+express, and ``main`` builds the noise model, reading and validating any
+config file, before any pipeline runs.  The runners read the parsed
+``argparse.Namespace`` and that model.  Each runner returns its summary and
+a ``{file name: payload}`` dict, text or a JSON object; ``main`` encodes
+them and creates the output directory only once the runner has succeeded,
+so a failed run leaves no directory behind.
 
 Exit codes: 0 on success, 2 for invalid arguments or configuration files,
 1 for runtime failures such as a non-convergent projection.
@@ -26,7 +28,7 @@ from . import __version__
 from .gates import (
     XY_PULSE_NS,
     ccphase_circuit,
-    ideal_toffoli_unitary,
+    ideal_toffoli_choi,
     toffoli_circuit,
     truth_table_fidelity,
 )
@@ -42,7 +44,6 @@ from .tomography import (
     BOOTSTRAP_CONFIDENCE,
     bootstrap_ci,
     chi_of_choi,
-    chi_of_unitary,
     choi_from_records,
     measure_output_records,
     ml_projection,
@@ -81,10 +82,16 @@ def _noise_model(args: argparse.Namespace) -> NoiseModel | None:
     return noise_model_from_config(parse_config_file(args.config))
 
 
-def _compile_toffoli(compile_, args: argparse.Namespace):
-    """``compile_`` (``circuit_choi`` or ``circuit_truth_table``) of the Toffoli under ``args``."""
+def _compile_toffoli(compile_, args: argparse.Namespace, model: NoiseModel | None):
+    """``compile_`` (``circuit_choi`` or ``circuit_truth_table``) of the Toffoli under ``model``."""
     window = 0.0 if args.no_spam else XY_PULSE_NS
-    return compile_(toffoli_circuit(), _noise_model(args), spam_window_ns=window)
+    return compile_(toffoli_circuit(), model, spam_window_ns=window)
+
+
+@functools.lru_cache(maxsize=1)
+def _ideal_chi() -> np.ndarray:
+    """Read-only chi of the target, formed once per process."""
+    return chi_of_choi(ideal_toffoli_choi()).matrix
 
 
 def _common_meta(args: argparse.Namespace) -> dict:
@@ -97,24 +104,24 @@ def _common_meta(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_truth_table(args: argparse.Namespace) -> tuple[str, dict]:
-    table = _compile_toffoli(circuit_truth_table, args)
+def _run_truth_table(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
+    table = _compile_toffoli(circuit_truth_table, args, model)
     fidelity = truth_table_fidelity(table)
-    labels = table.column_labels()
+    labels = [basis_label(k) for k in QUBIT_KETS]
     csv_lines = ["output\\input," + ",".join(labels)]
-    for i, row in enumerate(table.matrix):
-        csv_lines.append(labels[i] + "," + ",".join(f"{v:.12g}" for v in row))
+    for label, row in zip(labels, table):
+        csv_lines.append(label + "," + ",".join(f"{v:.12g}" for v in row))
     csv = "\n".join(csv_lines) + "\n"
     payload = _common_meta(args) | {
         "fidelity": fidelity,
-        "populations": table.matrix.tolist(),
-        "basis": list(labels),
+        "populations": table.tolist(),
+        "basis": labels,
     }
     summary = f"truth-table: fidelity={fidelity:.6f} noise={args.noise}"
     return summary, {"truth_table.csv": csv, "truth_table.json": payload}
 
 
-def _run_table1_trace(args: argparse.Namespace) -> tuple[str, dict]:
+def _run_table1_trace(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
     circuit = ccphase_circuit()
     steps = ["initial"] + [op.label for op in circuit.ops]
     trajectory = circuit.trajectory()
@@ -137,14 +144,14 @@ def _run_table1_trace(args: argparse.Namespace) -> tuple[str, dict]:
     return summary, {"trajectory.json": payload}
 
 
-def _run_process_tomo(args: argparse.Namespace) -> tuple[str, dict]:
+def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
     records = measure_output_records(
-        _compile_toffoli(circuit_choi, args), shots=args.shots, seed=args.seed
+        _compile_toffoli(circuit_choi, args, model), shots=args.shots, seed=args.seed
     )
     raw_choi = choi_from_records(records)
     raw = chi_of_choi(raw_choi).matrix
     projected = chi_of_choi(ml_projection(raw_choi)).matrix
-    ideal = chi_of_unitary(ideal_toffoli_unitary()).matrix
+    ideal = _ideal_chi()
     fidelity_raw = process_fidelity(raw, ideal)
     fidelity_ml = process_fidelity(projected, ideal)
     payload = _common_meta(args) | {
@@ -170,8 +177,8 @@ def _run_process_tomo(args: argparse.Namespace) -> tuple[str, dict]:
     return summary, {"process_tomo.json": payload}
 
 
-def _run_certify(args: argparse.Namespace) -> tuple[str, dict]:
-    choi = _compile_toffoli(circuit_choi, args)
+def _run_certify(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
+    choi = _compile_toffoli(circuit_choi, args, model)
     payload = _common_meta(args)
     inputs, outputs, ideal = _relevant_toffoli_paulis()
     if args.exhaustive:
@@ -278,7 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        summary, artifacts = _RUNNERS[args.pipeline](args)
+        summary, artifacts = _RUNNERS[args.pipeline](args, _noise_model(args))
         texts = {
             name: payload if isinstance(payload, str)
             else json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -33,6 +33,7 @@ from .register import (
     PAULI,
     SITE_NAMES,
     _readonly_complex,
+    choi_of_unitary,
     site_index,
 )
 
@@ -209,33 +210,10 @@ def ideal_toffoli_unitary() -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True, eq=False)
-class TruthTable:
-    """Column-stochastic map of computational populations.
-
-    ``matrix[i, j]`` is the population of output ket i given input ket j of
-    the qubit register; columns may sum to less than one when weight leaks
-    out of the computational subspace.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=float)
-        if mat.shape != (8, 8):
-            raise ValueError("truth table must be 8x8")
-        if not np.isfinite(mat).all():
-            raise ValueError("populations must be finite")
-        if mat.min() <= -1e-9 or mat.max() >= 1 + 1e-9:
-            raise ValueError("populations must lie in [0, 1]")
-        sums = mat.sum(axis=0)
-        if sums.max() >= 1 + 1e-9:
-            raise ValueError("column populations must sum to at most 1")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    def column_labels(self) -> tuple[str, ...]:
-        return tuple(f"{i:03b}" for i in range(8))
+@functools.lru_cache(maxsize=1)
+def ideal_toffoli_choi() -> np.ndarray:
+    """Read-only pure Choi matrix of the target, built and checked once per process."""
+    return choi_of_unitary(ideal_toffoli_unitary())
 
 
 def ideal_truth_table() -> np.ndarray:
@@ -243,6 +221,13 @@ def ideal_truth_table() -> np.ndarray:
     return np.abs(ideal_toffoli_unitary()) ** 2
 
 
-def truth_table_fidelity(table: TruthTable) -> float:
-    """Mean correct-output population over the eight computational inputs."""
-    return float(np.trace(table.matrix @ ideal_truth_table()) / 8.0)
+def truth_table_fidelity(populations: np.ndarray) -> float:
+    """Mean correct-output population of an 8x8 truth table ``populations[output, input]``.
+
+    ValueError unless ``populations`` is a finite 8x8 array; its producer,
+    ``noise.circuit_truth_table``, checks the physics.
+    """
+    populations = np.asarray(populations)
+    if populations.shape != (8, 8) or not np.all(np.isfinite(populations)):
+        raise ValueError("truth table must be a finite 8x8 array")
+    return float(np.trace(populations @ ideal_truth_table()) / 8.0)

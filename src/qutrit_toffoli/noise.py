@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .register import _check_states, checked_choi
-from .gates import XY_PULSE_NS, Circuit, GateOp, TruthTable
+from .gates import XY_PULSE_NS, Circuit, GateOp
 
 # Measured coherence times, microseconds, sites (A, B, C).
 DEVICE_T1_US = (0.55, 0.70, 1.10)
@@ -321,13 +321,17 @@ def circuit_choi(
 
 def circuit_truth_table(
     circuit: Circuit, model: NoiseModel | None = None, *, spam_window_ns: float = XY_PULSE_NS
-) -> TruthTable:
-    """Populations <i|E(|j><j|)|i> of the cycle ``circuit_choi`` compiles, as ``matrix[i, j]``.
+) -> np.ndarray:
+    """Populations <i|E(|j><j|)|i> of the cycle ``circuit_choi`` compiles, as read-only ``[i, j]``.
 
     Only the 8 inputs |j><j| run through ``_evolve``.  Their qubit-block
-    output states get the checks of the Choi matrix they are blocks of.
+    output states get the checks of the Choi matrix they are blocks of, so
+    no entry is negative and no column sums to more than one (to ``ATOL``);
+    weight that leaks out of the qubit block leaves a column short of one.
     """
     out = _evolve(circuit, model, spam_window_ns, (np.arange(8),) * 2)
     states = out[:2, :2, :2, :2, :2, :2].transpose(6, 0, 2, 4, 1, 3, 5).reshape(8, 8, 8)
     _check_states(states, "output state")
-    return TruthTable(np.diagonal(states, axis1=1, axis2=2).real.T.clip(min=0.0))
+    table = np.diagonal(states, axis1=1, axis2=2).real.T.clip(min=0.0)
+    table.setflags(write=False)
+    return table

@@ -29,7 +29,7 @@ from math import pi
 
 import numpy as np
 
-from .gates import ideal_toffoli_unitary, rotation_matrix_qutrit
+from .gates import ideal_toffoli_choi, rotation_matrix_qutrit
 from .register import ATOL, PAULI, _readonly_complex, choi_of_unitary
 
 PREP_LABELS = ("id", "x90", "y90", "x180")
@@ -187,6 +187,7 @@ def measure_output_records(choi: np.ndarray, shots: int = 0, seed: int = 0) -> R
     return Records(values, shots)
 
 
+# Kept for the benchmark's _check_tomo, its only reader outside the artifact edge.
 class ChiMatrix:
     """Process matrix in the real product basis, the form ``process_tomo.json`` reports.
 
@@ -225,6 +226,7 @@ def chi_of_choi(choi_matrix: np.ndarray) -> ChiMatrix:
     return ChiMatrix(chi)
 
 
+# Kept for the benchmark's _check_tomo, its only reader outside the tests.
 def chi_of_unitary(unitary8: np.ndarray) -> ChiMatrix:
     """Rank-one process matrix of an 8x8 unitary."""
     return chi_of_choi(choi_of_unitary(unitary8))
@@ -247,7 +249,7 @@ def _fidelity_weights() -> np.ndarray:
     2e-15/512), so the weights are rounded to those multiples: 1120 of them
     are +-1, 2 or 4 over 512 and the other 2976 are exact zeros.
     """
-    table = _unit_readout(choi_of_unitary(ideal_toffoli_unitary())).reshape(64, 64).T
+    table = _unit_readout(ideal_toffoli_choi()).reshape(64, 64).T
     weights = np.rint((_preparation_inverse().T @ table.conj()).real) / 512.0
     weights.setflags(write=False)
     return weights

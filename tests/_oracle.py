@@ -46,7 +46,7 @@ import itertools
 
 import numpy as np
 
-from qutrit_toffoli.gates import XY_PULSE_NS, TruthTable, toffoli_circuit
+from qutrit_toffoli.gates import XY_PULSE_NS, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
 from qutrit_toffoli.tomography import (
     PAULI_AXES,
@@ -200,7 +200,7 @@ def input_prep_labels():
 def choi_truth_table(choi):
     """Output populations of every computational ket: entry 8j + i of the diagonal is <i|E(|j><j|)|i> / 8."""
     populations = 8.0 * np.real(np.diag(choi)).reshape(8, 8)
-    return TruthTable(populations.T.clip(min=0.0))
+    return populations.T.clip(min=0.0)
 
 
 def trace_out_oracle(choi_matrix):

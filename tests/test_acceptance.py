@@ -151,7 +151,7 @@ def test_criterion_5_device_noise_headline_numbers(device_choi, chi_ideal):
         assert 0.70 <= tt_fidelity <= 0.92
         assert 0.58 <= proc_fidelity <= 0.88
         perm = np.argmax(ideal_truth_table(), axis=0)
-        correct = np.array([table.matrix[perm[i], i] for i in range(8)])
+        correct = np.array([table[perm[i], i] for i in range(8)])
         worst_two = np.argsort(correct)[:2]
         assert all(index >= 4 for index in worst_two)  # qubit A excited
         assert correct[4:].mean() < correct[:4].mean()

@@ -1,10 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 import qutrit_toffoli.cli as cli
 import qutrit_toffoli.noise as noise
+from qutrit_toffoli import gates, tomography
 from qutrit_toffoli.tomography import ProjectionError
+
+PIPELINES = ("truth-table", "table1-trace", "process-tomo", "certify")
 
 
 def run_cli(argv):
@@ -196,38 +200,25 @@ def test_invalid_configuration_exits_2(argv, tmp_path, capsys):
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
-    code = run_cli(
-        [
-            "truth-table",
-            "--output",
-            str(tmp_path / "o"),
-            "--noise",
-            "custom",
-            "--config",
-            str(tmp_path / "absent.cfg"),
-        ]
-    )
-    assert code == 2
-    # the runner failed, so no artifact directory was made
-    assert not (tmp_path / "o").exists()
+    # every pipeline reads its config, table1-trace too, though it runs no noise
+    for pipeline in PIPELINES:
+        out = tmp_path / pipeline
+        argv = [pipeline, "--output", str(out), "--noise", "custom"]
+        assert run_cli(argv + ["--config", str(tmp_path / "absent.cfg")]) == 2
+        assert "absent.cfg" in capsys.readouterr().err
+        # the run failed, so no artifact directory was made
+        assert not out.exists()
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("t1_q_us = 5\n")
-    code = run_cli(
-        [
-            "truth-table",
-            "--output",
-            str(tmp_path / "o"),
-            "--noise",
-            "custom",
-            "--config",
-            str(config),
-        ]
-    )
-    assert code == 2
-    assert "t1_q_us" in capsys.readouterr().err
+    for pipeline in PIPELINES:
+        out = tmp_path / pipeline
+        argv = [pipeline, "--output", str(out), "--noise", "custom", "--config", str(config)]
+        assert run_cli(argv) == 2
+        assert "t1_q_us" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -276,6 +267,36 @@ def test_each_pipeline_compiles_the_channel_once(tmp_path, monkeypatch):
         calls.clear()
         assert run_cli(argv + ["--output", str(tmp_path / f"run{index}")]) == 0
         assert len(calls) == 1
+
+
+def test_a_warm_op_checks_only_its_own_compile(tmp_path, monkeypatch):
+    # the ideal target is built and checked once per process, so after a first
+    # run an op makes one eigvalsh call: the physicality check of its compile
+    runs = (["process-tomo"], ["truth-table"])
+    for index, argv in enumerate(runs):
+        assert run_cli(argv + ["--output", str(tmp_path / f"cold{index}")]) == 0
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for index, argv in enumerate(runs):
+        calls.clear()
+        assert run_cli(argv + ["--output", str(tmp_path / f"warm{index}")]) == 0
+        assert len(calls) == 1
+
+
+def test_cached_ideal_chi_is_bit_equal_to_chi_of_unitary():
+    # bench/run.py::_check_tomo compares process_tomo.json against this reference
+    reference = tomography.chi_of_unitary(gates.ideal_toffoli_unitary()).matrix
+    cached = cli._ideal_chi()
+    assert cli._ideal_chi() is cached
+    assert not cached.flags.writeable
+    assert (cached.dtype, cached.shape) == (reference.dtype, reference.shape)
+    assert cached.tobytes() == reference.tobytes()
 
 
 def test_parser_is_built_once_across_main_calls(tmp_path):

@@ -4,11 +4,12 @@ from math import pi
 import numpy as np
 import pytest
 
+from qutrit_toffoli import certify
 from qutrit_toffoli.certify import choi_of_channel
 from qutrit_toffoli.gates import (
-    TruthTable,
     ccphase_circuit,
     exchange_matrix,
+    ideal_toffoli_choi,
     ideal_toffoli_unitary,
     ideal_truth_table,
     rotation_matrix_qubit,
@@ -17,6 +18,7 @@ from qutrit_toffoli.gates import (
     toffoli_circuit,
     truth_table_fidelity,
 )
+from qutrit_toffoli.noise import NoiseModel, circuit_truth_table
 from qutrit_toffoli.register import PAULI
 
 from _oracle import align_global_phase, basis_index, choi_truth_table, computational_block
@@ -193,31 +195,30 @@ def test_ccphase_per_pulse_trajectories(digits):
 def test_truth_table_of_ideal_channel():
     block = computational_block(toffoli_circuit().unitary())
     table = choi_truth_table(choi_of_channel(lambda rho: block @ rho @ block.conj().T))
-    assert np.allclose(table.matrix, ideal_truth_table(), atol=1e-12)
+    assert np.allclose(table, ideal_truth_table(), atol=1e-12)
     assert truth_table_fidelity(table) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_truth_table_validation():
-    good = np.eye(8)
-    TruthTable(good)
-    with pytest.raises(ValueError):
-        TruthTable(good * 1.5)
-    bad = np.eye(8).copy()
-    bad[0, 1] = -0.2
-    with pytest.raises(ValueError):
-        TruthTable(bad)
-    with pytest.raises(ValueError):
-        TruthTable(np.eye(4))
-    with pytest.raises(ValueError, match="finite"):
-        TruthTable(np.full((8, 8), np.nan))
+def test_target_forms_are_read_only_and_built_once():
+    choi = ideal_toffoli_choi()
+    assert ideal_toffoli_choi() is choi
+    assert certify.ideal_toffoli_choi is ideal_toffoli_choi
+    with pytest.raises(ValueError, match="read-only"):
+        choi[0, 0] = 0.0
+    table = circuit_truth_table(toffoli_circuit(), NoiseModel.from_device())
+    assert (table.dtype, table.shape) == (np.float64, (8, 8))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    # readers check only the shape and finiteness; circuit_truth_table checks the physics
+    for bad in (np.eye(4), np.full((8, 8), np.nan)):
+        with pytest.raises(ValueError, match="finite 8x8"):
+            truth_table_fidelity(bad)
 
 
 def test_truth_table_columns_may_be_subnormalized():
     # identity populations: six fixed points at 0.9, the swapped pair at 0
-    table = TruthTable(np.eye(8) * 0.9)
-    assert truth_table_fidelity(table) == pytest.approx(6 * 0.9 / 8)
-    perfect = TruthTable(ideal_truth_table() * 0.9)
-    assert truth_table_fidelity(perfect) == pytest.approx(0.9)
+    assert truth_table_fidelity(np.eye(8) * 0.9) == pytest.approx(6 * 0.9 / 8)
+    assert truth_table_fidelity(ideal_truth_table() * 0.9) == pytest.approx(0.9)
 
 
 def test_align_global_phase():

@@ -359,7 +359,7 @@ def test_circuit_choi_matches_noisy_apply(model, window):
         assert np.max(np.abs(choi_apply(choi, rho8) - oracle)) < 1e-12
     # carrying only the 8 inputs |j><j| reads the same bits as the 64-unit compile
     table = circuit_truth_table(circuit, model, spam_window_ns=window)
-    assert np.array_equal(table.matrix, choi_truth_table(choi).matrix)
+    assert np.array_equal(table, choi_truth_table(choi))
 
 
 @pytest.mark.parametrize("model", [None, CUSTOM_MODEL], ids=["none", "custom"])
@@ -417,7 +417,7 @@ def test_circuit_choi_keeps_a_level_the_circuit_reaches(model):
     assert noise._kept_levels(circuit) == (3, 2, 3)
     choi = circuit_choi(circuit, model)
     assert np.trace(choi).real < 1.0 - 1e-3
-    assert np.array_equal(circuit_truth_table(circuit, model).matrix, choi_truth_table(choi).matrix)
+    assert np.array_equal(circuit_truth_table(circuit, model), choi_truth_table(choi))
     rng = np.random.default_rng(13)
     for _ in range(3):
         rho8 = random_density8(rng)

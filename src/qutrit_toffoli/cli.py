@@ -10,6 +10,11 @@ a ``{file name: payload}`` dict, text or a JSON object; ``main`` encodes
 them and creates the output directory only once the runner has succeeded,
 so a failed run leaves no directory behind.
 
+Within one process the noisy Toffoli is compiled once per distinct
+``(noise model, spam window)``, as a Choi matrix or a truth table, and
+``certify`` reads each distinct channel's eigenstate readout once; an op
+that repeats a recent channel reuses both and writes the same bytes.
+
 Exit codes: 0 on success, 2 for invalid arguments or configuration files,
 1 for runtime failures such as a non-convergent projection.
 """
@@ -55,6 +60,9 @@ from .tomography import (
 from .certify import _relevant_toffoli_paulis, exhaustive_fidelity, monte_carlo_fidelity
 
 NOISE_CHOICES = ("ideal", "device", "custom")
+# Pipelines that compute exact results and draw no shots; they still take
+# --seed, which they record and ignore.
+_EXACT_PIPELINES = ("truth-table", "table1-trace")
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -64,6 +72,8 @@ def _check_args(args: argparse.Namespace) -> None:
     if args.noise != "custom" and args.config is not None:
         raise ValueError("--config is only valid with --noise custom")
     _check_count(args.shots, "--shots", 0)
+    if args.shots and args.pipeline in _EXACT_PIPELINES:
+        raise ValueError(f"--shots is not used by {args.pipeline}, which never samples")
     _check_count(args.samples, "--samples", 1)
     if args.seed < 0:
         raise ValueError("--seed must be non-negative")
@@ -82,10 +92,22 @@ def _noise_model(args: argparse.Namespace) -> NoiseModel | None:
     return noise_model_from_config(parse_config_file(args.config))
 
 
-def _compile_toffoli(compile_, args: argparse.Namespace, model: NoiseModel | None):
-    """``compile_`` (``circuit_choi`` or ``circuit_truth_table``) of the Toffoli under ``model``."""
-    window = 0.0 if args.no_spam else XY_PULSE_NS
-    return compile_(toffoli_circuit(), model, spam_window_ns=window)
+def _spam_window(args: argparse.Namespace) -> float:
+    return 0.0 if args.no_spam else XY_PULSE_NS
+
+
+# Keyed by value on the frozen model and the window, so an op repeating the
+# last few channels reuses their read-only compile and its checks.  The
+# compilers are looked up by name at call time, so a wrapper put in their
+# place is called on every miss.
+@functools.lru_cache(maxsize=4)
+def _toffoli_choi(model: NoiseModel | None, window: float) -> np.ndarray:
+    return circuit_choi(toffoli_circuit(), model, spam_window_ns=window)
+
+
+@functools.lru_cache(maxsize=4)
+def _toffoli_truth_table(model: NoiseModel | None, window: float) -> np.ndarray:
+    return circuit_truth_table(toffoli_circuit(), model, spam_window_ns=window)
 
 
 @functools.lru_cache(maxsize=1)
@@ -105,7 +127,7 @@ def _common_meta(args: argparse.Namespace) -> dict:
 
 
 def _run_truth_table(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
-    table = _compile_toffoli(circuit_truth_table, args, model)
+    table = _toffoli_truth_table(model, _spam_window(args))
     fidelity = truth_table_fidelity(table)
     labels = [basis_label(k) for k in QUBIT_KETS]
     csv_lines = ["output\\input," + ",".join(labels)]
@@ -146,7 +168,7 @@ def _run_table1_trace(args: argparse.Namespace, model: NoiseModel | None) -> tup
 
 def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
     records = measure_output_records(
-        _compile_toffoli(circuit_choi, args, model), shots=args.shots, seed=args.seed
+        _toffoli_choi(model, _spam_window(args)), shots=args.shots, seed=args.seed
     )
     raw_choi = choi_from_records(records)
     raw = chi_of_choi(raw_choi).matrix
@@ -178,7 +200,7 @@ def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tup
 
 
 def _run_certify(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
-    choi = _compile_toffoli(circuit_choi, args, model)
+    choi = _toffoli_choi(model, _spam_window(args))
     payload = _common_meta(args)
     inputs, outputs, ideal = _relevant_toffoli_paulis()
     if args.exhaustive:

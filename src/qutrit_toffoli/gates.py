@@ -216,9 +216,12 @@ def ideal_toffoli_choi() -> np.ndarray:
     return choi_of_unitary(ideal_toffoli_unitary())
 
 
+@functools.lru_cache(maxsize=1)
 def ideal_truth_table() -> np.ndarray:
-    """Permutation matrix of the target gate on populations."""
-    return np.abs(ideal_toffoli_unitary()) ** 2
+    """Read-only permutation matrix of the target gate on populations, built once per process."""
+    table = np.abs(ideal_toffoli_unitary()) ** 2
+    table.setflags(write=False)
+    return table
 
 
 def truth_table_fidelity(populations: np.ndarray) -> float:

@@ -299,6 +299,7 @@ def _newton_direction(vals: np.ndarray, vecs: np.ndarray, grad: np.ndarray) -> n
     tie = gap == 0.0
     omega = np.where(tie, vals[:, None] > 0.0, np.subtract.outer(plus, plus) / (gap + tie))
     rows = vecs.reshape(8, 512)
+    vecs_h, rows_h = vecs.conj().T, rows.conj().T
     direction = np.zeros_like(grad)
     residual = search = -grad
     norm2 = np.vdot(residual, residual).real
@@ -306,8 +307,8 @@ def _newton_direction(vals: np.ndarray, vecs: np.ndarray, grad: np.ndarray) -> n
     for _ in range(64):  # exact CG ends within 64 steps, one per real unknown
         if norm2 <= stop:
             break
-        inner = vecs.conj().T @ (search @ rows).reshape(64, 64)
-        curved = (vecs @ (omega * inner)).reshape(8, 512) @ rows.conj().T + 1e-10 * search
+        inner = vecs_h @ (search @ rows).reshape(64, 64)
+        curved = (vecs @ (omega * inner)).reshape(8, 512) @ rows_h + 1e-10 * search
         alpha = norm2 / np.vdot(search, curved).real
         direction, residual = direction + alpha * search, residual - alpha * curved
         norm2, previous = np.vdot(residual, residual).real, norm2

@@ -8,6 +8,7 @@ from qutrit_toffoli.certify import (
     RELEVANCE_CUTOFF,
     _eigenstate_readout,
     _eigenstates,
+    _relevant_readout,
     choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
@@ -426,6 +427,31 @@ def test_certification_builds_one_generator_per_call(monkeypatch):
     assert len(built) == 1
     exhaustive_fidelity(choi, shots=1000, seed=5)
     assert len(built) == 2
+
+
+def test_readout_memo_reads_a_channel_changed_in_place():
+    # the memo is keyed on the Choi matrix's content, so a writable array
+    # changed between two estimates is read afresh, not served stale
+    choi = np.array(device_choi())
+    monte_carlo_fidelity(choi, samples=500, seed=1)
+    choi[...] = (choi + ideal_toffoli_choi()) / 2.0
+    result = monte_carlo_fidelity(choi, samples=500, seed=1)
+    exact, eigenvalues = _eigenstate_readout(choi)  # uncached
+    inputs, outputs, _ = enumerate_relevant_paulis(ideal_toffoli_choi())
+    lams, rows = eigenvalues[inputs], exact[inputs, :, outputs]
+    cached_lams, cached_rows = _relevant_readout(choi)
+    assert cached_lams.tobytes() == lams.tobytes()
+    assert cached_rows.tobytes() == rows.tobytes()
+    drawn = result.draws > 0
+    fresh = (lams * rows).sum(1) / 8.0
+    assert result.mean_values[drawn].tobytes() == fresh[drawn].tobytes()
+
+
+def test_cached_readout_arrays_reject_writes():
+    for array in _relevant_readout(device_choi()):
+        assert array.shape == (232, 8)
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
 
 
 def test_monte_carlo_input_validation():

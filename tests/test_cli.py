@@ -5,7 +5,7 @@ import pytest
 
 import qutrit_toffoli.cli as cli
 import qutrit_toffoli.noise as noise
-from qutrit_toffoli import gates, tomography
+from qutrit_toffoli import certify, gates, tomography
 from qutrit_toffoli.tomography import ProjectionError
 
 PIPELINES = ("truth-table", "table1-trace", "process-tomo", "certify")
@@ -184,6 +184,9 @@ def test_no_spam_raises_fidelity(tmp_path, capsys):
         ["certify", "--shots", "99999999999999999999"],
         ["certify", "--samples", "99999999999999999999"],
         ["process-tomo", "--shots", "10", "--bootstrap", "99999999999999999999"],
+        # exact pipelines draw no shots, so a shot count would be recorded unused
+        ["truth-table", "--shots", "100"],
+        ["table1-trace", "--shots", "5"],
     ],
 )
 def test_invalid_configuration_exits_2(argv, tmp_path, capsys):
@@ -247,46 +250,101 @@ def test_non_finite_config_value_exits_2(text, lineno, tmp_path, capsys):
     assert f"{config}:{lineno}: invalid number" in capsys.readouterr().err
 
 
-def test_each_pipeline_compiles_the_channel_once(tmp_path, monkeypatch):
-    # every compile, Choi matrix or truth table, is one batch through _evolve
+def _count_calls(monkeypatch, owner, name):
     calls = []
-    evolve = noise._evolve
+    original = getattr(owner, name)
 
-    def counting_evolve(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return evolve(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(noise, "_evolve", counting_evolve)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _forget_channels():
+    """Empty the per-process channel memos, as in a fresh process."""
+    cli._toffoli_choi.cache_clear()
+    cli._toffoli_truth_table.cache_clear()
+    certify._READOUT_MEMO.clear()
+
+
+def _artifacts(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _write_config(path, t1_us):
+    path.write_text("".join(f"t1_{site}_us = {t1_us}\n" for site in "abc"))
+
+
+def test_each_pipeline_compiles_the_channel_once(tmp_path, monkeypatch):
+    # every compile, Choi matrix or truth table, is one batch through _evolve;
+    # a cold op compiles its channel once and a warm repeat neither compiles
+    # nor checks anything, and writes the cold op's bytes
+    evolves = _count_calls(monkeypatch, noise, "_evolve")
+    checks = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     runs = (
         ["truth-table"],
+        ["process-tomo"],
         ["process-tomo", "--shots", "100", "--bootstrap", "10"],
         ["certify", "--samples", "500"],
+        ["certify", "--samples", "500", "--shots", "100", "--seed", "3"],
         ["certify", "--exhaustive"],
     )
     for index, argv in enumerate(runs):
-        calls.clear()
-        assert run_cli(argv + ["--output", str(tmp_path / f"run{index}")]) == 0
-        assert len(calls) == 1
+        _forget_channels()
+        evolves.clear()
+        assert run_cli(argv + ["--output", str(tmp_path / f"cold{index}")]) == 0
+        assert len(evolves) == 1
+        evolves.clear()
+        checks.clear()
+        assert run_cli(argv + ["--output", str(tmp_path / f"warm{index}")]) == 0
+        assert (len(evolves), len(checks)) == (0, 0)
+        assert _artifacts(tmp_path / f"warm{index}") == _artifacts(tmp_path / f"cold{index}")
 
 
 def test_a_warm_op_checks_only_its_own_compile(tmp_path, monkeypatch):
-    # the ideal target is built and checked once per process, so after a first
-    # run an op makes one eigvalsh call: the physicality check of its compile
-    runs = (["process-tomo"], ["truth-table"])
+    # the ideal target is built and checked once per process, so an op on a
+    # channel this process has not compiled in that form makes one compile
+    # and one eigvalsh call, the physicality check of that compile
+    _forget_channels()
+    for index, argv in enumerate((["process-tomo"], ["certify"])):
+        assert run_cli(argv + ["--output", str(tmp_path / f"first{index}")]) == 0
+    config = tmp_path / "b.cfg"
+    _write_config(config, 5)
+    runs = (
+        ["truth-table"],  # after a Choi compile of the same model
+        ["certify", "--no-spam"],
+        ["truth-table", "--noise", "ideal"],
+        ["truth-table", "--noise", "custom", "--config", str(config)],
+        ["certify", "--noise", "custom", "--config", str(config)],
+    )
+    evolves = _count_calls(monkeypatch, noise, "_evolve")
+    checks = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     for index, argv in enumerate(runs):
-        assert run_cli(argv + ["--output", str(tmp_path / f"cold{index}")]) == 0
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+        for stage, expected in (("new", 1), ("again", 0)):
+            evolves.clear()
+            checks.clear()
+            assert run_cli(argv + ["--output", str(tmp_path / f"{stage}{index}")]) == 0
+            assert (len(evolves), len(checks)) == (expected, expected), argv
+        assert _artifacts(tmp_path / f"again{index}") == _artifacts(tmp_path / f"new{index}")
 
-    def counting_eigvalsh(*args, **kwargs):
-        calls.append(1)
-        return eigvalsh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    for index, argv in enumerate(runs):
-        calls.clear()
-        assert run_cli(argv + ["--output", str(tmp_path / f"warm{index}")]) == 0
-        assert len(calls) == 1
+def test_a_changed_config_is_compiled_afresh(tmp_path):
+    # the compile memo is keyed on the model's values, not on the config path
+    _forget_channels()
+    config = tmp_path / "noise.cfg"
+    fidelities = []
+    for index, t1_us in enumerate((5, 0.5, 5)):
+        _write_config(config, t1_us)
+        argv = ["truth-table", "--noise", "custom", "--config", str(config), "--seed", "7"]
+        assert run_cli(argv + ["--output", str(tmp_path / f"run{index}")]) == 0
+        fidelities.append(read_json(tmp_path / f"run{index}" / "truth_table.json")["fidelity"])
+        model = noise.noise_model_from_config(noise.parse_config_file(config))
+        direct = noise.circuit_truth_table(gates.toffoli_circuit(), model)
+        assert fidelities[-1] == gates.truth_table_fidelity(direct)
+    assert fidelities[0] == fidelities[2] > fidelities[1]
+    assert _artifacts(tmp_path / "run2") == _artifacts(tmp_path / "run0")
 
 
 def test_cached_ideal_chi_is_bit_equal_to_chi_of_unitary():

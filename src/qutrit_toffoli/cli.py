@@ -3,12 +3,18 @@
 Every pipeline writes its artifacts into the output directory and prints a
 single summary line.  Given the same arguments and seed the artifacts are
 byte-identical.  ``_check_args`` enforces the rules that argparse cannot
-express, and ``main`` builds the noise model, reading and validating any
-config file, before any pipeline runs.  The runners read the parsed
-``argparse.Namespace`` and that model.  Each runner returns its summary and
-a ``{file name: payload}`` dict, text or a JSON object; ``main`` encodes
-them and creates the output directory only once the runner has succeeded,
-so a failed run leaves no directory behind.
+express, among them that no flag is accepted which its pipeline would
+record without using, and ``main`` builds the noise model, reading and
+validating any config file, before any pipeline runs.  The runners read the
+parsed ``argparse.Namespace`` and that model.  Each runner returns its
+summary and a ``{file name: payload}`` dict, text or a JSON object; ``main``
+encodes them and creates the output directory only once the runner has
+succeeded, so a failed run leaves no directory behind.
+
+Each JSON object is written on one line, compact and with sorted keys, so
+that CPython's C encoder writes it (an indented one takes the slower
+pure-Python encoder).  Floats are written by ``repr`` and parse back bit for
+bit; ``python -m json.tool FILE`` prints an artifact indented.
 
 Within one process the noisy Toffoli is compiled once per distinct
 ``(noise model, spam window)``, as a Choi matrix or a truth table, and
@@ -60,6 +66,7 @@ from .tomography import (
 from .certify import _relevant_toffoli_paulis, exhaustive_fidelity, monte_carlo_fidelity
 
 NOISE_CHOICES = ("ideal", "device", "custom")
+MONTE_CARLO_SAMPLES = 10000  # certify's draws when --samples is not given
 # Pipelines that compute exact results and draw no shots; they still take
 # --seed, which they record and ignore.
 _EXACT_PIPELINES = ("truth-table", "table1-trace")
@@ -74,7 +81,17 @@ def _check_args(args: argparse.Namespace) -> None:
     _check_count(args.shots, "--shots", 0)
     if args.shots and args.pipeline in _EXACT_PIPELINES:
         raise ValueError(f"--shots is not used by {args.pipeline}, which never samples")
-    _check_count(args.samples, "--samples", 1)
+    if args.pipeline == "table1-trace" and (args.config is not None or args.no_spam):
+        flag = "--no-spam" if args.config is None else "--config"
+        raise ValueError(
+            f"{flag} is not used by table1-trace, which traces the noiseless phase core"
+        )
+    if args.samples is not None:
+        if args.exhaustive:
+            raise ValueError(
+                "--samples is not used by certify --exhaustive, which measures each pair once"
+            )
+        _check_count(args.samples, "--samples", 1)
     if args.seed < 0:
         raise ValueError("--seed must be non-negative")
     if args.bootstrap < 0 or args.bootstrap == 1:
@@ -213,15 +230,14 @@ def _run_certify(args: argparse.Namespace, model: NoiseModel | None) -> tuple[st
         }
         summary = f"certify: estimate={fidelity:.6f} (exhaustive, {n_relevant} strings)"
     else:
-        result = monte_carlo_fidelity(
-            choi, samples=args.samples, seed=args.seed, shots=args.shots
-        )
+        samples = MONTE_CARLO_SAMPLES if args.samples is None else args.samples
+        result = monte_carlo_fidelity(choi, samples=samples, seed=args.seed, shots=args.shots)
         labels = pauli_labels()
         payload |= {
             "mode": "monte-carlo",
             "estimate": result.estimate,
             "stderr": result.stderr,
-            "samples": args.samples,
+            "samples": samples,
             "strings": [
                 {
                     "in": labels[inputs[i]],
@@ -235,7 +251,7 @@ def _run_certify(args: argparse.Namespace, model: NoiseModel | None) -> tuple[st
         }
         summary = (
             f"certify: estimate={result.estimate:.6f} stderr={result.stderr:.6f}"
-            f" samples={args.samples}"
+            f" samples={samples}"
         )
     return summary, {"certification.json": payload}
 
@@ -290,7 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ct = sub.add_parser("certify", help="Monte Carlo fidelity certification")
     add_common(ct)
-    ct.add_argument("--samples", type=int, default=10000, help="Monte Carlo draws")
+    ct.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help=f"Monte Carlo draws (default {MONTE_CARLO_SAMPLES}; not with --exhaustive)",
+    )
     ct.add_argument(
         "--exhaustive",
         action="store_true",
@@ -299,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("table1-trace", help="per-pulse state trajectories")
     add_common(tr)
-    parser.set_defaults(samples=10000, bootstrap=0, exhaustive=False)
+    parser.set_defaults(samples=None, bootstrap=0, exhaustive=False)
     return parser
 
 
@@ -310,7 +331,7 @@ def main(argv=None) -> int:
         summary, artifacts = _RUNNERS[args.pipeline](args, _noise_model(args))
         texts = {
             name: payload if isinstance(payload, str)
-            else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            else json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
             for name, payload in artifacts.items()
         }
         args.output.mkdir(parents=True, exist_ok=True)

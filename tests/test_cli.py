@@ -133,6 +133,53 @@ def test_certify_exhaustive(tmp_path):
     assert data["relevant_strings"] == 232
 
 
+ARTIFACT_RUNS = {
+    "truth-table": (["truth-table"], ["truth_table.csv", "truth_table.json"]),
+    "table1-trace": (["table1-trace"], ["trajectory.json"]),
+    "process-tomo exact": (["process-tomo"], ["process_tomo.json"]),
+    "process-tomo shots": (
+        ["process-tomo", "--shots", "1000", "--seed", "5", "--bootstrap", "20"],
+        ["process_tomo.json"],
+    ),
+    "certify": (["certify"], ["certification.json"]),
+    "certify exhaustive": (["certify", "--exhaustive"], ["certification.json"]),
+}
+
+
+@pytest.mark.parametrize("name", ARTIFACT_RUNS)
+def test_json_artifacts_are_compact_sorted_lines(name, tmp_path):
+    argv, files = ARTIFACT_RUNS[name]
+    assert run_cli(argv + ["--output", str(tmp_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == files
+    for path in tmp_path.glob("*.json"):
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert text == compact + "\n"
+    if argv == ["certify"]:  # the Monte Carlo default is recorded
+        assert read_json(tmp_path / "certification.json")["samples"] == cli.MONTE_CARLO_SAMPLES
+
+
+@pytest.mark.parametrize("shots, seed", [(0, 0), (1000, 5)])
+def test_chi_parses_back_bit_for_bit(shots, seed, tmp_path):
+    argv = ["process-tomo", "--shots", str(shots), "--seed", str(seed)]
+    assert run_cli(argv + ["--output", str(tmp_path)]) == 0
+    data = read_json(tmp_path / "process_tomo.json")
+    model = noise.NoiseModel.from_device()
+    choi = noise.circuit_choi(gates.toffoli_circuit(), model, spam_window_ns=gates.XY_PULSE_NS)
+    raw_choi = tomography.choi_from_records(
+        tomography.measure_output_records(choi, shots=shots, seed=seed)
+    )
+    estimates = {
+        "chi_raw": tomography.chi_of_choi(raw_choi).matrix,
+        "chi_ml": tomography.chi_of_choi(tomography.ml_projection(raw_choi)).matrix,
+    }
+    for key, chi in estimates.items():
+        for part in ("real", "imag"):
+            parsed = np.array(data[key][part], dtype=np.float64)
+            assert parsed.tobytes() == getattr(chi, part).tobytes(), (key, part)
+
+
 def test_custom_noise_config(tmp_path, capsys):
     config = tmp_path / "device.cfg"
     config.write_text(
@@ -187,6 +234,11 @@ def test_no_spam_raises_fidelity(tmp_path, capsys):
         # exact pipelines draw no shots, so a shot count would be recorded unused
         ["truth-table", "--shots", "100"],
         ["table1-trace", "--shots", "5"],
+        # table1-trace traces the noiseless phase core, so a model would be recorded unused
+        ["table1-trace", "--noise", "custom", "--config", "x.cfg"],
+        ["table1-trace", "--no-spam"],
+        # exhaustive certification measures every relevant pair once, drawing no samples
+        ["certify", "--exhaustive", "--samples", "5"],
     ],
 )
 def test_invalid_configuration_exits_2(argv, tmp_path, capsys):
@@ -202,13 +254,21 @@ def test_invalid_configuration_exits_2(argv, tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+# table1-trace rejects --config before reading it, as it applies no model
+UNUSED_CONFIG = "error: --config is not used by table1-trace"
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
-    # every pipeline reads its config, table1-trace too, though it runs no noise
+    # every pipeline that applies a model reads its config before it runs
     for pipeline in PIPELINES:
         out = tmp_path / pipeline
         argv = [pipeline, "--output", str(out), "--noise", "custom"]
         assert run_cli(argv + ["--config", str(tmp_path / "absent.cfg")]) == 2
-        assert "absent.cfg" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if pipeline == "table1-trace":
+            assert err.startswith(UNUSED_CONFIG)
+        else:
+            assert "absent.cfg" in err
         # the run failed, so no artifact directory was made
         assert not out.exists()
 
@@ -220,7 +280,11 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
         out = tmp_path / pipeline
         argv = [pipeline, "--output", str(out), "--noise", "custom", "--config", str(config)]
         assert run_cli(argv) == 2
-        assert "t1_q_us" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if pipeline == "table1-trace":
+            assert err.startswith(UNUSED_CONFIG)
+        else:
+            assert "t1_q_us" in err
         assert not out.exists()
 
 

@@ -78,6 +78,8 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ValueError("--noise custom requires --config")
     if args.noise != "custom" and args.config is not None:
         raise ValueError("--config is only valid with --noise custom")
+    if args.noise == "ideal" and args.no_spam:
+        raise ValueError("--no-spam is not used by --noise ideal, which has no decoherence windows")
     _check_count(args.shots, "--shots", 0)
     if args.shots and args.pipeline in _EXACT_PIPELINES:
         raise ValueError(f"--shots is not used by {args.pipeline}, which never samples")

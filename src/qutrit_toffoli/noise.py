@@ -38,6 +38,14 @@ superoperator is the 4x4 corner of the 9x9.  That is exact, because no
 pulse moves weight into its level 2 and relaxation and dephasing never
 raise a level.  In the Toffoli the exchange pulses send |11> to |20>, so
 only A and B enter level 2 and target C is carried as a qubit.
+
+What no noise model changes is the circuit's plan (``_plan``), built on
+its first compile and kept for the process: the kept levels and, for each
+pulse, its matrix on those levels, the conjugate, and the axis order it
+acts in with its inverse.  A compile under a new model then builds only
+its site maps, one per site and distinct interval length (12 for the
+Toffoli with windows), each directly at its kept size, and runs the same
+contractions, so every float is the same as without the plan.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .register import _check_states, checked_choi
-from .gates import XY_PULSE_NS, Circuit, GateOp
+from .gates import XY_PULSE_NS, Circuit
 
 # Measured coherence times, microseconds, sites (A, B, C).
 DEVICE_T1_US = (0.55, 0.70, 1.10)
@@ -173,35 +181,54 @@ def _rates_per_ns(time_us: float, scale: float) -> tuple[float, float]:
     return rate, scale * rate
 
 
-# 16 holds every (site, duration) of one compile: 12 for the Toffoli with windows.
-@functools.lru_cache(maxsize=16)
-def _site_superoperator(model: NoiseModel, site: int, duration_ns: float) -> np.ndarray:
-    """Relaxation then dephasing of one site as a real, read-only 9x9 matrix.
+# Positions of the nonzero entries of a site map on 3 and on 2 levels, in
+# the order _site_superoperator lists their values: the diagonal, then
+# |1><1| -> |0><0|, then |2><2| -> |1><1| and |2><2| -> |0><0|.
+_SITE_MAP_ENTRIES = {
+    3: np.array([0, 10, 20, 30, 40, 50, 60, 70, 80, 4, 44, 8]),
+    2: np.array([0, 5, 10, 15, 3]),
+}
 
-    ``sup[3a + b, 3c + d]`` maps input entry (c, d) to output entry (a, b).
-    Relaxation leaves level a occupied with probability e_a (e_0 = 1), so
-    coherence (a, b) keeps sqrt(e_a e_b) and the decayed population moves
-    down the ladder.  Dephasing then multiplies entry (a, b) by ``corr[a, b]``.
+
+def _site_superoperator(
+    model: NoiseModel, site: int, duration_ns: float, levels: int = 3
+) -> np.ndarray:
+    """Relaxation then dephasing of one site as a real, read-only map on ``levels`` levels.
+
+    On three levels ``sup[3a + b, 3c + d]`` maps input entry (c, d) to output
+    entry (a, b).  Relaxation leaves level a occupied with probability e_a
+    (e_0 = 1), so coherence (a, b) keeps sqrt(e_a e_b) and the decayed
+    population moves down the ladder.  Dephasing then multiplies entry (a, b)
+    by ``corr[a, b]``, the correlation matrix of the module docstring.  With
+    ``levels=2`` the map is the 4x4 corner of the 9x9 one, which acts on
+    levels 0 and 1 alone; each entry comes from the same float operations
+    as in the 9x9, so it has the same bits.
     """
     t = float(duration_ns)
     g1, g2 = _rates_per_ns(model.t1_us[site], model.relax_scale2)
-    e1, e2 = math.exp(-g1 * t), math.exp(-g2 * t)
-    # Weight that left level 2 and still sits in level 1 at time t,
-    # g2 (e1 - e2) / (g2 - g1), with the difference taken by expm1 so that
-    # nearly equal rates do not cancel.
-    if g2 == g1:
-        via1 = g2 * t * e1
+    dx, dy = _rates_per_ns(model.tphi_us[site], model.deph_scale2)
+    e1, x = math.exp(-g1 * t), math.exp(-dx * t)
+    k1 = math.sqrt(e1)  # diagonal entry (a, b) is corr[a, b] k_a k_b, with k_a = sqrt(e_a)
+    if levels == 2:
+        values = (1.0, x * k1, x * k1, k1 * k1, 1.0 - e1)
     else:
-        slow, gap = min(g1, g2), abs(g2 - g1)
-        via1 = g2 * math.exp(-slow * t) * -math.expm1(-gap * t) / gap
-    keep = np.sqrt([1.0, e1, e2])
-    relax = np.diag(np.outer(keep, keep).ravel())
-    relax[0, 4] = 1.0 - e1  # |1><1| -> |0><0|
-    relax[4, 8] = via1  # |2><2| -> |1><1|
-    relax[0, 8] = max(0.0, 1.0 - e2 - via1)  # |2><2| -> |0><0|
-    x, y = (math.exp(-g * t) for g in _rates_per_ns(model.tphi_us[site], model.deph_scale2))
-    corr = np.array([[1.0, x, x * y], [x, 1.0, y], [x * y, y, 1.0]])
-    sup = corr.ravel()[:, None] * relax
+        e2, y = math.exp(-g2 * t), math.exp(-dy * t)
+        # Weight that left level 2 and still sits in level 1 at time t,
+        # g2 (e1 - e2) / (g2 - g1), with the difference taken by expm1 so that
+        # nearly equal rates do not cancel.
+        if g2 == g1:
+            via1 = g2 * t * e1
+        else:
+            slow, gap = min(g1, g2), abs(g2 - g1)
+            via1 = g2 * math.exp(-slow * t) * -math.expm1(-gap * t) / gap
+        k2, xy = math.sqrt(e2), x * y
+        values = (
+            1.0, x * k1, xy * k2, x * k1, k1 * k1, y * (k1 * k2), xy * k2, y * (k2 * k1), k2 * k2,
+            1.0 - e1, via1, max(0.0, 1.0 - e2 - via1),
+        )
+    sup = np.zeros(levels**4)
+    sup[_SITE_MAP_ENTRIES[levels]] = values
+    sup = sup.reshape(levels**2, levels**2)
     sup.setflags(write=False)
     return sup
 
@@ -209,12 +236,27 @@ def _site_superoperator(model: NoiseModel, site: int, duration_ns: float) -> np.
 def _restrict(matrix: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     """``matrix`` on three-level factors, restricted to the lowest ``sizes[k]`` levels of factor k.
 
-    For a 9x9 site map, sizes (2, 2) give its 4x4 corner [0, 1, 3, 4], which
-    acts on levels 0 and 1 alone.
+    For a pulse on (B, C) with C carried on two levels, sizes (3, 2) give
+    the 6x6 block on kets 3b + c with c in {0, 1}.
     """
     dim = math.prod(sizes)
     block = matrix.reshape((3,) * (2 * len(sizes)))[tuple(slice(n) for n in sizes * 2)]
     return block.reshape(dim, dim)
+
+
+def _site_maps(model: NoiseModel, levels: tuple[int, ...], duration_ns: float) -> tuple:
+    """One interval's map for each site, each on the levels that site carries."""
+    return tuple(_site_superoperator(model, s, duration_ns, n) for s, n in enumerate(levels))
+
+
+def _interval(pairs: np.ndarray, maps: tuple) -> np.ndarray:
+    """Each site's map, in site order, as one real matmul on the float view of ``pairs``."""
+    real = np.ascontiguousarray(pairs).view(float)
+    outer = 1  # entries of the axis pairs before this site's
+    for sup in maps:
+        real = np.matmul(sup, real.reshape(outer, sup.shape[0], -1))
+        outer *= sup.shape[0]
+    return real.view(complex).reshape(pairs.shape)
 
 
 def decohere(pairs: np.ndarray, model: NoiseModel, duration_ns: float) -> np.ndarray:
@@ -233,29 +275,20 @@ def decohere(pairs: np.ndarray, model: NoiseModel, duration_ns: float) -> np.nda
         raise ValueError("duration must be finite and non-negative")
     if duration_ns == 0.0:
         return pairs
-    real = np.ascontiguousarray(pairs).view(float)
-    outer = 1  # entries of the axis pairs before this site's
-    for site in range(3):
-        size = pairs.shape[2 * site]
-        sup = _restrict(_site_superoperator(model, site, float(duration_ns)), (size, size))
-        real = np.matmul(sup, real.reshape(outer, size * size, -1))
-        outer *= size * size
-    return real.view(complex).reshape(pairs.shape)
+    return _interval(pairs, _site_maps(model, pairs.shape[0:6:2], duration_ns))
 
 
-def _pulse(pairs: np.ndarray, op: GateOp) -> np.ndarray:
+def _pulse(pairs: np.ndarray, matrix: np.ndarray, conj: np.ndarray, order, inverse) -> np.ndarray:
     """U on the target ket axes and conj(U) on the target bra axes of ``pairs``.
 
-    U is ``op.matrix`` restricted to the levels each target axis of ``pairs`` carries.
+    ``order`` puts the target ket axes, then the target bra axes, in front
+    of the rest, and ``inverse`` puts them back.
     """
-    mat = _restrict(op.matrix, tuple(pairs.shape[2 * s] for s in op.targets))
-    dim = mat.shape[0]
-    front = [2 * s for s in op.targets] + [2 * s + 1 for s in op.targets]
-    order = front + [k for k in range(pairs.ndim) if k not in front]
+    dim = matrix.shape[0]
     moved = pairs.transpose(order)
-    out = mat @ moved.reshape(dim, -1)
-    out = np.matmul(mat.conj(), out.reshape(dim, dim, -1))
-    return np.ascontiguousarray(out.reshape(moved.shape).transpose(np.argsort(order)))
+    out = matrix @ moved.reshape(dim, -1)
+    out = np.matmul(conj, out.reshape(dim, dim, -1))
+    return np.ascontiguousarray(out.reshape(moved.shape).transpose(inverse))
 
 
 def _kept_levels(circuit: Circuit) -> tuple[int, int, int]:
@@ -276,6 +309,34 @@ def _kept_levels(circuit: Circuit) -> tuple[int, int, int]:
     return tuple(levels)
 
 
+# Keyed on the circuit object: a Circuit and its GateOps are frozen and hold
+# read-only matrices, so its plan never goes stale.
+@functools.lru_cache(maxsize=4)
+def _plan(circuit: Circuit) -> tuple[tuple[int, int, int], tuple[tuple, ...]]:
+    """What no noise model changes in a compile: the kept levels and each pulse's layout.
+
+    Each pulse is ``(matrix, conj, order, inverse, duration_ns)``: its
+    ``GateOp.matrix`` restricted to the kept levels of its targets and the
+    conjugate, both read-only, and the axis orders ``_pulse`` takes.
+    """
+    levels = _kept_levels(circuit)
+    pulses = []
+    for op in circuit.ops:
+        matrix = _restrict(op.matrix, tuple(levels[s] for s in op.targets))
+        front = [2 * s for s in op.targets] + [2 * s + 1 for s in op.targets]
+        order = tuple(front + [k for k in range(7) if k not in front])
+        inverse = tuple(order.index(k) for k in range(7))
+        conj = matrix.conj()
+        for part in (matrix, conj):
+            part.setflags(write=False)
+        pulses.append((matrix, conj, order, inverse, op.duration_ns))
+    return levels, tuple(pulses)
+
+
+# digits[:, k] are the site levels (a, b, c) of qubit ket k.
+_KET_DIGITS = np.array(np.unravel_index(np.arange(8), (2, 2, 2)))
+
+
 def _evolve(circuit: Circuit, model: NoiseModel | None, spam_window_ns: float, units) -> np.ndarray:
     """The noisy cycle on each qubit unit |rows[k]><cols[k]|, axes (a, a', b, b', c, c', k).
 
@@ -283,25 +344,28 @@ def _evolve(circuit: Circuit, model: NoiseModel | None, spam_window_ns: float, u
     have ``_kept_levels(circuit)`` entries.  With a noise model the
     preparation and measurement windows, each ``spam_window_ns`` long, add
     decoherence-only intervals before and after the pulse sequence; without
-    one the cycle is the bare circuit unitary.
+    one the cycle is the bare circuit unitary.  The circuit's ``_plan`` is
+    built on its first compile and reused; beyond it a compile builds only
+    its model's site maps, once per distinct nonzero interval length.
     """
     if not (math.isfinite(spam_window_ns) and spam_window_ns >= 0):
         raise ValueError("windows must be finite and non-negative")
-    rows, cols = units
-    ket = np.eye(8).reshape(2, 2, 2, 8)  # ket[a, b, c, i] = <abc|i>
-    sizes = tuple(n for n in _kept_levels(circuit) for _ in range(2))
-    out = np.zeros(sizes + (len(rows),), dtype=complex)
-    out[:2, :2, :2, :2, :2, :2] = np.einsum("abck,xyzk->axbyczk", ket[..., rows], ket[..., cols])
+    levels, pulses = _plan(circuit)
+    rows, cols = _KET_DIGITS[:, units[0]], _KET_DIGITS[:, units[1]]
+    batch = len(units[0])
+    out = np.zeros(tuple(n for n in levels for _ in range(2)) + (batch,), dtype=complex)
+    out[rows[0], cols[0], rows[1], cols[1], rows[2], cols[2], np.arange(batch)] = 1.0
+    durations = {spam_window_ns, *(pulse[-1] for pulse in pulses)} - {0.0}
+    maps = {t: _site_maps(model, levels, t) for t in durations} if model is not None else {}
+
+    def interval(pairs: np.ndarray, duration_ns: float) -> np.ndarray:
+        return _interval(pairs, maps[duration_ns]) if duration_ns in maps else pairs
+
     # Rebinding ``out`` frees each input, so at most three batches are alive.
-    if model is not None:
-        out = decohere(out, model, spam_window_ns)
-    for op in circuit.ops:
-        out = _pulse(out, op)
-        if model is not None:
-            out = decohere(out, model, op.duration_ns)
-    if model is not None:
-        out = decohere(out, model, spam_window_ns)
-    return out
+    out = interval(out, spam_window_ns)
+    for matrix, conj, order, inverse, duration_ns in pulses:
+        out = interval(_pulse(out, matrix, conj, order, inverse), duration_ns)
+    return interval(out, spam_window_ns)
 
 
 def circuit_choi(

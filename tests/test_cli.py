@@ -239,6 +239,8 @@ def test_no_spam_raises_fidelity(tmp_path, capsys):
         ["table1-trace", "--no-spam"],
         # exhaustive certification measures every relevant pair once, drawing no samples
         ["certify", "--exhaustive", "--samples", "5"],
+        # the ideal channel has no decoherence windows to drop
+        *([pipeline, "--noise", "ideal", "--no-spam"] for pipeline in PIPELINES),
     ],
 )
 def test_invalid_configuration_exits_2(argv, tmp_path, capsys):

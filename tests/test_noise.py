@@ -6,6 +6,7 @@ import pytest
 
 import qutrit_toffoli.noise as noise
 from qutrit_toffoli.gates import (
+    XY_PULSE_NS,
     Circuit,
     GateOp,
     ccphase_circuit,
@@ -403,17 +404,22 @@ def test_toffoli_and_phase_core_carry_two_levels_of_c():
         assert noise._evolve(circuit, model, 8.0, inputs).shape == (3, 3, 3, 3, 2, 2, 8)
 
 
-@pytest.mark.parametrize("model", [None, CUSTOM_MODEL], ids=["none", "custom"])
-def test_circuit_choi_keeps_a_level_the_circuit_reaches(model):
-    # C goes up into level 2 and partly back; a compile that carried C with
-    # two levels would lose the returning weight and miss the oracle
-    circuit = Circuit(
+def through_level_2_of_c() -> Circuit:
+    """C goes up into level 2 and partly back, so C and A keep level 2 and B does not."""
+    return Circuit(
         (
             GateOp("up", (2,), level_12_rotation(1.1, 0.3), 8.0),
             subspace_rotation("AB", math.pi),
             GateOp("down", (2,), level_12_rotation(-0.6, 0.3), 5.0),
         )
     )
+
+
+@pytest.mark.parametrize("model", [None, CUSTOM_MODEL], ids=["none", "custom"])
+def test_circuit_choi_keeps_a_level_the_circuit_reaches(model):
+    # a compile that carried C with two levels would lose the weight that
+    # returns from its level 2 and miss the oracle
+    circuit = through_level_2_of_c()
     assert noise._kept_levels(circuit) == (3, 2, 3)
     choi = circuit_choi(circuit, model)
     assert np.trace(choi).real < 1.0 - 1e-3
@@ -431,15 +437,57 @@ def test_circuit_choi_of_device_is_psd_and_trace_preserving():
     assert abs(np.trace(choi).real - 1.0) < 1e-12
 
 
-def test_circuit_choi_uses_local_pulses_and_one_superoperator_per_duration():
-    # windows and pulses last 8, 7, 23 and 21 ns: four durations, three sites each
-    circuit, model = toffoli_circuit(), NoiseModel.from_device()
-    builds = noise._site_superoperator
-    builds.cache_clear()
-    circuit_choi(circuit, None)
-    assert builds.cache_info().misses == 0 and builds.cache_info().hits == 0
-    circuit_choi(circuit, model)
-    assert builds.cache_info().misses == 12
+def test_circuit_choi_uses_local_pulses_and_one_superoperator_per_duration(monkeypatch):
+    # windows and pulses last 8, 7, 23 and 21 ns: four durations, three sites
+    # each; the circuit's plan is built once, so after a warm-up a compile
+    # under a fresh model builds its 12 site maps, each at its kept size, and
+    # nothing else
+    circuit = toffoli_circuit()
+    build = noise._site_superoperator
+    builds = []
+    monkeypatch.setattr(
+        noise, "_site_superoperator", lambda *args: builds.append(args[1:]) or build(*args)
+    )
+    durations = {XY_PULSE_NS} | {op.duration_ns for op in circuit.ops}
+    expected = {(site, t, n) for site, n in enumerate((3, 3, 2)) for t in durations}
+    for compile_ in (circuit_choi, circuit_truth_table):
+        builds.clear()
+        compile_(circuit, None)
+        assert builds == []  # no model, no site map
+        plans = noise._plan.cache_info()
+        for t1_a in (0.5, 0.6):  # models this process has not compiled
+            builds.clear()
+            compile_(circuit, NoiseModel.from_device((t1_a, 0.7, 1.1)))
+            assert len(builds) == 12 and set(builds) == expected
+        assert noise._plan.cache_info().misses == plans.misses
+
+
+@pytest.mark.parametrize("model", [NoiseModel.from_device(), CUSTOM_MODEL], ids=["device", "custom"])
+def test_a_two_level_site_map_is_the_9x9_corner_bit_for_bit(model):
+    # the kept-size build repeats the float operations of the 9x9 one
+    corner = np.ix_([0, 1, 3, 4], [0, 1, 3, 4])
+    relaxed = NoiseModel(model.t1_us, model.tphi_us, relax_scale2=1.0, deph_scale2=0.0)
+    for variant in (model, relaxed):
+        for site in range(3):
+            for duration in (0.5, 7.0, 8.0, 21.0, 23.0, 1000.0):
+                small = noise._site_superoperator(variant, site, duration, 2)
+                full = noise._site_superoperator(variant, site, duration)
+                assert small.shape == (4, 4) and not small.flags.writeable
+                assert small.tobytes() == full[corner].tobytes()
+
+
+@pytest.mark.parametrize("window", [0.0, 8.0])
+@pytest.mark.parametrize("model", [NoiseModel.from_device(), CUSTOM_MODEL], ids=["device", "custom"])
+def test_a_compile_reads_the_same_bits_with_a_cold_or_a_warm_plan(model, window):
+    # the plan is model-free and read-only: building it inside a compile and
+    # reusing it give the same bits, whether C is carried on two levels or three
+    for circuit in (toffoli_circuit(), through_level_2_of_c()):
+        for compile_ in (circuit_choi, circuit_truth_table):
+            noise._plan.cache_clear()
+            cold = compile_(circuit, model, spam_window_ns=window)
+            warm = compile_(circuit, model, spam_window_ns=window)
+            assert noise._plan.cache_info().misses == 1
+            assert warm.tobytes() == cold.tobytes()
 
 
 def test_circuit_choi_window_validation():

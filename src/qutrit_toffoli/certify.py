@@ -32,6 +32,11 @@ Each estimate draws from one generator, ``default_rng(seed)``: the Monte
 Carlo pair choice first, then one binomial call for the shot readouts of
 every draw, in pair order.  Each shot-mode Q and each pair's mean Q come
 from exact integer sums of the counts.
+
+The product eigenvectors and eigenvalues of the 64 input Paulis are built on
+first use by one broadcast product of the single-site eigenbases
+(``register.kron_stack``).  The CLI imports this module only when
+``certify`` runs.
 """
 
 from __future__ import annotations
@@ -42,12 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import ideal_toffoli_choi
-from .register import checked_choi
+from .register import _check_count, checked_choi, kron_stack
 from .tomography import (
-    _check_count,
+    PAULI_AXES,
     _readout_probabilities,
     _unit_readout,
-    pauli_labels,
     standard_pauli_stack,
 )
 
@@ -97,14 +101,11 @@ def _relevant_toffoli_paulis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=1)
 def _eigenstates() -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(64, 8, 8)`` product eigenvectors v_mk (row k) and their eigenvalues."""
-    vectors = []
-    values = []
-    for labels in pauli_labels():
-        (vec_a, val_a), (vec_b, val_b), (vec_c, val_c) = (_EIGEN[c] for c in labels)
-        # column (i, j, k) of the Kronecker product is v_a[i] (x) v_b[j] (x) v_c[k]
-        vectors.append(np.kron(np.kron(vec_a, vec_b), vec_c).T)
-        values.append(np.kron(np.kron(val_a, val_b), val_c))
-    vectors, values = np.stack(vectors), np.stack(values)
+    # row k of the product of the transposes is column k of the Kronecker
+    # product of the eigenvector columns, v_a[i] (x) v_b[j] (x) v_c[k]
+    vecs = np.stack([_EIGEN[p][0].T for p in PAULI_AXES])
+    vals = np.stack([_EIGEN[p][1] for p in PAULI_AXES])
+    vectors, values = kron_stack(vecs, vecs, vecs), kron_stack(vals, vals, vals)
     vectors.setflags(write=False)
     values.setflags(write=False)
     return vectors, values

@@ -21,6 +21,12 @@ Within one process the noisy Toffoli is compiled once per distinct
 ``certify`` reads each distinct channel's eigenstate readout once; an op
 that repeats a recent channel reuses both and writes the same bytes.
 
+Only ``register``, ``gates`` and ``noise`` are imported with this module.
+The ``process-tomo`` runner imports ``tomography``, and the ``certify``
+runner ``certify`` (and through it ``tomography``), when it is called, so a
+truth table or a trace loads neither; argument checks and the exit-1 path
+read ``_check_count`` and ``ProjectionError`` from ``register``.
+
 Exit codes: 0 on success, 2 for invalid arguments or configuration files,
 1 for runtime failures such as a non-convergent projection.
 """
@@ -50,20 +56,7 @@ from .noise import (
     noise_model_from_config,
     parse_config_file,
 )
-from .register import QUBIT_KETS, basis_label
-from .tomography import (
-    BOOTSTRAP_CONFIDENCE,
-    bootstrap_ci,
-    chi_of_choi,
-    choi_from_records,
-    measure_output_records,
-    ml_projection,
-    pauli_labels,
-    process_fidelity,
-    ProjectionError,
-    _check_count,
-)
-from .certify import _relevant_toffoli_paulis, exhaustive_fidelity, monte_carlo_fidelity
+from .register import QUBIT_KETS, ProjectionError, _check_count, basis_label
 
 NOISE_CHOICES = ("ideal", "device", "custom")
 MONTE_CARLO_SAMPLES = 10000  # certify's draws when --samples is not given
@@ -132,6 +125,8 @@ def _toffoli_truth_table(model: NoiseModel | None, window: float) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _ideal_chi() -> np.ndarray:
     """Read-only chi of the target, formed once per process."""
+    from .tomography import chi_of_choi
+
     return chi_of_choi(ideal_toffoli_choi()).matrix
 
 
@@ -186,6 +181,17 @@ def _run_table1_trace(args: argparse.Namespace, model: NoiseModel | None) -> tup
 
 
 def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
+    from .tomography import (
+        BOOTSTRAP_CONFIDENCE,
+        bootstrap_ci,
+        chi_of_choi,
+        choi_from_records,
+        measure_output_records,
+        ml_projection,
+        pauli_labels,
+        process_fidelity,
+    )
+
     records = measure_output_records(
         _toffoli_choi(model, _spam_window(args)), shots=args.shots, seed=args.seed
     )
@@ -219,6 +225,9 @@ def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tup
 
 
 def _run_certify(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
+    from .certify import _relevant_toffoli_paulis, exhaustive_fidelity, monte_carlo_fidelity
+    from .tomography import pauli_labels
+
     choi = _toffoli_choi(model, _spam_window(args))
     payload = _common_meta(args)
     inputs, outputs, ideal = _relevant_toffoli_paulis()

@@ -8,12 +8,17 @@ eight kets with every site in level 0 or 1, listed in ``QUBIT_KETS`` in the
 order of the three-qubit basis |000>, |001>, ..., |111>.
 
 The module holds what the rest of the package builds on: site and basis
-indexing, the Pauli matrices, and ``checked_choi``, which makes the one
-representation of a three-qubit channel that tomography and certification
-read.  A Choi matrix is a read-only complex 64x64 numpy array; its producers
-pass it through ``checked_choi``, which validates its defining invariants,
-finiteness included, as ``_check_states`` does for the output states of a
-truth table.
+indexing, the Pauli matrices, ``kron_stack`` for the constant tables of
+three-site products, ``_check_count`` for every count argument, the
+``ProjectionError`` a failed CPTP projection raises, and ``checked_choi``,
+which makes the one representation of a three-qubit channel that
+tomography and certification read.  A Choi matrix is a read-only complex
+64x64 numpy array; its producers pass it through ``checked_choi``, which
+validates its defining invariants, finiteness included, as
+``_check_states`` does for the output states of a truth table.
+
+Every pipeline imports this module; ``cli`` reads ``_check_count`` and
+``ProjectionError`` from here, so neither makes it load ``tomography``.
 """
 
 from __future__ import annotations
@@ -63,6 +68,53 @@ def _check_states(states: np.ndarray, name: str) -> None:
     tr = float(np.trace(states, axis1=-2, axis2=-1).real.max())
     if tr >= 1.0 + ATOL:
         raise ValueError(f"{name} trace {tr} exceeds 1")
+
+
+def _check_count(value, name: str, minimum: int) -> int:
+    """A count such as shots, samples, resamples or Newton steps as an int.
+
+    A count that is not a whole number, is below ``minimum`` or does not fit
+    numpy's int64 raises ValueError: a binomial of a fractional shot count,
+    for one, would draw from the rounded-down count and divide by the
+    unrounded one, and numpy's samplers overflow above 2**63 - 1.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(
+            f"{name} must be non-negative" if minimum == 0 else f"{name} must be at least {minimum}"
+        )
+    if count > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must be at most 2**63 - 1")
+    return count
+
+
+class ProjectionError(RuntimeError):
+    """The CPTP projection did not converge within its Newton-step budget."""
+
+
+def kron_stack(a, b, c) -> np.ndarray:
+    """Every Kronecker product ``a[p] (x) b[q] (x) c[r]``, stacked with p slowest.
+
+    The factors are equal-shaped stacks of vectors or matrices.  One
+    broadcast product forms each entry as ``(a * b) * c``, the association
+    of ``np.kron(np.kron(a[p], b[q]), c[r])``, so the bits are the same.
+    The result is a new C-contiguous array of shape ``(n**3, *(d**3 for d
+    in shape))``.
+    """
+
+    def spread(factor, slot):
+        # stack axis to position ``slot`` of three; each factor axis likewise
+        return factor.reshape(
+            [len(factor) if t == slot else 1 for t in range(3)]
+            + [d if t == slot else 1 for d in factor.shape[1:] for t in range(3)]
+        )
+
+    a, b, c = (np.asarray(f) for f in (a, b, c))
+    product = (spread(a, 0) * spread(b, 1)) * spread(c, 2)
+    return product.reshape(-1, *(d**3 for d in a.shape[1:]))
 
 
 def site_index(site: int | str) -> int:

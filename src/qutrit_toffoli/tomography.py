@@ -17,20 +17,33 @@ orthogonality, Tr[B_m^dag B_n] = 8 delta_mn.  Site A is the
 slowest label, and per site the factor order is I, X, Y, Z, so the string
 "XZI" sits at index 16*1 + 4*3 + 0.  The two are related by one unitary,
 chi = W^dag J W, and chi is formed only there, by ``chi_of_choi``.
+
+The constant tables (the readout Pauli products and the 64 input states)
+are built on first use, each by one broadcast product of the four
+single-site factors (``register.kron_stack``), bit-identical to a chain of
+``np.kron`` calls per entry.  The CLI imports this module only when
+``process-tomo`` or ``certify`` runs.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
 from .gates import ideal_toffoli_choi, rotation_matrix_qutrit
-from .register import ATOL, PAULI, _readonly_complex, choi_of_unitary
+from .register import (
+    ATOL,
+    PAULI,
+    ProjectionError,
+    _check_count,
+    _readonly_complex,
+    choi_of_unitary,
+    kron_stack,
+)
 
 PREP_LABELS = ("id", "x90", "y90", "x180")
 PAULI_AXES = "IXYZ"
@@ -53,9 +66,8 @@ def pauli_labels() -> tuple[str, ...]:
 @functools.lru_cache(maxsize=1)
 def standard_pauli_stack() -> np.ndarray:
     """The 64 ordinary Pauli products used for readout, shape (64, 8, 8)."""
-    stack = np.stack(
-        [functools.reduce(np.kron, [PAULI[p] for p in labels]) for labels in pauli_labels()]
-    )
+    paulis = np.stack([PAULI[p] for p in PAULI_AXES])
+    stack = kron_stack(paulis, paulis, paulis)
     stack.setflags(write=False)
     return stack
 
@@ -88,34 +100,11 @@ def _input_qubit_matrices() -> np.ndarray:
     Every preparation pulse maps |0> into levels 0-1, so each input is the
     product of the pulses' first columns truncated to two levels.
     """
-    mats = []
-    for combo in itertools.product(PREP_LABELS, repeat=3):
-        amps = functools.reduce(np.kron, [_prep_matrix(label)[:2, 0] for label in combo])
-        mats.append(np.outer(amps, amps.conj()))
-    stack = np.stack(mats)
+    columns = np.stack([_prep_matrix(label)[:2, 0] for label in PREP_LABELS])
+    amps = kron_stack(columns, columns, columns)
+    stack = amps[:, :, None] * amps.conj()[:, None, :]
     stack.setflags(write=False)
     return stack
-
-
-def _check_count(value, name: str, minimum: int) -> int:
-    """A count such as shots, samples, resamples or Newton steps as an int.
-
-    A count that is not a whole number, is below ``minimum`` or does not fit
-    numpy's int64 raises ValueError: a binomial of a fractional shot count,
-    for one, would draw from the rounded-down count and divide by the
-    unrounded one, and numpy's samplers overflow above 2**63 - 1.
-    """
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
-    if count < minimum:
-        raise ValueError(
-            f"{name} must be non-negative" if minimum == 0 else f"{name} must be at least {minimum}"
-        )
-    if count > np.iinfo(np.int64).max:
-        raise ValueError(f"{name} must be at most 2**63 - 1")
-    return count
 
 
 def _readout_probabilities(expectations: np.ndarray) -> np.ndarray:
@@ -314,10 +303,6 @@ def _newton_direction(vals: np.ndarray, vecs: np.ndarray, grad: np.ndarray) -> n
         norm2, previous = np.vdot(residual, residual).real, norm2
         search = residual + (norm2 / previous) * search
     return direction
-
-
-class ProjectionError(RuntimeError):
-    """The CPTP projection did not converge within its Newton-step budget."""
 
 
 def ml_projection(

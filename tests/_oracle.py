@@ -37,20 +37,30 @@ It checks ``noise.circuit_truth_table``, which never builds one.
 "x180.id.id" for x180 on site A alone; ``tomography.Records`` states that
 order.
 
+``pauli_stack_reference``, ``input_states_reference`` and
+``eigenstates_reference`` build the constant tables of tomography and
+certification one product at a time, by ``functools.reduce(np.kron, ...)``
+as the package did before it formed them in one broadcast product
+(``register.kron_stack``); the tables must match them bit for bit.
+
 ``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
 alternating projections, with its own partial trace and TP step.  It shares
 no code with ``tomography.ml_projection``, which solves the dual by Newton.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
+from qutrit_toffoli.certify import _EIGEN
 from qutrit_toffoli.gates import XY_PULSE_NS, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
+from qutrit_toffoli.register import PAULI
 from qutrit_toffoli.tomography import (
     PAULI_AXES,
     PREP_LABELS,
+    _prep_matrix,
     pauli_labels,
     standard_pauli_stack,
 )
@@ -195,6 +205,31 @@ def device_channel8(rho8):
 def input_prep_labels():
     """Dot-joined site pulses of each tomography input, site A first and slowest."""
     return tuple(".".join(combo) for combo in itertools.product(PREP_LABELS, repeat=3))
+
+
+def pauli_stack_reference():
+    """The 64 Pauli products of ``tomography.standard_pauli_stack``, one kron chain each."""
+    return np.stack(
+        [functools.reduce(np.kron, [PAULI[p] for p in labels]) for labels in pauli_labels()]
+    )
+
+
+def input_states_reference():
+    """The 64 input states of ``tomography._input_qubit_matrices``, one kron chain each."""
+    states = []
+    for combo in itertools.product(PREP_LABELS, repeat=3):
+        amps = functools.reduce(np.kron, [_prep_matrix(label)[:2, 0] for label in combo])
+        states.append(np.outer(amps, amps.conj()))
+    return np.stack(states)
+
+
+def eigenstates_reference():
+    """``certify._eigenstates``: row k of entry m is the k-th column of the kron chain."""
+    vectors, values = [], []
+    for labels in pauli_labels():
+        vectors.append(functools.reduce(np.kron, [_EIGEN[p][0] for p in labels]).T)
+        values.append(functools.reduce(np.kron, [_EIGEN[p][1] for p in labels]))
+    return np.stack(vectors), np.stack(values)
 
 
 def choi_truth_table(choi):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from qutrit_toffoli import certify, gates, tomography
 from qutrit_toffoli.tomography import ProjectionError
 
 PIPELINES = ("truth-table", "table1-trace", "process-tomo", "certify")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv):
@@ -466,7 +471,8 @@ def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ProjectionError("did not converge")
 
-    monkeypatch.setattr(cli, "ml_projection", explode)
+    # the runner looks the projection up in ``tomography`` when it is called
+    monkeypatch.setattr(tomography, "ml_projection", explode)
     code = run_cli(
         [
             "process-tomo",
@@ -480,6 +486,50 @@ def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
     )
     assert code == 1
     assert "did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# Prints the package's loaded modules, after one pipeline run if given its argv.
+_LOADED_MODULES = """
+import json, sys
+import qutrit_toffoli
+if sys.argv[1:]:
+    from qutrit_toffoli import cli
+    assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "qutrit_toffoli")))
+"""
+
+
+@pytest.mark.parametrize(
+    "pipeline, extra",
+    [
+        (None, None),
+        ("truth-table", ()),
+        ("table1-trace", ()),
+        ("process-tomo", ("tomography",)),
+        ("certify", ("tomography", "certify")),
+    ],
+    ids=["bare-import", "truth-table", "table1-trace", "process-tomo", "certify"],
+)
+def test_a_pipeline_loads_only_the_modules_it_runs(tmp_path, pipeline, extra):
+    # A fresh interpreter: a module another test imported must not count.
+    argv = [] if pipeline is None else [pipeline, "--output", str(tmp_path / "o")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    if pipeline is None:  # a bare import loads no submodule
+        assert loaded == ["qutrit_toffoli"]
+    else:
+        modules = ("cli", "gates", "noise", "register") + extra
+        assert loaded == sorted(["qutrit_toffoli"] + [f"qutrit_toffoli.{m}" for m in modules])
 
 
 def test_version_flag(capsys):

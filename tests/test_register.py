@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -10,7 +11,9 @@ from qutrit_toffoli.register import (
     DIMS,
     QUBIT_KETS,
     SITE_NAMES,
+    ProjectionError,
     basis_label,
+    kron_stack,
     site_index,
 )
 
@@ -195,3 +198,20 @@ def test_public_exports_resolve():
     exec("from qutrit_toffoli import *", namespace)
     for name in qutrit_toffoli.__all__:
         assert namespace[name] is getattr(qutrit_toffoli, name)
+    assert set(qutrit_toffoli.__all__) <= set(dir(qutrit_toffoli))
+    tomography = qutrit_toffoli.tomography  # a submodule resolves as an attribute
+    assert tomography.__name__ == "qutrit_toffoli.tomography"
+    assert qutrit_toffoli.ProjectionError is tomography.ProjectionError is ProjectionError
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qutrit_toffoli.no_such_name
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (4, 2, 2), (3, 3, 2), (2, 1, 3)])
+def test_kron_stack_is_the_kron_chain_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    a, b, c = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3))
+    triples = np.ndindex(len(a), len(b), len(c))
+    expected = np.stack([functools.reduce(np.kron, [a[p], b[q], c[r]]) for p, q, r in triples])
+    built = kron_stack(a, b, c)
+    assert built.shape == expected.shape and built.flags.c_contiguous
+    assert built.tobytes() == expected.tobytes()

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from qutrit_toffoli import cli
-from qutrit_toffoli.certify import choi_of_channel, exhaustive_fidelity, monte_carlo_fidelity
+from qutrit_toffoli.certify import (
+    _eigenstates,
+    choi_of_channel,
+    exhaustive_fidelity,
+    monte_carlo_fidelity,
+)
 from qutrit_toffoli.gates import ideal_toffoli_unitary, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel, circuit_choi
 from qutrit_toffoli.register import PAULI, choi_of_unitary
@@ -32,7 +37,15 @@ from qutrit_toffoli.tomography import (
     _tp_residual,
 )
 
-from _oracle import device_channel8, dykstra_projection, input_prep_labels, project_tp
+from _oracle import (
+    device_channel8,
+    dykstra_projection,
+    eigenstates_reference,
+    input_prep_labels,
+    input_states_reference,
+    pauli_stack_reference,
+    project_tp,
+)
 
 
 def random_unitary(dim, rng):
@@ -158,6 +171,23 @@ def test_input_states_cover_all_preparations():
     # preparations never populate level 2
     for label in PREP_LABELS:
         assert _prep_matrix(label)[2, 0] == 0
+
+
+@pytest.mark.parametrize(
+    "table, reference",
+    [
+        (standard_pauli_stack, pauli_stack_reference),
+        (_input_qubit_matrices, input_states_reference),
+        (lambda: _eigenstates()[0], lambda: eigenstates_reference()[0]),
+        (lambda: _eigenstates()[1], lambda: eigenstates_reference()[1]),
+    ],
+    ids=["pauli-stack", "input-states", "eigenvectors", "eigenvalues"],
+)
+def test_constant_tables_are_their_kron_chains_bit_for_bit(table, reference):
+    built, expected = table(), reference()
+    assert built.dtype == expected.dtype and built.shape == expected.shape
+    assert built.tobytes() == expected.tobytes()
+    assert not built.flags.writeable and built.flags.c_contiguous
 
 
 def test_input_matrices_are_well_conditioned():

@@ -31,7 +31,6 @@ _EXPORTS = {
     "checked_choi": "register",
     "chi_of_unitary": "tomography",
     "choi_from_records": "tomography",
-    "choi_of_channel": "certify",
     "circuit_choi": "noise",
     "circuit_truth_table": "noise",
     "enumerate_relevant_paulis": "certify",

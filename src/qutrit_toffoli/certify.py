@@ -21,7 +21,7 @@ Liu, PRL 106, 230501 (2011)).
 
 Q_n is linear in the channel's Choi state, so the estimators take the
 64x64 Choi matrix of the channel under test (``noise.circuit_choi`` for the
-simulated gate, ``choi_of_channel`` for any other callable) and read every
+simulated gate, ``register.choi_of_unitary`` for a unitary) and read every
 eigenstate output off it.  A set of pairs is three aligned arrays: the
 input and output Pauli indices into ``pauli_labels()`` and the target
 correlations.  The relevant-pair readout of the last channel read is kept,
@@ -30,8 +30,12 @@ read it once.
 
 Each estimate draws from one generator, ``default_rng(seed)``: the Monte
 Carlo pair choice first, then one binomial call for the shot readouts of
-every draw, in pair order.  Each shot-mode Q and each pair's mean Q come
-from exact integer sums of the counts.
+every draw, in (pair, eigenstate, draw) order, so each of a pair's eight
+readout probabilities repeats once per draw of the pair in a row and
+numpy's sampler keeps its setup for it.  With one draw per pair, as in
+``exhaustive_fidelity``, that is (pair, eigenstate) order.  Each shot-mode Q
+and each pair's mean Q come from exact int64 sums of the counts; a shot
+count whose sums could overflow raises ValueError before anything is drawn.
 
 The product eigenvectors and eigenvalues of the 64 input Paulis are built on
 first use by one broadcast product of the single-site eigenbases
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import ideal_toffoli_choi
-from .register import _check_count, checked_choi, kron_stack
+from .register import _check_count, kron_stack
 from .tomography import (
     PAULI_AXES,
     _readout_probabilities,
@@ -70,13 +74,6 @@ _EIGEN = {
     ),
     "Z": (np.eye(2, dtype=complex), np.array([1.0, -1.0])),
 }
-
-def choi_of_channel(channel8) -> np.ndarray:
-    """Checked Choi matrix of the callable ``channel8``: block (i, j) is E(|i><j|) / 8."""
-    units = np.eye(64, dtype=complex).reshape(64, 8, 8)  # units[8i + j] = |i><j|
-    blocks = np.stack([channel8(unit.copy()) for unit in units]).reshape(8, 8, 8, 8)
-    return checked_choi(blocks.transpose(0, 2, 1, 3).reshape(64, 64) / 8.0)
-
 
 def enumerate_relevant_paulis(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``(inputs, outputs, ideal)`` of the pairs above ``RELEVANCE_CUTOFF``.
@@ -155,6 +152,21 @@ def _relevant_readout(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _READOUT_MEMO[key]
 
 
+def _check_shot_sums(shots: int, samples: int, name: str = "shots") -> None:
+    """Raise ValueError unless every int64 sum of ``_measured_correlations`` fits.
+
+    A draw's signed count sum is at most 8 shots in size, a pair's total over
+    its draws at most 8 shots samples, and the pair's shot total shots
+    samples, so shots <= (2**63 - 1) // (8 samples) keeps all three exact.
+    """
+    limit = np.iinfo(np.int64).max // (8 * samples)
+    if shots > limit:
+        raise ValueError(
+            f"{name} must be at most (2**63 - 1) // (8 * {samples}) = {limit},"
+            " so the count sums fit int64"
+        )
+
+
 def _measured_correlations(
     choi: np.ndarray, draws: np.ndarray, shots: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +177,10 @@ def _measured_correlations(
     one product over all pairs, with r_k the output Pauli's readout on input
     eigenstate k and lam_k = +-1 its eigenvalue.  Otherwise each readout is a
     count c_k of +1 outcomes in ``shots``, all drawn by one ``rng.binomial``
-    in pair order, and Q = (2 S / shots - sum_k lam_k) / 8 with the integer
-    S = sum_k lam_k c_k.  A pair's mean takes the sum of its S the same way,
-    so neither shot-mode result depends on a summation order.
+    in (pair, eigenstate, draw) order, and Q = (2 S / shots - sum_k lam_k) / 8
+    with the integer S = sum_k lam_k c_k.  A pair's mean takes the integer
+    sum of its S the same way, so neither shot-mode result depends on a
+    summation order.
     """
     lams, rows = _relevant_readout(choi)
     pair = np.repeat(np.arange(len(draws)), draws)
@@ -175,13 +188,27 @@ def _measured_correlations(
     if shots == 0:
         exact_q = (lams * rows).sum(1) / 8.0
         return exact_q[pair], np.where(drawn, exact_q, np.nan)
-    counts = rng.binomial(shots, _readout_probabilities(rows)[pair])
-    counts *= lams.astype(np.int8)[pair]
-    signed = counts.sum(1)
+    # value k of pair p repeats draws[p] times; the repeat counts are formed
+    # inline, so they are freed before the draw
+    counts = rng.binomial(
+        shots, np.repeat(_readout_probabilities(rows).ravel(), np.repeat(draws, 8))
+    )
+    counts *= np.repeat(lams.astype(np.int8).ravel(), np.repeat(draws, 8))
+    # Pair p's counts are an (8, draws[p]) block from 8 starts[p]: draw j of
+    # the pair order reads eigenstate k at j + 7 starts[p] + k draws[p].
+    starts = np.cumsum(draws) - draws
+    index = starts[pair]
+    index *= 7
+    index += np.arange(len(pair))
+    stride = draws[pair]
+    signed = counts[index]
+    for _ in range(7):
+        index += stride
+        signed += counts[index]
+    del counts, index, stride  # freed before the float arrays below are made
     lam_sums = lams.sum(1)
     measured = (2.0 * signed / shots - lam_sums[pair]) / 8.0
-    # integer sums below 2**53 are exact in float64
-    totals = np.bincount(pair, weights=signed, minlength=len(draws))[drawn]
+    totals = np.add.reduceat(signed, starts[drawn])
     means = np.full(len(draws), np.nan)
     means[drawn] = (2.0 * totals / (shots * draws[drawn]) - lam_sums[drawn]) / 8.0
     return measured, means
@@ -213,10 +240,13 @@ def monte_carlo_fidelity(
 
     Pairs are drawn with probability proportional to the squared target
     correlation; each draw contributes X = Q/P.  The estimate is the sample
-    mean, the standard error the sample deviation over sqrt(samples).
+    mean, the standard error the sample deviation over sqrt(samples).  More
+    than (2**63 - 1) // (8 samples) shots raise ValueError before any draw,
+    as the int64 count sums could overflow.
     """
     samples = _check_count(samples, "samples", 1)
     shots = _check_count(shots, "shots", 0)
+    _check_shot_sums(shots, samples)
     _, _, ideal = _relevant_toffoli_paulis()
     probs = ideal**2 / 64.0
     probs = probs / probs.sum()
@@ -232,8 +262,13 @@ def monte_carlo_fidelity(
 
 
 def exhaustive_fidelity(choi: np.ndarray, shots: int = 0, seed: int = 0) -> float:
-    """Deterministic variant measuring every relevant pair exactly once."""
+    """Deterministic variant measuring every relevant pair exactly once.
+
+    More than (2**63 - 1) // 8 = 2**60 - 1 shots raise ValueError before any
+    draw, as the int64 count sums could overflow.
+    """
     shots = _check_count(shots, "shots", 0)
+    _check_shot_sums(shots, 1)
     _, _, ideal = _relevant_toffoli_paulis()
     rng = np.random.default_rng(seed)
     measured, _ = _measured_correlations(choi, np.ones(len(ideal), int), shots, rng)

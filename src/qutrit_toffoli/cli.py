@@ -25,7 +25,9 @@ Only ``register``, ``gates`` and ``noise`` are imported with this module.
 The ``process-tomo`` runner imports ``tomography``, and the ``certify``
 runner ``certify`` (and through it ``tomography``), when it is called, so a
 truth table or a trace loads neither; argument checks and the exit-1 path
-read ``_check_count`` and ``ProjectionError`` from ``register``.
+read ``_check_count`` and ``ProjectionError`` from ``register``.  The
+``process-tomo`` and ``certify`` runners reject a ``--shots`` whose integer
+count sums could overflow before they compile or draw anything.
 
 Exit codes: 0 on success, 2 for invalid arguments or configuration files,
 1 for runtime failures such as a non-convergent projection.
@@ -183,6 +185,7 @@ def _run_table1_trace(args: argparse.Namespace, model: NoiseModel | None) -> tup
 def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
     from .tomography import (
         BOOTSTRAP_CONFIDENCE,
+        _check_bootstrap_shots,
         bootstrap_ci,
         chi_of_choi,
         choi_from_records,
@@ -192,6 +195,8 @@ def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tup
         process_fidelity,
     )
 
+    if args.bootstrap:  # before the records are drawn
+        _check_bootstrap_shots(args.shots, "--shots")
     records = measure_output_records(
         _toffoli_choi(model, _spam_window(args)), shots=args.shots, seed=args.seed
     )
@@ -225,9 +230,16 @@ def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tup
 
 
 def _run_certify(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
-    from .certify import _relevant_toffoli_paulis, exhaustive_fidelity, monte_carlo_fidelity
+    from .certify import (
+        _check_shot_sums,
+        _relevant_toffoli_paulis,
+        exhaustive_fidelity,
+        monte_carlo_fidelity,
+    )
     from .tomography import pauli_labels
 
+    samples = MONTE_CARLO_SAMPLES if args.samples is None else args.samples
+    _check_shot_sums(args.shots, 1 if args.exhaustive else samples, "--shots")
     choi = _toffoli_choi(model, _spam_window(args))
     payload = _common_meta(args)
     inputs, outputs, ideal = _relevant_toffoli_paulis()
@@ -241,7 +253,6 @@ def _run_certify(args: argparse.Namespace, model: NoiseModel | None) -> tuple[st
         }
         summary = f"certify: estimate={fidelity:.6f} (exhaustive, {n_relevant} strings)"
     else:
-        samples = MONTE_CARLO_SAMPLES if args.samples is None else args.samples
         result = monte_carlo_fidelity(choi, samples=samples, seed=args.seed, shots=args.shots)
         labels = pauli_labels()
         payload |= {

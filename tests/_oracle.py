@@ -26,6 +26,12 @@ so the level-2 terms of every map are exercised.
 Choi matrix by a direct four-index contraction, one label pair at a time.
 It checks ``certify.enumerate_relevant_paulis`` and the eigenstate readout.
 
+``choi_of_channel`` builds the checked Choi matrix of any callable channel
+on the three qubits by applying it to each of the 64 matrix units.  The
+package builds Choi matrices only of unitaries and of its own circuits, so
+this lets the tests build any channel, and check that a map that is not
+completely positive is rejected.
+
 ``basis_index``, ``computational_block`` and ``align_global_phase`` are the
 indexing and phase helpers that only tests need: the flat index of a ket,
 the qubit block of a 27x27 operator, and a rephasing onto a target.
@@ -56,7 +62,7 @@ import numpy as np
 from qutrit_toffoli.certify import _EIGEN
 from qutrit_toffoli.gates import XY_PULSE_NS, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
-from qutrit_toffoli.register import PAULI
+from qutrit_toffoli.register import PAULI, checked_choi
 from qutrit_toffoli.tomography import (
     PAULI_AXES,
     PREP_LABELS,
@@ -81,6 +87,13 @@ def embed(targets, matrix):
     perm = [order.index(s) for s in range(3)]
     tensor = full.reshape((3,) * 6).transpose(perm + [p + 3 for p in perm])
     return tensor.reshape(27, 27)
+
+
+def choi_of_channel(channel8):
+    """Checked Choi matrix of the callable ``channel8``: block (i, j) is E(|i><j|) / 8."""
+    units = np.eye(64, dtype=complex).reshape(64, 8, 8)  # units[8i + j] = |i><j|
+    blocks = np.stack([channel8(unit.copy()) for unit in units]).reshape(8, 8, 8, 8)
+    return checked_choi(blocks.transpose(0, 2, 1, 3).reshape(64, 64) / 8.0)
 
 
 def basis_index(digits):

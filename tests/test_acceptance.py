@@ -17,7 +17,6 @@ import qutrit_toffoli.cli as cli
 import qutrit_toffoli.noise as noise
 from qutrit_toffoli.certify import (
     _eigenstate_readout,
-    choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
     ideal_toffoli_choi,
@@ -50,7 +49,13 @@ from qutrit_toffoli.tomography import (
     process_fidelity,
 )
 
-from _oracle import align_global_phase, basis_index, choi_expectation_direct, computational_block
+from _oracle import (
+    align_global_phase,
+    basis_index,
+    choi_expectation_direct,
+    choi_of_channel,
+    computational_block,
+)
 
 
 @contextlib.contextmanager

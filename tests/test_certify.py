@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from qutrit_toffoli.certify import (
     RELEVANCE_CUTOFF,
     _eigenstate_readout,
     _eigenstates,
+    _measured_correlations,
     _relevant_readout,
-    choi_of_channel,
     enumerate_relevant_paulis,
     exhaustive_fidelity,
     ideal_toffoli_choi,
@@ -30,7 +31,7 @@ from qutrit_toffoli.tomography import (
     process_fidelity,
 )
 
-from _oracle import CUSTOM_MODEL, choi_expectation_direct, device_channel8
+from _oracle import CUSTOM_MODEL, choi_expectation_direct, choi_of_channel, device_channel8
 
 
 def random_unitary(dim, rng):
@@ -357,8 +358,9 @@ def test_monte_carlo_shot_mode():
 
 
 def test_monte_carlo_shot_readout_matches_integer_count_oracle():
-    # replays the one stream, pair choice then one binomial over every draw's
-    # readout probabilities in pair order, and rebuilds each Q from its counts
+    # replays the one stream, pair choice then one binomial over the readout
+    # probabilities in (pair, eigenstate, draw) order, and rebuilds each Q
+    # from its counts
     choi = device_choi()
     result = monte_carlo_fidelity(choi, samples=3000, seed=5, shots=1000)
     exact, eigenvalues = _eigenstate_readout(choi)
@@ -367,15 +369,25 @@ def test_monte_carlo_shot_readout_matches_integer_count_oracle():
     probs = ideal**2 / np.sum(ideal**2)
     chosen = rng.choice(len(ideal), size=3000, p=probs)
     assert np.array_equal(result.draws, np.bincount(chosen, minlength=len(ideal)))
-    pair = np.repeat(np.arange(len(ideal)), result.draws)
-    counts = rng.binomial(1000, _readout_probabilities(exact[inputs, :, outputs])[pair])
+    probabilities = _readout_probabilities(exact[inputs, :, outputs]).tolist()
+    flat = [
+        p
+        for row, draws in zip(probabilities, result.draws.tolist())
+        for p in row
+        for _ in range(draws)
+    ]
+    counts = rng.binomial(1000, np.array(flat)).tolist()
     assert set(np.unique(eigenvalues)) == {-1.0, 1.0}
-    x, totals = [], dict.fromkeys(range(len(ideal)), 0)
-    for index, row in zip(pair.tolist(), counts.tolist()):
+    x, totals, start = [], dict.fromkeys(range(len(ideal)), 0), 0
+    for index, draws in enumerate(result.draws.tolist()):
         lams = [int(lam) for lam in eigenvalues[inputs[index]]]
-        signed = sum(lam * count for lam, count in zip(lams, row))
-        x.append((2.0 * signed / 1000 - sum(lams)) / 8.0 / float(ideal[index]))
-        totals[index] += signed
+        block = counts[start : start + 8 * draws]  # eigenstate k, draw t at k * draws + t
+        start += 8 * draws
+        for t in range(draws):
+            signed = sum(lam * block[k * draws + t] for k, lam in enumerate(lams))
+            x.append((2.0 * signed / 1000 - sum(lams)) / 8.0 / float(ideal[index]))
+            totals[index] += signed
+    assert start == len(counts) == 8 * 3000
     for index, draws in enumerate(result.draws.tolist()):
         if draws == 0:
             assert np.isnan(result.mean_values[index])
@@ -388,6 +400,46 @@ def test_monte_carlo_shot_readout_matches_integer_count_oracle():
     assert result.stderr == float(np.std(x, ddof=1) / np.sqrt(3000))
     assert not any(arr.flags.writeable for arr in _eigenstates())
     assert not result.draws.flags.writeable and not result.mean_values.flags.writeable
+
+
+def test_single_draws_replay_the_row_major_readout_stream():
+    # with one draw per pair, (pair, eigenstate, draw) order is the
+    # (pair, eigenstate) order of one binomial over the (232, 8) probabilities
+    choi = device_choi()
+    lams, rows = _relevant_readout(choi)
+    ones = np.ones(len(rows), dtype=int)
+    measured, means = _measured_correlations(choi, ones, 1000, np.random.default_rng(5))
+    counts = np.random.default_rng(5).binomial(1000, _readout_probabilities(rows))
+    signed = (counts * lams.astype(int)).sum(1)
+    expected = (2.0 * signed / 1000 - lams.sum(1)) / 8.0
+    assert measured.tobytes() == expected.tobytes()
+    assert means.tobytes() == expected.tobytes()
+    _, _, ideal = enumerate_relevant_paulis(ideal_toffoli_choi())
+    assert exhaustive_fidelity(choi, shots=1000, seed=5) == float(ideal @ expected / 64.0)
+
+
+def test_shot_bounds_keep_the_count_sums_in_int64(monkeypatch):
+    # shots=2**62 at 50 samples overflowed the signed sums to 0.5419 (exact
+    # 0.7219); at each bound the estimate is the exact-mode one to 1e-6
+    choi = device_choi()
+    bound = (2**63 - 1) // (8 * 50)
+    exact = monte_carlo_fidelity(choi, samples=50, seed=1)
+    sampled = monte_carlo_fidelity(choi, samples=50, seed=1, shots=bound)
+    assert np.array_equal(sampled.draws, exact.draws)
+    assert abs(sampled.estimate - exact.estimate) < 1e-6
+    drawn = exact.draws > 0
+    assert np.max(np.abs(sampled.mean_values[drawn] - exact.mean_values[drawn])) < 1e-6
+    assert 2**60 - 1 == (2**63 - 1) // 8
+    exhaustive = exhaustive_fidelity(choi, shots=2**60 - 1, seed=1)
+    assert abs(exhaustive - exhaustive_fidelity(choi)) < 1e-6
+    build, built = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or build(*a))
+    for shots in (bound + 1, 2**62, 2**63 - 1):
+        with pytest.raises(ValueError, match=re.escape(f"// (8 * 50) = {bound},")):
+            monte_carlo_fidelity(choi, samples=50, seed=1, shots=shots)
+    with pytest.raises(ValueError, match=re.escape(f"// (8 * 1) = {2**60 - 1},")):
+        exhaustive_fidelity(choi, shots=2**60, seed=1)
+    assert built == []  # raised before any draw
 
 
 def test_each_estimate_calls_choice_once_and_binomial_at_most_once(monkeypatch):
@@ -478,8 +530,8 @@ def test_certification_reference_values():
     # so it must match bit for bit; exact mode may differ in rounding.
     choi = device_choi()
     sampled = monte_carlo_fidelity(choi, samples=10000, seed=5, shots=1000)
-    assert sampled.estimate == 0.7279862750000002
-    assert sampled.stderr == 0.0010056127653032317
+    assert sampled.estimate == 0.7280335000000001
+    assert sampled.stderr == 0.001006885072031475
     assert exhaustive_fidelity(choi, shots=1000, seed=5) == 0.7273749999999999
     exact = monte_carlo_fidelity(choi, samples=10000, seed=0)
     assert exact.estimate == pytest.approx(0.7275412318962139, abs=1e-12)

@@ -246,6 +246,12 @@ def test_no_spam_raises_fidelity(tmp_path, capsys):
         ["certify", "--exhaustive", "--samples", "5"],
         # the ideal channel has no decoherence windows to drop
         *([pipeline, "--noise", "ideal", "--no-spam"] for pipeline in PIPELINES),
+        # shot counts whose int64 count sums could overflow: certify wrote an
+        # estimate of -0.268 at 2**63 - 1 shots
+        ["certify", "--shots", str(2**63 - 1)],
+        ["certify", "--shots", str(2**60), "--exhaustive"],
+        ["certify", "--shots", str((2**63 - 1) // 80 + 1), "--samples", "10"],
+        ["process-tomo", "--shots", str((2**63 - 1) // 1952 + 1), "--bootstrap", "2"],
     ],
 )
 def test_invalid_configuration_exits_2(argv, tmp_path, capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qutrit_toffoli import certify
-from qutrit_toffoli.certify import choi_of_channel
 from qutrit_toffoli.gates import (
     ccphase_circuit,
     exchange_matrix,
@@ -21,7 +20,13 @@ from qutrit_toffoli.gates import (
 from qutrit_toffoli.noise import NoiseModel, circuit_truth_table
 from qutrit_toffoli.register import PAULI
 
-from _oracle import align_global_phase, basis_index, choi_truth_table, computational_block
+from _oracle import (
+    align_global_phase,
+    basis_index,
+    choi_of_channel,
+    choi_truth_table,
+    computational_block,
+)
 
 
 def expm_oracle(hermitian: np.ndarray) -> np.ndarray:

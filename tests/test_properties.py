@@ -9,7 +9,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from qutrit_toffoli.certify import choi_of_channel  # noqa: E402
 from qutrit_toffoli.gates import Circuit, GateOp, toffoli_circuit  # noqa: E402
 from qutrit_toffoli.noise import (  # noqa: E402
     _CONFIG_KEYS,
@@ -21,7 +20,7 @@ from qutrit_toffoli.noise import (  # noqa: E402
 )
 from qutrit_toffoli.tomography import _tp_residual, ml_projection  # noqa: E402
 
-from _oracle import CUSTOM_MODEL, qubit_block_oracle  # noqa: E402
+from _oracle import CUSTOM_MODEL, choi_of_channel, qubit_block_oracle  # noqa: E402
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

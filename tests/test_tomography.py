@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from qutrit_toffoli import cli
 from qutrit_toffoli.certify import (
     _eigenstates,
-    choi_of_channel,
     exhaustive_fidelity,
     monte_carlo_fidelity,
 )
@@ -38,6 +38,7 @@ from qutrit_toffoli.tomography import (
 )
 
 from _oracle import (
+    choi_of_channel,
     device_channel8,
     dykstra_projection,
     eigenstates_reference,
@@ -575,11 +576,12 @@ def test_counts_beyond_int64_raise_value_error():
 
 
 def test_bootstrap_matches_reference_interval():
-    # interval of the one-generator records and resample streams for these inputs
+    # interval of the one-generator records and setting-major resample
+    # streams for these inputs
     records = measure_output_records(device_toffoli_choi(), shots=1000, seed=5)
     lo, hi = bootstrap_ci(records, resamples=200, seed=5)
-    assert lo == pytest.approx(0.7223714843750001, abs=1e-12)
-    assert hi == pytest.approx(0.733980859375, abs=1e-12)
+    assert lo == pytest.approx(0.7227582031249999, abs=1e-12)
+    assert hi == pytest.approx(0.735591796875, abs=1e-12)
 
 
 def generators_built(monkeypatch):
@@ -644,20 +646,27 @@ def test_fidelity_weights_are_exact_multiples_of_one_512th():
     assert set(np.abs(512.0 * support).tolist()) == {1.0, 2.0, 4.0}
 
 
+def setting_major_counts(records, resamples, seed):
+    """One ``(1120, resamples)`` draw: each weighed setting's resamples adjacent."""
+    support = _fidelity_weights() != 0.0
+    probabilities = tomography._readout_probabilities(records.values[support])
+    rng = np.random.default_rng([seed, 1])
+    return rng.binomial(records.shots, np.repeat(probabilities, resamples)).reshape(-1, resamples)
+
+
 def bootstrap_per_resample_inversion(records, resamples, seed, confidence=0.90):
     """The interval from a full linear inversion of every resample.
 
-    Each resample redraws the settings the fidelity weighs, in row-major
-    order, and holds every other record at its observed value.
+    Resample r sets the settings the fidelity weighs to column r of one
+    setting-major draw and holds every other record at its observed value.
     """
     ideal = choi_of_unitary(ideal_toffoli_unitary())
     support = _fidelity_weights() != 0.0
+    counts = setting_major_counts(records, resamples, seed)
     stats = []
-    rng = np.random.default_rng([seed, 1])
-    probabilities = tomography._readout_probabilities(records.values[support])
-    for _ in range(resamples):
+    for column in counts.T:
         values = records.values.copy()
-        values[support] = tomography._binomial_readout(rng, records.shots, probabilities)
+        values[support] = 2.0 * column / records.shots - 1.0
         stats.append(process_fidelity(choi_from_records(Records(values, records.shots)), ideal))
     alpha = 1.0 - confidence
     return tuple(np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0]))
@@ -673,12 +682,18 @@ def test_bootstrap_matches_per_resample_inversion(seed):
 
 def test_bootstrap_draws_once_per_resample_and_never_inverts(monkeypatch):
     records = measure_output_records(device_toffoli_choi(), shots=300, seed=19)
-    draws, inversions, probabilities = [], [], []
-    readout, invert = tomography._binomial_readout, tomography.choi_from_records
-    to_probabilities = tomography._readout_probabilities
-    monkeypatch.setattr(
-        tomography, "_binomial_readout", lambda *a: draws.append(a[2].shape) or readout(*a)
-    )
+    build, draws, inversions, probabilities = np.random.default_rng, [], [], []
+
+    class CountingGenerator:
+        def __init__(self, *args):
+            self.rng = build(*args)
+
+        def binomial(self, n, p, size):
+            draws.append(size)
+            return self.rng.binomial(n, p, size)
+
+    invert, to_probabilities = tomography.choi_from_records, tomography._readout_probabilities
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
     monkeypatch.setattr(
         tomography, "choi_from_records", lambda r: inversions.append(None) or invert(r)
     )
@@ -687,12 +702,62 @@ def test_bootstrap_draws_once_per_resample_and_never_inverts(monkeypatch):
         "_readout_probabilities",
         lambda v: probabilities.append(None) or to_probabilities(v),
     )
+    # every value of the 1120 weighed settings is drawn once, in blocks of
+    # whole settings of at most BOOTSTRAP_CHUNK values: a block holds 442
+    # settings of 37 resamples, so three blocks, or 81 of 200, so fourteen
+    assert tomography.BOOTSTRAP_CHUNK // 37 == 442
     bootstrap_ci(records, resamples=37, seed=2)
-    # one draw per resample, over the 1120 settings the fidelity weighs
-    assert draws == [(1120,)] * 37
+    assert draws == [(442, 37)] * 2 + [(236, 37)]
+    draws.clear()
+    bootstrap_ci(records, resamples=200, seed=2)
+    assert draws == [(81, 200)] * 13 + [(67, 200)]
     assert len(inversions) == 0
     # the records do not change between resamples, nor do their probabilities
-    assert len(probabilities) == 1
+    assert len(probabilities) == 2
+
+
+@pytest.mark.parametrize("resamples, settings", [(2, 1120), (7, 1120), (201, 1120), (70000, 3)])
+def test_chunked_bootstrap_draw_equals_one_draw(resamples, settings):
+    # all 1120 settings at 70 000 resamples would be one 627 MB draw, so that
+    # case takes three; past BOOTSTRAP_CHUNK resamples every block is one setting
+    records = measure_output_records(device_toffoli_choi(), shots=1000, seed=5)
+    support = _fidelity_weights() != 0.0
+    probabilities = tomography._readout_probabilities(records.values[support])[:settings]
+    blocks = list(
+        tomography._setting_major_counts(
+            np.random.default_rng(9), 1000, probabilities, resamples
+        )
+    )
+    rows = max(1, tomography.BOOTSTRAP_CHUNK // resamples)
+    assert [start for start, _ in blocks] == list(range(0, settings, rows))
+    assert all(block.size <= max(tomography.BOOTSTRAP_CHUNK, resamples) for _, block in blocks)
+    whole = np.random.default_rng(9).binomial(1000, np.repeat(probabilities, resamples))
+    assert np.array_equal(np.vstack([block for _, block in blocks]).ravel(), whole)
+
+
+@pytest.mark.parametrize("shots", [7, 1000])
+def test_bootstrap_integer_sum_equals_the_fidelity_functional(shots):
+    records = measure_output_records(device_toffoli_choi(), shots=shots, seed=5)
+    stats = tomography._resampled_fidelities(records, 50, 5)
+    counts = setting_major_counts(records, 50, 5)
+    weights = _fidelity_weights()[_fidelity_weights() != 0.0]
+    functional = weights @ (2.0 * counts / shots - 1.0)
+    assert np.max(np.abs(stats - functional)) < 1e-15
+
+
+def test_bootstrap_shot_bound_keeps_the_integer_sums_in_int64(monkeypatch):
+    # the 1120 weighed multiples m_i = 512 w_i have sum |m_i| = 1952, so a
+    # score's sum of m_i k_i stays below 2**63 while every k_i <= shots <= bound
+    bound = (2**63 - 1) // 1952
+    assert np.abs(tomography._bootstrap_terms()[1]).sum() == 1952
+    records = measure_output_records(device_toffoli_choi(), shots=bound, seed=5)
+    point = np.vdot(_fidelity_weights(), records.values)
+    lo, hi = bootstrap_ci(records, resamples=2, seed=5)
+    assert point - 1e-6 < lo <= hi < point + 1e-6
+    built = generators_built(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(f"at most (2**63 - 1) // 1952 = {bound} ")):
+        bootstrap_ci(Records(records.values, shots=bound + 1), resamples=2)
+    assert built == []  # raised before any draw
 
 
 def test_binomial_readout_reads_float_noise_as_exact_zero():

@@ -49,7 +49,8 @@ print()
 
 # Error bars come from parametric resampling of the measurement records.
 # The raw fidelity weighs only 1120 of the 4096 settings, so each resample
-# redraws those, in row-major order; the rest cannot move the score.  The
+# redraws those; the rest cannot move the score.  Settings of equal weight
+# and observed frequency are redrawn together, as one binomial count.  The
 # resamples draw from a random stream of their own, so passing the records'
 # seed again does not replay the noise already in them.
 low, high = bootstrap_ci(records, resamples=100, seed=7)

@@ -7,16 +7,16 @@ levels reduce the reconstructed trace, and the deficit is reported rather
 than renormalized away.
 
 The estimators (linear inversion, the least-squares projection onto CPTP
-maps by dual Newton, the bootstrap) take and return the normalized Choi
-matrix J as a read-only complex 64x64 array, the form every channel has
-(``register.checked_choi``).  ``process_tomo.json`` reports the process
-matrix chi of E(rho) = sum_mn chi_mn B_m rho B_n^dag, in a basis of 64 real
-three-fold products of {1, sigma_x, -i sigma_y, sigma_z}; replacing sigma_y
-by its real counterpart keeps every basis matrix real while preserving
-orthogonality, Tr[B_m^dag B_n] = 8 delta_mn.  Site A is the
-slowest label, and per site the factor order is I, X, Y, Z, so the string
-"XZI" sits at index 16*1 + 4*3 + 0.  The two are related by one unitary,
-chi = W^dag J W, and chi is formed only there, by ``chi_of_choi``.
+maps by dual Newton, the bootstrap by pooled binomial counts) take and
+return the normalized Choi matrix J as a read-only complex 64x64 array, the
+form every channel has (``register.checked_choi``).  ``process_tomo.json``
+reports the process matrix chi of E(rho) = sum_mn chi_mn B_m rho B_n^dag,
+in a basis of 64 real three-fold products of {1, sigma_x, -i sigma_y,
+sigma_z}; replacing sigma_y by its real counterpart keeps every basis
+matrix real while preserving orthogonality, Tr[B_m^dag B_n] = 8 delta_mn.
+Site A is the slowest label, and per site the factor order is I, X, Y, Z,
+so the string "XZI" sits at index 16*1 + 4*3 + 0.  The two are related by
+one unitary, chi = W^dag J W, and chi is formed only there, by ``chi_of_choi``.
 
 The constant tables (the readout Pauli products and the 64 input states)
 are built on first use, each by one broadcast product of the four
@@ -351,7 +351,7 @@ def ml_projection(
     return proj
 
 
-# Values per binomial call of ``bootstrap_ci``: whole settings are drawn in
+# Values per binomial call of ``bootstrap_ci``: whole classes are drawn in
 # blocks of about this size, so memory stays O(resamples).  A block is then
 # 128 KB of counts; 512 KB blocks measured 0.26 MB more peak RSS per op.
 BOOTSTRAP_CHUNK = 16384
@@ -373,7 +373,7 @@ def _check_bootstrap_shots(shots: int, name: str = "shots") -> None:
 
     A score sums multiples m_i times counts k_i <= shots, so its size is at
     most shots sum |m_i| = 1952 shots, which fits int64 while shots <=
-    (2**63 - 1) // 1952.
+    (2**63 - 1) // 1952, and so does a class's pooled shots x size <= 1120 shots.
     """
     weight = int(np.abs(_bootstrap_terms()[1]).sum())
     limit = np.iinfo(np.int64).max // weight
@@ -384,19 +384,13 @@ def _check_bootstrap_shots(shots: int, name: str = "shots") -> None:
         )
 
 
-def _setting_major_counts(
-    rng: np.random.Generator, shots: int, probabilities: np.ndarray, resamples: int
-):
-    """Yield ``(start, counts)``: the row blocks of one ``(settings, resamples)`` binomial draw.
-
-    Each block holds whole settings, at most ``BOOTSTRAP_CHUNK`` values or
-    one setting, and the blocks in turn draw exactly the values that one
-    draw of the whole setting-major array draws.
-    """
-    rows = max(1, BOOTSTRAP_CHUNK // resamples)
-    for start in range(0, len(probabilities), rows):
-        block = probabilities[start : start + rows, None]
-        yield start, rng.binomial(shots, block, size=(len(block), resamples))
+def _bootstrap_classes(p: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First setting and size of each class of settings with equal (m_i, p_i), in setting order."""
+    order = np.lexsort((p, m))  # stable, so a class's first setting leads it
+    new = np.concatenate(([True], (np.diff(p[order]) != 0) | (np.diff(m[order]) != 0)))
+    starts = np.flatnonzero(new)
+    by_first = np.argsort(order[starts])
+    return order[starts][by_first], np.diff(starts, append=len(order))[by_first]
 
 
 def _resampled_fidelities(records: Records, resamples: int, seed: int) -> np.ndarray:
@@ -404,45 +398,51 @@ def _resampled_fidelities(records: Records, resamples: int, seed: int) -> np.nda
 
     With m_i = 512 w_i the whole-number weights and k_i a resample's count
     for setting i, the fidelity <w, 2k/shots - 1> is (2 S / shots - sum m_i)
-    / 512 with the exact integer S = sum m_i k_i.
+    / 512 with the exact integer S = sum m_i k_i.  The counts of a class sum
+    to one Binomial(shots x size, p) count, so S draws one count per class.
     """
     _check_bootstrap_shots(records.shots)
     support, multiples = _bootstrap_terms()
     probabilities = _readout_probabilities(records.values.ravel()[support])
+    firsts, sizes = _bootstrap_classes(probabilities, multiples)
     rng = np.random.default_rng([seed, 1])
     sums = np.zeros(resamples, dtype=np.int64)
-    for start, counts in _setting_major_counts(rng, records.shots, probabilities, resamples):
-        sums += multiples[start : start + len(counts)] @ counts
+    rows = max(1, BOOTSTRAP_CHUNK // resamples)
+    for start in range(0, len(firsts), rows):
+        block, trials = firsts[start : start + rows], records.shots * sizes[start : start + rows]
+        counts = rng.binomial(trials[:, None], probabilities[block, None], (len(block), resamples))
+        sums += multiples[block] @ counts
         del counts  # freed before the next block is drawn
     return (2.0 * sums / records.shots - multiples.sum()) / 512.0
 
 
-def bootstrap_ci(
-    records: Records,
-    *,
-    resamples: int = 200,
-    seed: int = 0,
-) -> tuple[float, float]:
+def _linear_percentiles(values: np.ndarray, quantiles: list[float]) -> np.ndarray:
+    """``np.quantile(values, quantiles)`` bit for bit, which would import ``numpy.ma``."""
+    ordered = np.sort(values)
+    index = (len(ordered) - 1) * np.asarray(quantiles)
+    below = index.astype(np.intp)  # the floor, as index >= 0
+    a, b = ordered[below], ordered[np.minimum(below + 1, len(ordered) - 1)]
+    t = index - below
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)  # numpy's _lerp
+
+
+def bootstrap_ci(records: Records, *, resamples: int = 200, seed: int = 0) -> tuple[float, float]:
     """``BOOTSTRAP_CONFIDENCE`` percentile interval under parametric binomial resampling.
 
     Each resample scores the raw linear-inversion process fidelity against
     the ideal gate, the fixed linear functional ``_fidelity_weights()`` of
     the records.  Only the 1120 settings that functional weighs are redrawn,
-    each around its observed frequency; the other records carry zero weight
-    and cannot move the score.  The resamples are one setting-major
-    ``(1120, resamples)`` draw from ``default_rng([seed, 1])``, a stream
-    disjoint from the records' ``default_rng(seed)``: each setting's
-    resamples are adjacent, so numpy's sampler reuses its setup for them,
-    and the blocks of ``BOOTSTRAP_CHUNK`` values it is drawn in leave the
-    stream unchanged.  Each score is an exact integer sum of counts.
-
-    Exact-mode records, and more than (2**63 - 1) // 1952 = 4725088133634618
-    shots, whose sums could overflow int64, raise ValueError before any draw.
+    each around its observed frequency.  Settings of equal weight and
+    probability pool into one binomial count per resample, drawn class by
+    class in order of first setting, each class's resamples adjacent so that
+    numpy's sampler reuses its setup, from ``default_rng([seed, 1])``, a
+    stream disjoint from the records'.  Exact-mode records, and more than
+    (2**63 - 1) // 1952 = 4725088133634618 shots, whose int64 count sums
+    could overflow, raise ValueError before any draw.
     """
     if records.shots == 0:
         raise ValueError("bootstrap requires shot-based records")
-    resamples = _check_count(resamples, "resamples", 2)
-    stats = _resampled_fidelities(records, resamples, seed)
+    stats = _resampled_fidelities(records, _check_count(resamples, "resamples", 2), seed)
     alpha = 1.0 - BOOTSTRAP_CONFIDENCE
-    lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lo, hi = _linear_percentiles(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)

@@ -538,6 +538,23 @@ def test_a_pipeline_loads_only_the_modules_it_runs(tmp_path, pipeline, extra):
         assert loaded == sorted(["qutrit_toffoli"] + [f"qutrit_toffoli.{m}" for m in modules])
 
 
+def test_a_bootstrap_run_never_loads_numpy_ma(tmp_path):
+    # np.quantile and np.unique import numpy.ma (14-17 ms and 1.5 MB on first
+    # use); a fresh interpreter shows whether either crept back in
+    script = (
+        "import sys\nfrom qutrit_toffoli import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)"
+    )
+    argv = ["process-tomo", "--shots", "100", "--bootstrap", "10", "--output", str(tmp_path)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["--version"])

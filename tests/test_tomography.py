@@ -576,12 +576,12 @@ def test_counts_beyond_int64_raise_value_error():
 
 
 def test_bootstrap_matches_reference_interval():
-    # interval of the one-generator records and setting-major resample
-    # streams for these inputs
+    # interval of the one-generator records and the pooled class-major
+    # resample stream for these inputs
     records = measure_output_records(device_toffoli_choi(), shots=1000, seed=5)
     lo, hi = bootstrap_ci(records, resamples=200, seed=5)
-    assert lo == pytest.approx(0.7227582031249999, abs=1e-12)
-    assert hi == pytest.approx(0.735591796875, abs=1e-12)
+    assert lo == pytest.approx(0.7222513671874999, abs=1e-12)
+    assert hi == pytest.approx(0.7348695312500001, abs=1e-12)
 
 
 def generators_built(monkeypatch):
@@ -646,12 +646,51 @@ def test_fidelity_weights_are_exact_multiples_of_one_512th():
     assert set(np.abs(512.0 * support).tolist()) == {1.0, 2.0, 4.0}
 
 
+def weighed(records):
+    """Probabilities and int64 multiples m_i = 512 w_i of the 1120 weighed settings."""
+    support = _fidelity_weights() != 0.0
+    multiples = np.rint(512.0 * _fidelity_weights()[support]).astype(np.int64)
+    return tomography._readout_probabilities(records.values[support]), multiples
+
+
 def setting_major_counts(records, resamples, seed):
     """One ``(1120, resamples)`` draw: each weighed setting's resamples adjacent."""
-    support = _fidelity_weights() != 0.0
-    probabilities = tomography._readout_probabilities(records.values[support])
+    probabilities, _ = weighed(records)
     rng = np.random.default_rng([seed, 1])
     return rng.binomial(records.shots, np.repeat(probabilities, resamples)).reshape(-1, resamples)
+
+
+def class_major_counts(records, resamples, seed):
+    """First settings and sizes of the classes, and one pooled ``(classes, resamples)`` draw."""
+    probabilities, multiples = weighed(records)
+    firsts, sizes = tomography._bootstrap_classes(probabilities, multiples)
+    rng = np.random.default_rng([seed, 1])
+    counts = rng.binomial(
+        np.repeat(records.shots * sizes, resamples), np.repeat(probabilities[firsts], resamples)
+    )
+    return firsts, sizes, counts.reshape(-1, resamples)
+
+
+def distinct_probability_records(seed, shots=1000):
+    """Shot records whose 1120 weighed settings all have different probabilities."""
+    return Records(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(64, 64)), shots)
+
+
+def counting_generators(monkeypatch):
+    """``(n, p, size, counts)`` of each ``binomial`` call of the generators built from now on."""
+    build, draws = np.random.default_rng, []
+
+    class CountingGenerator:
+        def __init__(self, *args):
+            self.rng = build(*args)
+
+        def binomial(self, n, p, size=None):
+            counts = self.rng.binomial(n, p, size)
+            draws.append((n, p, size, counts))
+            return counts
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    return draws
 
 
 def bootstrap_per_resample_inversion(records, resamples, seed, confidence=0.90):
@@ -673,91 +712,151 @@ def bootstrap_per_resample_inversion(records, resamples, seed, confidence=0.90):
 
 
 @pytest.mark.parametrize("seed", [5, 17])
-def test_bootstrap_matches_per_resample_inversion(seed):
-    records = measure_output_records(device_toffoli_choi(), shots=1000, seed=seed)
-    got = bootstrap_ci(records, resamples=200, seed=seed)
+def test_bootstrap_matches_per_resample_inversion(monkeypatch, seed):
+    # with every weighed setting a class of its own, the pooled draw is the
+    # setting-major draw bit for bit, which a full inversion can replay
+    records = distinct_probability_records(seed)
+    firsts, sizes = tomography._bootstrap_classes(*weighed(records))
+    assert np.array_equal(firsts, np.arange(1120)) and (sizes == 1).all()
+    expected_counts = setting_major_counts(records, 200, seed)
     expected = bootstrap_per_resample_inversion(records, 200, seed)
+    draws = counting_generators(monkeypatch)
+    got = bootstrap_ci(records, resamples=200, seed=seed)
+    assert np.array_equal(np.vstack([counts for *_, counts in draws]), expected_counts)
     assert np.max(np.abs(np.subtract(got, expected))) < 1e-14
 
 
 def test_bootstrap_draws_once_per_resample_and_never_inverts(monkeypatch):
+    # the classes partition the 1120 weighed settings by their exact (m_i, p_i),
+    # each led by its first setting, in setting order; with every p_i equal,
+    # only the multiples tell the six classes apart
     records = measure_output_records(device_toffoli_choi(), shots=300, seed=19)
-    build, draws, inversions, probabilities = np.random.default_rng, [], [], []
-
-    class CountingGenerator:
-        def __init__(self, *args):
-            self.rng = build(*args)
-
-        def binomial(self, n, p, size):
-            draws.append(size)
-            return self.rng.binomial(n, p, size)
-
+    for sample, count in ((Records(np.zeros((64, 64)), 300), 6), (records, None)):
+        probabilities, multiples = weighed(sample)
+        firsts, sizes = tomography._bootstrap_classes(probabilities, multiples)
+        classes = {}
+        for setting, key in enumerate(zip(multiples.tolist(), probabilities.tolist())):
+            classes.setdefault(key, []).append(setting)
+        expected = sorted((members[0], len(members)) for members in classes.values())
+        assert list(zip(firsts.tolist(), sizes.tolist())) == expected
+        assert count is None or len(expected) == count
+    draws, inversions, calls = counting_generators(monkeypatch), [], []
     invert, to_probabilities = tomography.choi_from_records, tomography._readout_probabilities
-    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
     monkeypatch.setattr(
         tomography, "choi_from_records", lambda r: inversions.append(None) or invert(r)
     )
     monkeypatch.setattr(
-        tomography,
-        "_readout_probabilities",
-        lambda v: probabilities.append(None) or to_probabilities(v),
+        tomography, "_readout_probabilities", lambda v: calls.append(None) or to_probabilities(v)
     )
-    # every value of the 1120 weighed settings is drawn once, in blocks of
-    # whole settings of at most BOOTSTRAP_CHUNK values: a block holds 442
-    # settings of 37 resamples, so three blocks, or 81 of 200, so fourteen
-    assert tomography.BOOTSTRAP_CHUNK // 37 == 442
-    bootstrap_ci(records, resamples=37, seed=2)
-    assert draws == [(442, 37)] * 2 + [(236, 37)]
-    draws.clear()
-    bootstrap_ci(records, resamples=200, seed=2)
-    assert draws == [(81, 200)] * 13 + [(67, 200)]
+    # one count per class and resample, in blocks of whole classes of at most
+    # BOOTSTRAP_CHUNK values: the 366 classes in blocks of 364 classes of 45
+    # resamples, or of 81 classes of 200
+    assert len(firsts) == 366
+    for resamples, blocks in ((45, [364, 2]), (200, [81] * 4 + [42])):
+        draws.clear()
+        bootstrap_ci(records, resamples=resamples, seed=2)
+        assert [size for *_, size, _ in draws] == [(rows, resamples) for rows in blocks]
+        assert all(np.prod(size) <= tomography.BOOTSTRAP_CHUNK for *_, size, _ in draws)
+        # each n is shots x class size, each p its class's probability
+        assert np.array_equal(np.concatenate([n[:, 0] for n, *_ in draws]), 300 * sizes)
+        assert np.array_equal(np.concatenate([p[:, 0] for _, p, *_ in draws]), probabilities[firsts])
     assert len(inversions) == 0
     # the records do not change between resamples, nor do their probabilities
-    assert len(probabilities) == 2
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("resamples, settings", [(2, 1120), (7, 1120), (201, 1120), (70000, 3)])
-def test_chunked_bootstrap_draw_equals_one_draw(resamples, settings):
-    # all 1120 settings at 70 000 resamples would be one 627 MB draw, so that
-    # case takes three; past BOOTSTRAP_CHUNK resamples every block is one setting
-    records = measure_output_records(device_toffoli_choi(), shots=1000, seed=5)
-    support = _fidelity_weights() != 0.0
-    probabilities = tomography._readout_probabilities(records.values[support])[:settings]
-    blocks = list(
-        tomography._setting_major_counts(
-            np.random.default_rng(9), 1000, probabilities, resamples
-        )
-    )
+def test_chunked_bootstrap_draw_equals_one_draw(monkeypatch, resamples, settings):
+    # past its first `settings` weighed settings every record reads -1, so
+    # those pool into at most six classes, one per multiple; at 70 000
+    # resamples the full device classes would be a 280 MB oracle draw
+    values = measure_output_records(device_toffoli_choi(), shots=1000, seed=5).values.copy()
+    values.reshape(-1)[np.flatnonzero(_fidelity_weights())[settings:]] = -1.0
+    records = Records(values, 1000)
+    firsts, _, whole = class_major_counts(records, resamples, 9)
+    draws = counting_generators(monkeypatch)
+    tomography._resampled_fidelities(records, resamples, 9)
+    # past BOOTSTRAP_CHUNK resamples every block is one class
     rows = max(1, tomography.BOOTSTRAP_CHUNK // resamples)
-    assert [start for start, _ in blocks] == list(range(0, settings, rows))
-    assert all(block.size <= max(tomography.BOOTSTRAP_CHUNK, resamples) for _, block in blocks)
-    whole = np.random.default_rng(9).binomial(1000, np.repeat(probabilities, resamples))
-    assert np.array_equal(np.vstack([block for _, block in blocks]).ravel(), whole)
+    assert [counts.shape[0] for *_, counts in draws] == [
+        len(firsts[start : start + rows]) for start in range(0, len(firsts), rows)
+    ]
+    assert all(counts.size <= max(tomography.BOOTSTRAP_CHUNK, resamples) for *_, counts in draws)
+    assert np.array_equal(np.vstack([counts for *_, counts in draws]), whole)
 
 
 @pytest.mark.parametrize("shots", [7, 1000])
 def test_bootstrap_integer_sum_equals_the_fidelity_functional(shots):
     records = measure_output_records(device_toffoli_choi(), shots=shots, seed=5)
     stats = tomography._resampled_fidelities(records, 50, 5)
-    counts = setting_major_counts(records, 50, 5)
-    weights = _fidelity_weights()[_fidelity_weights() != 0.0]
-    functional = weights @ (2.0 * counts / shots - 1.0)
+    _, multiples = weighed(records)
+    firsts, sizes, counts = class_major_counts(records, 50, 5)
+    # a class's pooled count K scores its weight times 2 K / shots - size
+    functional = (multiples[firsts] / 512.0) @ (2.0 * counts / shots - sizes[:, None])
     assert np.max(np.abs(stats - functional)) < 1e-15
+
+
+@pytest.mark.parametrize("shots", [7, 1000])
+def test_pooled_bootstrap_has_the_setting_wise_moments(shots):
+    # pooling leaves the distribution of the score unchanged: over 4000
+    # resamples its mean and variance are within 5 standard errors of
+    # <w, 2p - 1> and 4 sum w^2 p (1 - p) / shots
+    records = measure_output_records(device_toffoli_choi(), shots=shots, seed=5)
+    probabilities, multiples = weighed(records)
+    weights = multiples / 512.0
+    mean = weights @ (2.0 * probabilities - 1.0)
+    variance = 4.0 * np.sum(weights**2 * probabilities * (1.0 - probabilities)) / shots
+    stats = tomography._resampled_fidelities(records, 4000, 11)
+    centred = stats - stats.mean()
+    fourth = np.mean(centred**4)
+    assert abs(stats.mean() - mean) < 5.0 * np.sqrt(variance / stats.size)
+    assert abs(np.var(stats, ddof=1) - variance) < 5.0 * np.sqrt(
+        (fourth - np.mean(centred**2) ** 2) / stats.size
+    )
+
+
+def test_linear_percentiles_equal_np_quantile_bit_for_bit():
+    # sizes 2-60 cover every position of the two virtual indices near the
+    # ends; the tied samples repeat values, as resampled scores do
+    rng = np.random.default_rng(41)
+    alpha = 1.0 - tomography.BOOTSTRAP_CONFIDENCE
+    for size in [*range(2, 61), 200, 201, 4000]:
+        for values in (rng.normal(0.73, 0.004, size), 0.72 + rng.integers(0, 6, size) / 512.0):
+            for quantiles in ([0.05, 0.95], [alpha / 2.0, 1.0 - alpha / 2.0], [0.0, 0.5, 1.0]):
+                got = tomography._linear_percentiles(values, quantiles)
+                assert got.tobytes() == np.quantile(values, quantiles).tobytes()
+    # a midpoint that numpy interpolates from the upper neighbour, one ulp
+    # away from the value interpolated from the lower one
+    pair = np.array([225.66933313285816, -199.27937785418743])
+    median = tomography._linear_percentiles(pair, [0.5])
+    assert median.tobytes() == np.quantile(pair, [0.5]).tobytes()
+    assert median[0] != pair[1] + (pair[0] - pair[1]) * 0.5
 
 
 def test_bootstrap_shot_bound_keeps_the_integer_sums_in_int64(monkeypatch):
     # the 1120 weighed multiples m_i = 512 w_i have sum |m_i| = 1952, so a
-    # score's sum of m_i k_i stays below 2**63 while every k_i <= shots <= bound
+    # score's sum of m_i k_i stays below 2**63 while every k_i <= shots <=
+    # bound; so does each pooled n = shots x size, as a class holds at most
+    # 1120 settings
     bound = (2**63 - 1) // 1952
     assert np.abs(tomography._bootstrap_terms()[1]).sum() == 1952
+    assert 1120 * bound < 2**63
     records = measure_output_records(device_toffoli_choi(), shots=bound, seed=5)
-    point = np.vdot(_fidelity_weights(), records.values)
-    lo, hi = bootstrap_ci(records, resamples=2, seed=5)
-    assert point - 1e-6 < lo <= hi < point + 1e-6
     built = generators_built(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(f"at most (2**63 - 1) // 1952 = {bound} ")):
         bootstrap_ci(Records(records.values, shots=bound + 1), resamples=2)
     assert built == []  # raised before any draw
+    monkeypatch.undo()
+    _, sizes = tomography._bootstrap_classes(*weighed(records))
+    draws = counting_generators(monkeypatch)
+    point = np.vdot(_fidelity_weights(), records.values)
+    lo, hi = bootstrap_ci(records, resamples=2, seed=5)
+    assert point - 1e-6 < lo <= hi < point + 1e-6
+    # compared as Python integers, so a wrapped int64 product would differ
+    assert np.concatenate([n[:, 0] for n, *_ in draws]).tolist() == [
+        bound * size for size in sizes.tolist()
+    ]
+    assert all(((0 <= counts) & (counts <= n)).all() for n, _, _, counts in draws)
 
 
 def test_binomial_readout_reads_float_noise_as_exact_zero():

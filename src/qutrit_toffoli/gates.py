@@ -27,11 +27,11 @@ from math import isfinite, pi
 import numpy as np
 
 from .register import (
-    ATOL,
     DIM,
     DIMS,
     PAULI,
     SITE_NAMES,
+    _is_unitary,
     _readonly_complex,
     choi_of_unitary,
     site_index,
@@ -95,7 +95,7 @@ class GateOp:
         dim = 3 ** len(targets)
         if mat.shape != (dim, dim):
             raise ValueError(f"gate on {targets} must be {dim}x{dim}, not {mat.shape}")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) >= ATOL:
+        if not _is_unitary(mat):
             raise ValueError(f"gate {self.label!r} is not unitary")
         if not isfinite(self.duration_ns) or self.duration_ns < 0:
             raise ValueError("duration must be finite and non-negative")
@@ -145,9 +145,6 @@ class Circuit:
     @property
     def duration_ns(self) -> float:
         return float(sum(op.duration_ns for op in self.ops))
-
-    def unitary(self) -> np.ndarray:
-        return self.trajectory()[-1]
 
     def trajectory(self) -> np.ndarray:
         """``(len(ops) + 1, 27, 27)`` stack: the identity, then the unitary after each pulse.

@@ -26,15 +26,15 @@ pulse time by default) before and after the sequence.
 ``_evolve`` runs a batch of qubit matrix units |i><j| through the sequence
 in a site-pair layout, axes (a, a', b, b', c, c', batch), each site's ket
 axis beside its bra axis: all 64 for ``circuit_choi``, only the 8 inputs
-|j><j| for ``circuit_truth_table``.  A pulse applies its ``GateOp.matrix``
-to its target ket axes and the conjugate to their bra axes.  An interval
-applies each site's relaxation then dephasing as one real 9x9
-superoperator on that site's axis pair, built in closed form (the
-vectorized form of Wood, Biamonte & Cory, arXiv:1111.6950).
+|j><j| for ``circuit_truth_table``; it alone applies decoherence.  A pulse
+applies its ``GateOp.matrix`` to its target ket axes and the conjugate to
+their bra axes.  An interval applies each site's relaxation then dephasing
+as one real 9x9 superoperator on that site's axis pair, built in closed
+form (the vectorized form of Wood, Biamonte & Cory, arXiv:1111.6950).
 
 A site that no pulse of the circuit drives out of {0, 1} is carried with
-two levels: its axes have size 2, pulses act on their kept kets, and its
-superoperator is the 4x4 corner of the 9x9.  That is exact, because no
+two levels: its axes have size 2, and pulses and its 9x9 map alike are
+restricted to its kept levels by ``_restrict``.  That is exact, because no
 pulse moves weight into its level 2 and relaxation and dephasing never
 raise a level.  In the Toffoli the exchange pulses send |11> to |20>, so
 only A and B enter level 2 and target C is carried as a qubit.
@@ -44,8 +44,8 @@ its first compile and kept for the process: the kept levels and, for each
 pulse, its matrix on those levels, the conjugate, and the axis order it
 acts in with its inverse.  A compile under a new model then builds only
 its site maps, one per site and distinct interval length (12 for the
-Toffoli with windows), each directly at its kept size, and runs the same
-contractions, so every float is the same as without the plan.
+Toffoli with windows), and runs the same contractions, so every float is
+the same as without the plan.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def tphi_from_t2star(t1_us: float, t2star_us: float) -> float:
 
     1/Tphi = 1/T2* - 1/(2 T1); T2* must be strictly below the 2 T1 limit.
     """
-    if t1_us <= 0 or t2star_us <= 0:
+    if not (t1_us > 0 and t2star_us > 0):
         raise ValueError("coherence times must be positive")
     rate = 1.0 / t2star_us - 1.0 / (2.0 * t1_us)
     if rate <= 0:
@@ -181,54 +181,42 @@ def _rates_per_ns(time_us: float, scale: float) -> tuple[float, float]:
     return rate, scale * rate
 
 
-# Positions of the nonzero entries of a site map on 3 and on 2 levels, in
-# the order _site_superoperator lists their values: the diagonal, then
-# |1><1| -> |0><0|, then |2><2| -> |1><1| and |2><2| -> |0><0|.
-_SITE_MAP_ENTRIES = {
-    3: np.array([0, 10, 20, 30, 40, 50, 60, 70, 80, 4, 44, 8]),
-    2: np.array([0, 5, 10, 15, 3]),
-}
+# Positions of the nonzero entries of a flattened site map, in the order
+# _site_superoperator lists their values: the diagonal, then |1><1| -> |0><0|,
+# then |2><2| -> |1><1| and |2><2| -> |0><0|.
+_SITE_MAP_ENTRIES = np.array([0, 10, 20, 30, 40, 50, 60, 70, 80, 4, 44, 8])
 
 
-def _site_superoperator(
-    model: NoiseModel, site: int, duration_ns: float, levels: int = 3
-) -> np.ndarray:
-    """Relaxation then dephasing of one site as a real, read-only map on ``levels`` levels.
+def _site_superoperator(model: NoiseModel, site: int, duration_ns: float) -> np.ndarray:
+    """Relaxation then dephasing of one site as a real, read-only 9x9 map.
 
-    On three levels ``sup[3a + b, 3c + d]`` maps input entry (c, d) to output
-    entry (a, b).  Relaxation leaves level a occupied with probability e_a
-    (e_0 = 1), so coherence (a, b) keeps sqrt(e_a e_b) and the decayed
-    population moves down the ladder.  Dephasing then multiplies entry (a, b)
-    by ``corr[a, b]``, the correlation matrix of the module docstring.  With
-    ``levels=2`` the map is the 4x4 corner of the 9x9 one, which acts on
-    levels 0 and 1 alone; each entry comes from the same float operations
-    as in the 9x9, so it has the same bits.
+    ``sup[3a + b, 3c + d]`` maps input entry (c, d) to output entry (a, b).
+    Relaxation leaves level a occupied with probability e_a (e_0 = 1), so
+    coherence (a, b) keeps sqrt(e_a e_b) and the decayed population moves
+    down the ladder.  Dephasing then multiplies entry (a, b) by
+    ``corr[a, b]``, the correlation matrix of the module docstring.
     """
     t = float(duration_ns)
     g1, g2 = _rates_per_ns(model.t1_us[site], model.relax_scale2)
     dx, dy = _rates_per_ns(model.tphi_us[site], model.deph_scale2)
-    e1, x = math.exp(-g1 * t), math.exp(-dx * t)
-    k1 = math.sqrt(e1)  # diagonal entry (a, b) is corr[a, b] k_a k_b, with k_a = sqrt(e_a)
-    if levels == 2:
-        values = (1.0, x * k1, x * k1, k1 * k1, 1.0 - e1)
+    e1, e2 = math.exp(-g1 * t), math.exp(-g2 * t)
+    x, y = math.exp(-dx * t), math.exp(-dy * t)
+    # Weight that left level 2 and still sits in level 1 at time t,
+    # g2 (e1 - e2) / (g2 - g1), with the difference taken by expm1 so that
+    # nearly equal rates do not cancel.
+    if g2 == g1:
+        via1 = g2 * t * e1
     else:
-        e2, y = math.exp(-g2 * t), math.exp(-dy * t)
-        # Weight that left level 2 and still sits in level 1 at time t,
-        # g2 (e1 - e2) / (g2 - g1), with the difference taken by expm1 so that
-        # nearly equal rates do not cancel.
-        if g2 == g1:
-            via1 = g2 * t * e1
-        else:
-            slow, gap = min(g1, g2), abs(g2 - g1)
-            via1 = g2 * math.exp(-slow * t) * -math.expm1(-gap * t) / gap
-        k2, xy = math.sqrt(e2), x * y
-        values = (
-            1.0, x * k1, xy * k2, x * k1, k1 * k1, y * (k1 * k2), xy * k2, y * (k2 * k1), k2 * k2,
-            1.0 - e1, via1, max(0.0, 1.0 - e2 - via1),
-        )
-    sup = np.zeros(levels**4)
-    sup[_SITE_MAP_ENTRIES[levels]] = values
-    sup = sup.reshape(levels**2, levels**2)
+        slow, gap = min(g1, g2), abs(g2 - g1)
+        via1 = g2 * math.exp(-slow * t) * -math.expm1(-gap * t) / gap
+    # diagonal entry (a, b) is corr[a, b] k_a k_b, with k_a = sqrt(e_a)
+    k1, k2, xy = math.sqrt(e1), math.sqrt(e2), x * y
+    sup = np.zeros(81)
+    sup[_SITE_MAP_ENTRIES] = (
+        1.0, x * k1, xy * k2, x * k1, k1 * k1, y * (k1 * k2), xy * k2, y * (k2 * k1), k2 * k2,
+        1.0 - e1, via1, max(0.0, 1.0 - e2 - via1),
+    )
+    sup = sup.reshape(9, 9)
     sup.setflags(write=False)
     return sup
 
@@ -237,7 +225,8 @@ def _restrict(matrix: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     """``matrix`` on three-level factors, restricted to the lowest ``sizes[k]`` levels of factor k.
 
     For a pulse on (B, C) with C carried on two levels, sizes (3, 2) give
-    the 6x6 block on kets 3b + c with c in {0, 1}.
+    the 6x6 block on kets 3b + c with c in {0, 1}; a two-level site's 9x9
+    map, sizes (2, 2), gives rows and columns [0, 1, 3, 4].
     """
     dim = math.prod(sizes)
     block = matrix.reshape((3,) * (2 * len(sizes)))[tuple(slice(n) for n in sizes * 2)]
@@ -245,37 +234,22 @@ def _restrict(matrix: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
 
 
 def _site_maps(model: NoiseModel, levels: tuple[int, ...], duration_ns: float) -> tuple:
-    """One interval's map for each site, each on the levels that site carries."""
-    return tuple(_site_superoperator(model, s, duration_ns, n) for s, n in enumerate(levels))
+    """One interval's 9x9 map for each site, restricted to two levels where the site carries two."""
+    maps = (_site_superoperator(model, s, duration_ns) for s in range(len(levels)))
+    return tuple(sup if n == 3 else _restrict(sup, (2, 2)) for sup, n in zip(maps, levels))
 
 
 def _interval(pairs: np.ndarray, maps: tuple) -> np.ndarray:
-    """Each site's map, in site order, as one real matmul on the float view of ``pairs``."""
+    """Each site's map, in site order, as one real matmul on the float view of ``pairs``.
+
+    The maps are ``_site_maps`` of the levels ``pairs.shape[0:6:2]`` carries.
+    """
     real = np.ascontiguousarray(pairs).view(float)
     outer = 1  # entries of the axis pairs before this site's
     for sup in maps:
         real = np.matmul(sup, real.reshape(outer, sup.shape[0], -1))
         outer *= sup.shape[0]
     return real.view(complex).reshape(pairs.shape)
-
-
-def decohere(pairs: np.ndarray, model: NoiseModel, duration_ns: float) -> np.ndarray:
-    """Apply every site's relaxation then dephasing over one interval.
-
-    ``pairs`` holds register matrices in the site-pair layout: axes
-    ``(a, a', b, b', c, c', ...)`` with each site's ket axis beside its bra
-    axis and any batch axes last.  A site axis of size 2 carries only
-    levels 0 and 1 and gets the 4x4 corner of its 9x9 map; that is exact
-    for a site the circuit never drives out of {0, 1}, because relaxation
-    and dephasing never raise a level.  Each site superoperator is one real
-    matmul on the float view of the data, with no transposes.  A negative or
-    non-finite duration raises ValueError.
-    """
-    if not (math.isfinite(duration_ns) and duration_ns >= 0):
-        raise ValueError("duration must be finite and non-negative")
-    if duration_ns == 0.0:
-        return pairs
-    return _interval(pairs, _site_maps(model, pairs.shape[0:6:2], duration_ns))
 
 
 def _pulse(pairs: np.ndarray, matrix: np.ndarray, conj: np.ndarray, order, inverse) -> np.ndarray:

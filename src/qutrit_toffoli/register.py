@@ -56,6 +56,11 @@ def _readonly_complex(values, name: str) -> np.ndarray:
     return arr
 
 
+def _is_unitary(matrix: np.ndarray) -> bool:
+    """Whether ``max|U^dag U - I| < ATOL``: the unitarity test of gates and target matrices."""
+    return bool(np.max(np.abs(matrix.conj().T @ matrix - np.eye(len(matrix)))) < ATOL)
+
+
 def _check_states(states: np.ndarray, name: str) -> None:
     """Raise ValueError unless each matrix of ``states`` is finite, Hermitian, PSD, trace <= 1."""
     if not np.all(np.isfinite(states)):
@@ -153,10 +158,15 @@ def checked_choi(matrix) -> np.ndarray:
 
 
 def choi_of_unitary(unitary8) -> np.ndarray:
-    """Pure Choi matrix of an 8x8 unitary: entry ``8i + a`` of its vector is U[a, i]/sqrt(8)."""
+    """Pure Choi matrix of an 8x8 unitary: entry ``8i + a`` of its vector is U[a, i]/sqrt(8).
+
+    ValueError unless it is unitary to ``ATOL``, as a ``GateOp`` matrix must be.
+    """
     unitary = np.asarray(unitary8, dtype=complex)
     if unitary.shape != (8, 8):
         raise ValueError("expected an 8x8 unitary")
+    if not _is_unitary(unitary):
+        raise ValueError("matrix is not unitary")
     phi = unitary.T.reshape(-1) / np.sqrt(8.0)
     return checked_choi(np.outer(phi, phi.conj()))
 

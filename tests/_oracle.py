@@ -15,9 +15,10 @@ so these check ``noise._site_superoperator``.
 ``qubit_block_oracle`` evolves one 27x27 matrix through a circuit the slow
 way: every pulse is its embedded 27x27 unitary sandwiched on both sides, and
 every decoherence interval sandwiches each site's Kraus products D R embedded
-in the full register.  It shares no code with ``noise.decohere``,
-``noise._evolve``, ``noise._site_superoperator`` or ``noise.circuit_choi``,
-so it checks all four.
+in the full register.  It shares no code with ``noise._evolve``,
+``noise._interval``, ``noise._site_maps``, ``noise._site_superoperator`` or
+``noise.circuit_choi``, so it checks all five; ``full_register_decohere``
+alone checks one interval of ``_interval`` on the maps of ``_site_maps``.
 
 ``CUSTOM_MODEL`` is a noise model with both rate scales off their defaults,
 so the level-2 terms of every map are exercised.

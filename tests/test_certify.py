@@ -111,6 +111,11 @@ def test_choi_of_unitary_matches_choi_of_channel():
         assert np.max(np.abs(choi_of_unitary(unitary) - expected)) < 1e-12
     with pytest.raises(ValueError):
         choi_of_unitary(np.eye(4))
+    # a contraction or a projector gives a Choi trace below one (0.25, 0.875)
+    for matrix in (0.5 * np.eye(8), np.diag([1.0] * 7 + [0.0])):
+        for build in (choi_of_unitary, chi_of_unitary):
+            with pytest.raises(ValueError, match="not unitary"):
+                build(matrix)
 
 
 def test_choi_validation():

@@ -120,7 +120,7 @@ def test_subspace_rotation_rejects_non_adjacent():
 
 
 def test_ccphase_block_is_exact_diagonal():
-    block = computational_block(ccphase_circuit().unitary())
+    block = computational_block(ccphase_circuit().trajectory()[-1])
     expected = np.eye(8, dtype=complex)
     expected[3, 3] = -1.0  # |011>
     assert np.max(np.abs(block - expected)) < 1e-10
@@ -133,7 +133,7 @@ def test_ccphase_duration():
 
 
 def test_toffoli_block_equals_target_including_phase():
-    block = computational_block(toffoli_circuit().unitary())
+    block = computational_block(toffoli_circuit().trajectory()[-1])
     assert np.max(np.abs(block - ideal_toffoli_unitary())) < 1e-10
 
 
@@ -141,7 +141,7 @@ def test_toffoli_duration_and_structure():
     circuit = toffoli_circuit()
     assert circuit.duration_ns == pytest.approx(67.0)
     assert [op.label for op in circuit.ops] == ["ry", "xxAB", "xxBC", "xxAB", "ry"]
-    full = circuit.unitary()
+    full = circuit.trajectory()[-1]
     assert np.allclose(full.conj().T @ full, np.eye(27), atol=1e-10)
 
 
@@ -198,7 +198,7 @@ def test_ccphase_per_pulse_trajectories(digits):
 
 
 def test_truth_table_of_ideal_channel():
-    block = computational_block(toffoli_circuit().unitary())
+    block = computational_block(toffoli_circuit().trajectory()[-1])
     table = choi_truth_table(choi_of_channel(lambda rho: block @ rho @ block.conj().T))
     assert np.allclose(table, ideal_truth_table(), atol=1e-12)
     assert truth_table_fidelity(table) == pytest.approx(1.0, abs=1e-12)

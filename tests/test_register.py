@@ -30,7 +30,7 @@ def random_unitary(dim: int, rng=RNG) -> np.ndarray:
 
 def register_matrix(targets, matrix) -> np.ndarray:
     """27x27 matrix of ``matrix`` on ``targets`` through ``GateOp.on_kets``."""
-    return Circuit((GateOp("op", targets, matrix, 0.0),)).unitary()
+    return Circuit((GateOp("op", targets, matrix, 0.0),)).trajectory()[-1]
 
 
 def test_register_constants_and_site_names():
@@ -189,7 +189,6 @@ def test_trajectory_follows_basis_kets():
     assert abs(columns[1][basis_index((1, 1, 1))] - 1.0) < 1e-15
     assert np.linalg.norm(columns[1]) == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(columns[2], columns[0])
-    assert np.array_equal(circuit.unitary(), steps[-1])
     assert np.array_equal(Circuit(()).trajectory(), np.eye(DIM)[None])
 
 

@@ -29,13 +29,16 @@ keyed on the Choi matrix's content, so repeated estimates on one channel
 read it once.
 
 Each estimate draws from one generator, ``default_rng(seed)``: the Monte
-Carlo pair choice first, then one binomial call for the shot readouts of
-every draw, in (pair, eigenstate, draw) order, so each of a pair's eight
-readout probabilities repeats once per draw of the pair in a row and
-numpy's sampler keeps its setup for it.  With one draw per pair, as in
-``exhaustive_fidelity``, that is (pair, eigenstate) order.  Each shot-mode Q
-and each pair's mean Q come from exact int64 sums of the counts; a shot
-count whose sums could overflow raises ValueError before anything is drawn.
+Carlo pair choice first, then one binomial call for the shot readouts, in
+(pair, eigenstate) order over the drawn pairs.  A pair drawn d times reads
+each eigenstate once in shots d pooled shots, since the sum of d
+Binomial(shots, p) counts is one Binomial(shots d, p) count; with one draw
+per pair, as in ``exhaustive_fidelity``, that is the per-draw readout.  Each
+pair's mean Q comes from an exact int64 sum of its counts; a shot count
+whose sums could overflow raises ValueError before anything is drawn.  The
+pooled counts do not say how each draw's Q fell, so the standard error
+takes the sample variance of the draws expected given the counts (a
+Rao-Blackwellization: the same expectation, no larger variance).
 
 The product eigenvectors and eigenvalues of the 64 input Paulis are built on
 first use by one broadcast product of the single-site eigenbases
@@ -155,9 +158,9 @@ def _relevant_readout(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _check_shot_sums(shots: int, samples: int, name: str = "shots") -> None:
     """Raise ValueError unless every int64 sum of ``_measured_correlations`` fits.
 
-    A draw's signed count sum is at most 8 shots in size, a pair's total over
-    its draws at most 8 shots samples, and the pair's shot total shots
-    samples, so shots <= (2**63 - 1) // (8 samples) keeps all three exact.
+    A pair drawn d times reads each eigenstate in n = shots d <= shots
+    samples pooled shots, and its signed count total is at most 8 n in size,
+    so shots <= (2**63 - 1) // (8 samples) keeps both exact.
     """
     limit = np.iinfo(np.int64).max // (8 * samples)
     if shots > limit:
@@ -170,48 +173,35 @@ def _check_shot_sums(shots: int, samples: int, name: str = "shots") -> None:
 def _measured_correlations(
     choi: np.ndarray, draws: np.ndarray, shots: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measured correlation Q of every draw, in pair order, and each pair's mean Q.
+    """Each pair's mean measured correlation Q and the variance of one draw's Q about it.
 
-    Pair i is drawn ``draws[i]`` times; an undrawn pair's mean is NaN.  With
-    ``shots=0`` every draw of a pair is its exact Q = sum_k lam_k r_k / 8,
-    one product over all pairs, with r_k the output Pauli's readout on input
-    eigenstate k and lam_k = +-1 its eigenvalue.  Otherwise each readout is a
-    count c_k of +1 outcomes in ``shots``, all drawn by one ``rng.binomial``
-    in (pair, eigenstate, draw) order, and Q = (2 S / shots - sum_k lam_k) / 8
-    with the integer S = sum_k lam_k c_k.  A pair's mean takes the integer
-    sum of its S the same way, so neither shot-mode result depends on a
-    summation order.
+    Pair i is drawn ``draws[i]`` times; an undrawn pair's mean is NaN and
+    its variance 0.  With ``shots=0`` every draw of a pair is its exact
+    Q = sum_k lam_k r_k / 8, with r_k the output Pauli's readout on input
+    eigenstate k and lam_k = +-1 its eigenvalue, and the variance is 0.
+    Otherwise a pair drawn d times reads eigenstate k in n = shots d pooled
+    shots, a count C_k of +1 outcomes drawn by one ``rng.binomial`` over the
+    drawn pairs in (pair, eigenstate) order; the d draws' counts sum to
+    exactly this Binomial(n, p_k).  The mean is (2 T / n - sum_k lam_k) / 8
+    with the integer T = sum_k lam_k C_k, so it does not depend on a
+    summation order.  The variance is the expected squared deviation of one
+    draw's Q from the mean given the C_k: a draw's count is hypergeometric
+    with variance shots f (1 - f) (n - shots) / (n - 1), f = C_k / n (0 when
+    d = 1), and the eigenstates are independent.
     """
     lams, rows = _relevant_readout(choi)
-    pair = np.repeat(np.arange(len(draws)), draws)
     drawn = draws > 0
+    spread = np.zeros(len(draws))
     if shots == 0:
-        exact_q = (lams * rows).sum(1) / 8.0
-        return exact_q[pair], np.where(drawn, exact_q, np.nan)
-    # value k of pair p repeats draws[p] times; the repeat counts are formed
-    # inline, so they are freed before the draw
-    counts = rng.binomial(
-        shots, np.repeat(_readout_probabilities(rows).ravel(), np.repeat(draws, 8))
-    )
-    counts *= np.repeat(lams.astype(np.int8).ravel(), np.repeat(draws, 8))
-    # Pair p's counts are an (8, draws[p]) block from 8 starts[p]: draw j of
-    # the pair order reads eigenstate k at j + 7 starts[p] + k draws[p].
-    starts = np.cumsum(draws) - draws
-    index = starts[pair]
-    index *= 7
-    index += np.arange(len(pair))
-    stride = draws[pair]
-    signed = counts[index]
-    for _ in range(7):
-        index += stride
-        signed += counts[index]
-    del counts, index, stride  # freed before the float arrays below are made
-    lam_sums = lams.sum(1)
-    measured = (2.0 * signed / shots - lam_sums[pair]) / 8.0
-    totals = np.add.reduceat(signed, starts[drawn])
+        return np.where(drawn, (lams * rows).sum(1) / 8.0, np.nan), spread
+    lams, n = lams[drawn], shots * draws[drawn]
+    counts = rng.binomial(n[:, None], _readout_probabilities(rows[drawn]))
     means = np.full(len(draws), np.nan)
-    means[drawn] = (2.0 * totals / (shots * draws[drawn]) - lam_sums[drawn]) / 8.0
-    return measured, means
+    means[drawn] = (2.0 * (counts * lams.astype(np.int8)).sum(1) / n - lams.sum(1)) / 8.0
+    f = counts / n[:, None]
+    # the variance of a draw's signed count sum over (4 shots)**2
+    spread[drawn] = (f * (1.0 - f)).sum(1) * (n - shots) / np.maximum(n - 1, 1) / (16.0 * shots)
+    return means, spread
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +211,10 @@ class FidelityEstimate:
     ``draws`` and ``mean_values`` are aligned with the relevant Toffoli
     pairs: the draw count of each pair and its mean measured correlation,
     NaN where a pair was not drawn.  In exact mode the mean is the pair's
-    exact correlation; with shots it comes from the pair's summed counts.
+    exact correlation; with shots it comes from the pair's pooled counts.
+    ``stderr`` is the square root of the sample variance of the draws'
+    X = Q/P, expected given those counts, over sqrt(samples); in exact mode
+    it is the sample deviation itself.
     """
 
     estimate: float
@@ -240,7 +233,7 @@ def monte_carlo_fidelity(
 
     Pairs are drawn with probability proportional to the squared target
     correlation; each draw contributes X = Q/P.  The estimate is the sample
-    mean, the standard error the sample deviation over sqrt(samples).  More
+    mean, the standard error as ``FidelityEstimate.stderr`` states.  More
     than (2**63 - 1) // (8 samples) shots raise ValueError before any draw,
     as the int64 count sums could overflow.
     """
@@ -252,10 +245,15 @@ def monte_carlo_fidelity(
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = np.bincount(rng.choice(len(ideal), size=samples, p=probs), minlength=len(ideal))
-    measured, mean_values = _measured_correlations(choi, draws, shots, rng)
-    x = measured / np.repeat(ideal, draws)
-    estimate = float(x.mean())
-    stderr = float(x.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    mean_values, spread = _measured_correlations(choi, draws, shots, rng)
+    drawn = draws > 0
+    d, x = draws[drawn], mean_values[drawn] / ideal[drawn]
+    estimate = float((d * x).sum() / samples)
+    # each draw's squared deviation from the estimate, expected given the
+    # pooled counts: the pair's own, centered so that equal X give exactly
+    # 0, plus the within-pair spread
+    squares = (d * ((x - estimate) ** 2 + spread[drawn] / ideal[drawn] ** 2)).sum()
+    stderr = float(np.sqrt(squares / (samples - 1)) / np.sqrt(samples)) if samples > 1 else 0.0
     draws.setflags(write=False)
     mean_values.setflags(write=False)
     return FidelityEstimate(estimate, stderr, draws, mean_values)

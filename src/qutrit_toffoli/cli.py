@@ -255,20 +255,16 @@ def _run_certify(args: argparse.Namespace, model: NoiseModel | None) -> tuple[st
     else:
         result = monte_carlo_fidelity(choi, samples=samples, seed=args.seed, shots=args.shots)
         labels = pauli_labels()
+        drawn = np.flatnonzero(result.draws)
+        columns = (inputs, outputs, ideal, result.draws, result.mean_values)
         payload |= {
             "mode": "monte-carlo",
             "estimate": result.estimate,
             "stderr": result.stderr,
             "samples": samples,
             "strings": [
-                {
-                    "in": labels[inputs[i]],
-                    "out": labels[outputs[i]],
-                    "ideal": float(ideal[i]),
-                    "draws": int(result.draws[i]),
-                    "mean_value": float(result.mean_values[i]),
-                }
-                for i in np.flatnonzero(result.draws)
+                {"in": labels[a], "out": labels[b], "ideal": p, "draws": d, "mean_value": q}
+                for a, b, p, d, q in zip(*(column[drawn].tolist() for column in columns))
             ],
         }
         summary = (

@@ -50,6 +50,13 @@ certification one product at a time, by ``functools.reduce(np.kron, ...)``
 as the package did before it formed them in one broadcast product
 (``register.kron_stack``); the tables must match them bit for bit.
 
+``per_draw_monte_carlo`` is the Monte Carlo certification estimator that
+reads every draw on its own: Binomial(shots, p_k) counts per draw and
+eigenstate, and the sample mean and sample deviation of the per-draw
+X = Q/P.  The package pools a pair's draws into one count per eigenstate
+and takes the expected sample variance given those counts; over seeds both
+must agree in distribution.
+
 ``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
 alternating projections, with its own partial trace and TP step.  It shares
 no code with ``tomography.ml_projection``, which solves the dual by Newton.
@@ -60,7 +67,7 @@ import itertools
 
 import numpy as np
 
-from qutrit_toffoli.certify import _EIGEN
+from qutrit_toffoli.certify import _EIGEN, _relevant_readout, _relevant_toffoli_paulis
 from qutrit_toffoli.gates import XY_PULSE_NS, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
 from qutrit_toffoli.register import PAULI, checked_choi
@@ -68,6 +75,7 @@ from qutrit_toffoli.tomography import (
     PAULI_AXES,
     PREP_LABELS,
     _prep_matrix,
+    _readout_probabilities,
     pauli_labels,
     standard_pauli_stack,
 )
@@ -305,3 +313,31 @@ def choi_expectation_direct(choi, in_labels, out_labels):
     tensor = choi.reshape(8, 8, 8, 8)
     val = complex(np.einsum("abcd,ac,db->", tensor, a, b))
     return float(val.real)
+
+
+def per_draw_monte_carlo(choi, samples, seed, shots):
+    """``(estimate, stderr, draws)`` of the per-draw certification estimator.
+
+    The pair choice is the package's.  With shots, one binomial then draws
+    every count in (pair, eigenstate, draw) order, each of a pair's eight
+    probabilities repeated once per draw of the pair.
+    """
+    lams, rows = _relevant_readout(choi)
+    _, _, ideal = _relevant_toffoli_paulis()
+    probs = ideal**2 / 64.0
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(ideal), size=samples, p=probs / probs.sum())
+    draws = np.bincount(chosen, minlength=len(ideal))
+    if shots == 0:
+        q = np.repeat((lams * rows).sum(1) / 8.0, draws)
+    else:
+        flat = np.repeat(_readout_probabilities(rows).ravel(), np.repeat(draws, 8))
+        blocks = np.split(rng.binomial(shots, flat), np.cumsum(8 * draws)[:-1])
+        q = np.concatenate(
+            [
+                (2.0 * (lam.astype(int) @ block.reshape(8, d)) / shots - lam.sum()) / 8.0
+                for lam, block, d in zip(lams, blocks, draws)
+            ]
+        )
+    x = q / np.repeat(ideal, draws)
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(samples)), draws

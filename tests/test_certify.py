@@ -1,6 +1,7 @@
 import functools
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,13 @@ from qutrit_toffoli.tomography import (
     process_fidelity,
 )
 
-from _oracle import CUSTOM_MODEL, choi_expectation_direct, choi_of_channel, device_channel8
+from _oracle import (
+    CUSTOM_MODEL,
+    choi_expectation_direct,
+    choi_of_channel,
+    device_channel8,
+    per_draw_monte_carlo,
+)
 
 
 def random_unitary(dim, rng):
@@ -363,9 +370,10 @@ def test_monte_carlo_shot_mode():
 
 
 def test_monte_carlo_shot_readout_matches_integer_count_oracle():
-    # replays the one stream, pair choice then one binomial over the readout
-    # probabilities in (pair, eigenstate, draw) order, and rebuilds each Q
-    # from its counts
+    # replays the one stream, pair choice then one binomial over the drawn
+    # pairs in (pair, eigenstate) order, each read in 1000 shots per draw,
+    # and rebuilds each mean from its counts and the estimate and standard
+    # error from the closed form
     choi = device_choi()
     result = monte_carlo_fidelity(choi, samples=3000, seed=5, shots=1000)
     exact, eigenvalues = _eigenstate_readout(choi)
@@ -374,70 +382,165 @@ def test_monte_carlo_shot_readout_matches_integer_count_oracle():
     probs = ideal**2 / np.sum(ideal**2)
     chosen = rng.choice(len(ideal), size=3000, p=probs)
     assert np.array_equal(result.draws, np.bincount(chosen, minlength=len(ideal)))
-    probabilities = _readout_probabilities(exact[inputs, :, outputs]).tolist()
-    flat = [
-        p
-        for row, draws in zip(probabilities, result.draws.tolist())
-        for p in row
-        for _ in range(draws)
-    ]
-    counts = rng.binomial(1000, np.array(flat)).tolist()
+    drawn = np.flatnonzero(result.draws).tolist()
+    probabilities = _readout_probabilities(exact[inputs, :, outputs])[drawn]
+    pooled = [1000 * int(result.draws[i]) for i in drawn]
+    counts = rng.binomial(np.repeat(pooled, 8), probabilities.ravel()).tolist()
+    assert len(counts) == 8 * len(drawn)
     assert set(np.unique(eigenvalues)) == {-1.0, 1.0}
-    x, totals, start = [], dict.fromkeys(range(len(ideal)), 0), 0
-    for index, draws in enumerate(result.draws.tolist()):
+    terms = []  # (draws, X of the pair mean, expected squared spread of one X)
+    for j, (index, n) in enumerate(zip(drawn, pooled)):
         lams = [int(lam) for lam in eigenvalues[inputs[index]]]
-        block = counts[start : start + 8 * draws]  # eigenstate k, draw t at k * draws + t
-        start += 8 * draws
-        for t in range(draws):
-            signed = sum(lam * block[k * draws + t] for k, lam in enumerate(lams))
-            x.append((2.0 * signed / 1000 - sum(lams)) / 8.0 / float(ideal[index]))
-            totals[index] += signed
-    assert start == len(counts) == 8 * 3000
-    for index, draws in enumerate(result.draws.tolist()):
-        if draws == 0:
-            assert np.isnan(result.mean_values[index])
-            continue
-        lam_sum = sum(int(lam) for lam in eigenvalues[inputs[index]])
-        mean = (2.0 * totals[index] / (1000 * draws) - lam_sum) / 8.0
+        row = counts[8 * j : 8 * j + 8]
+        total = sum(lam * c for lam, c in zip(lams, row))
+        mean = (2.0 * total / n - sum(lams)) / 8.0
         assert result.mean_values[index] == mean
+        within = sum(1000 * c / n * (1 - c / n) * (n - 1000) / max(n - 1, 1) for c in row)
+        p = float(ideal[index])
+        terms.append((n // 1000, mean / p, within / (16 * 1000**2) / p**2))
+    assert all(np.isnan(result.mean_values[result.draws == 0]))
     assert result.draws.sum() == 3000
-    assert result.estimate == float(np.mean(x))
-    assert result.stderr == float(np.std(x, ddof=1) / np.sqrt(3000))
+    estimate = sum(d * x for d, x, _ in terms) / 3000
+    squares = sum(d * ((x - estimate) ** 2 + w) for d, x, w in terms)
+    assert result.estimate == pytest.approx(estimate, rel=1e-13)
+    assert result.stderr == pytest.approx(np.sqrt(squares / 2999 / 3000), rel=1e-12)
     assert not any(arr.flags.writeable for arr in _eigenstates())
     assert not result.draws.flags.writeable and not result.mean_values.flags.writeable
 
 
 def test_single_draws_replay_the_row_major_readout_stream():
-    # with one draw per pair, (pair, eigenstate, draw) order is the
-    # (pair, eigenstate) order of one binomial over the (232, 8) probabilities
+    # with one draw per pair the pooled n is the shot count itself, so the
+    # draw is one binomial over the (232, 8) probabilities in row-major order,
+    # and a draw is its pair's mean, with no spread about it
     choi = device_choi()
     lams, rows = _relevant_readout(choi)
     ones = np.ones(len(rows), dtype=int)
-    measured, means = _measured_correlations(choi, ones, 1000, np.random.default_rng(5))
+    means, spread = _measured_correlations(choi, ones, 1000, np.random.default_rng(5))
     counts = np.random.default_rng(5).binomial(1000, _readout_probabilities(rows))
     signed = (counts * lams.astype(int)).sum(1)
     expected = (2.0 * signed / 1000 - lams.sum(1)) / 8.0
-    assert measured.tobytes() == expected.tobytes()
     assert means.tobytes() == expected.tobytes()
+    assert np.all(spread == 0.0)
     _, _, ideal = enumerate_relevant_paulis(ideal_toffoli_choi())
     assert exhaustive_fidelity(choi, shots=1000, seed=5) == float(ideal @ expected / 64.0)
 
 
+class _FixedCounts:
+    """Stands in for a generator whose binomial returns the given counts."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def binomial(self, n, p):
+        assert np.all(self.counts <= n)
+        return self.counts
+
+
+def test_within_pair_spread_matches_explicit_hypergeometric_splits():
+    # Given a pair's pooled counts, its d draws' counts are an even random
+    # split of each eigenstate's count into d groups of `shots`.  The closed
+    # form must give the mean of sum_j Q_j**2 over explicit splits.
+    choi = device_choi()
+    lams, rows = _relevant_readout(choi)
+    shots, rng = 20, np.random.default_rng(11)
+    draws = np.zeros(len(rows), dtype=int)
+    pairs = [1, 2, 3, 40]
+    draws[pairs] = [2, 3, 5, 2]
+    n = shots * draws[pairs]
+    counts = rng.binomial(n[:, None], _readout_probabilities(rows[pairs]))
+    means, spread = _measured_correlations(choi, draws, shots, _FixedCounts(counts))
+    assert np.all(spread[draws == 0] == 0.0) and np.all(np.isnan(means[draws == 0]))
+    for pair, row in zip(pairs, counts):
+        d = int(draws[pair])
+        splits = np.stack(
+            [rng.multivariate_hypergeometric([shots] * d, c, size=20000) for c in row],
+            axis=-1,
+        )  # (split, draw, eigenstate)
+        q = (2.0 * (splits @ lams[pair]) / shots - lams[pair].sum()) / 8.0
+        sums = (q**2).sum(1)
+        closed = d * (spread[pair] + means[pair] ** 2)
+        assert np.allclose(q.mean(1), means[pair])
+        assert abs(sums.mean() - closed) < 5.0 * sums.std(ddof=1) / np.sqrt(len(sums))
+
+
+def test_pooled_estimator_agrees_with_the_per_draw_oracle_over_seeds():
+    # Each seed chooses the same pairs for both, so the paired differences
+    # carry only the shot noise: their means must vanish within 5 standard
+    # errors for the estimate and for the squared standard error.
+    choi = device_choi()
+    pooled, per_draw = [], []
+    for seed in range(300):
+        result = monte_carlo_fidelity(choi, samples=500, seed=seed, shots=100)
+        estimate, stderr, draws = per_draw_monte_carlo(choi, 500, seed, 100)
+        assert np.array_equal(result.draws, draws)
+        pooled.append((result.estimate, result.stderr**2))
+        per_draw.append((estimate, stderr**2))
+    differences = np.array(pooled) - np.array(per_draw)
+    errors = differences.std(0, ddof=1) / np.sqrt(len(differences))
+    assert np.all(np.abs(differences.mean(0)) < 5.0 * errors)
+
+
+def test_exact_mode_matches_the_per_draw_estimator_near_the_ideal_channel():
+    # without shots a pair's draws all read its exact Q, so the pooled sums
+    # are the per-draw ones regrouped; near the ideal channel every X is
+    # within 1e-6 of 1, and only a sum of squares centered on the estimate
+    # keeps their spread
+    choi = (1.0 - 1e-6) * ideal_toffoli_choi() + 1e-6 * device_choi()
+    for seed in range(3):
+        result = monte_carlo_fidelity(choi, samples=2000, seed=seed)
+        estimate, stderr, _ = per_draw_monte_carlo(choi, 2000, seed, 0)
+        assert result.estimate == pytest.approx(estimate, rel=1e-14)
+        assert result.stderr == pytest.approx(stderr, rel=1e-6)
+
+
+def test_one_shot_single_draws_give_finite_values_without_warnings():
+    # n = shots = 1 makes the (n - shots) / (n - 1) factor 0 / 0
+    choi = device_choi()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means, spread = _measured_correlations(
+            choi, np.ones(232, dtype=int), 1, np.random.default_rng(3)
+        )
+        result = monte_carlo_fidelity(choi, samples=50, seed=3, shots=1)
+        exhaustive = exhaustive_fidelity(choi, shots=1, seed=3)
+    assert np.all(np.isfinite(means)) and np.all(spread == 0.0)
+    assert np.isfinite(result.estimate) and result.stderr > 0.0
+    assert np.isfinite(exhaustive)
+
+
 def test_shot_bounds_keep_the_count_sums_in_int64(monkeypatch):
     # shots=2**62 at 50 samples overflowed the signed sums to 0.5419 (exact
-    # 0.7219); at each bound the estimate is the exact-mode one to 1e-6
+    # 0.7219); at each bound the estimate is the exact-mode one to 1e-6, and
+    # every pooled shot count n = shots draws reaches the binomial unwrapped
     choi = device_choi()
     bound = (2**63 - 1) // (8 * 50)
+    build, pooled = np.random.default_rng, []
+
+    class RecordingGenerator:
+        def __init__(self, *args):
+            self.rng = build(*args)
+
+        def choice(self, *args, **kwargs):
+            return self.rng.choice(*args, **kwargs)
+
+        def binomial(self, n, p):
+            pooled.append(n)
+            return self.rng.binomial(n, p)
+
     exact = monte_carlo_fidelity(choi, samples=50, seed=1)
+    monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
     sampled = monte_carlo_fidelity(choi, samples=50, seed=1, shots=bound)
+    exhaustive = exhaustive_fidelity(choi, shots=2**60 - 1, seed=1)
+    assert [n.dtype for n in pooled] == [np.int64, np.int64]
+    assert np.ravel(pooled[0]).tolist() == [bound * d for d in sampled.draws.tolist() if d]
+    assert np.ravel(pooled[1]).tolist() == [2**60 - 1] * 232
     assert np.array_equal(sampled.draws, exact.draws)
     assert abs(sampled.estimate - exact.estimate) < 1e-6
     drawn = exact.draws > 0
     assert np.max(np.abs(sampled.mean_values[drawn] - exact.mean_values[drawn])) < 1e-6
     assert 2**60 - 1 == (2**63 - 1) // 8
-    exhaustive = exhaustive_fidelity(choi, shots=2**60 - 1, seed=1)
     assert abs(exhaustive - exhaustive_fidelity(choi)) < 1e-6
-    build, built = np.random.default_rng, []
+    built = []
     monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or build(*a))
     for shots in (bound + 1, 2**62, 2**63 - 1):
         with pytest.raises(ValueError, match=re.escape(f"// (8 * 50) = {bound},")):
@@ -448,8 +551,9 @@ def test_shot_bounds_keep_the_count_sums_in_int64(monkeypatch):
 
 
 def test_each_estimate_calls_choice_once_and_binomial_at_most_once(monkeypatch):
-    # the batched readout: one draw over all pairs, not one per drawn pair
-    build, calls = np.random.default_rng, []
+    # the pooled readout: one binomial call of at most 8 counts per drawn
+    # pair, not one call per drawn pair nor 8 counts per draw
+    build, calls, sizes = np.random.default_rng, [], []
 
     class CountingGenerator:
         def __init__(self, *args):
@@ -461,18 +565,24 @@ def test_each_estimate_calls_choice_once_and_binomial_at_most_once(monkeypatch):
 
         def binomial(self, *args, **kwargs):
             calls.append("binomial")
-            return self.rng.binomial(*args, **kwargs)
+            values = self.rng.binomial(*args, **kwargs)
+            sizes.append(np.size(values))
+            return values
 
     choi = device_choi()
     monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
     for shots, expected in ((1000, ["choice", "binomial"]), (0, ["choice"])):
         calls.clear()
-        monte_carlo_fidelity(choi, samples=10000, seed=5, shots=shots)
+        sizes.clear()
+        result = monte_carlo_fidelity(choi, samples=10000, seed=5, shots=shots)
         assert calls == expected
+        assert sum(sizes) <= 8 * np.count_nonzero(result.draws)
     for shots, expected in ((1000, ["binomial"]), (0, [])):
         calls.clear()
+        sizes.clear()
         exhaustive_fidelity(choi, shots=shots, seed=5)
         assert calls == expected
+        assert sum(sizes) <= 8 * 232
 
 
 def test_certification_builds_one_generator_per_call(monkeypatch):
@@ -531,12 +641,13 @@ def test_exhaustive_fidelity_rejects_bad_shot_counts(shots):
 
 
 def test_certification_reference_values():
-    # Device-channel reference numbers: shot mode draws only integer counts,
-    # so it must match bit for bit; exact mode may differ in rounding.
+    # Device-channel reference numbers: shot mode draws only integer counts
+    # and sums them in a fixed order, so it must match bit for bit; exact
+    # mode may differ in rounding.
     choi = device_choi()
     sampled = monte_carlo_fidelity(choi, samples=10000, seed=5, shots=1000)
-    assert sampled.estimate == 0.7280335000000001
-    assert sampled.stderr == 0.001006885072031475
+    assert sampled.estimate == 0.7278840750000001
+    assert sampled.stderr == 0.0010069185681712968
     assert exhaustive_fidelity(choi, shots=1000, seed=5) == 0.7273749999999999
     exact = monte_carlo_fidelity(choi, samples=10000, seed=0)
     assert exact.estimate == pytest.approx(0.7275412318962139, abs=1e-12)

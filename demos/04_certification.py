@@ -23,7 +23,8 @@ print(f"ideal correlation magnitudes: {magnitudes}")
 print()
 
 # The channel enters every estimator through its Choi matrix, compiled once
-# from the noisy pulse sequence; each eigenstate readout is a lookup into it.
+# from the noisy pulse sequence; each eigenstate readout is a signed sum of
+# eight entries of the channel's Pauli table, read off that matrix.
 choi = circuit_choi(toffoli_circuit(), NoiseModel.from_device())
 
 # Measuring every relevant pair once gives the deterministic reference.

@@ -22,7 +22,9 @@ Liu, PRL 106, 230501 (2011)).
 Q_n is linear in the channel's Choi state, so the estimators take the
 64x64 Choi matrix of the channel under test (``noise.circuit_choi`` for the
 simulated gate, ``register.choi_of_unitary`` for a unitary) and read every
-eigenstate output off it.  A set of pairs is three aligned arrays: the
+eigenstate output off its Pauli table (``tomography._pauli_table``): an
+eigenstate is a signed sum of eight Pauli strings over 8, so its readout
+is a signed sum of eight table entries.  A set of pairs is three aligned arrays: the
 input and output Pauli indices into ``pauli_labels()`` and the target
 correlations.  The relevant-pair readout of the last channel read is kept,
 keyed on the Choi matrix's content, so repeated estimates on one channel
@@ -40,10 +42,7 @@ pooled counts do not say how each draw's Q fell, so the standard error
 takes the sample variance of the draws expected given the counts (a
 Rao-Blackwellization: the same expectation, no larger variance).
 
-The product eigenvectors and eigenvalues of the 64 input Paulis are built on
-first use by one broadcast product of the single-site eigenbases
-(``register.kron_stack``).  The CLI imports this module only when
-``certify`` runs.
+The CLI imports this module only when ``certify`` runs.
 """
 
 from __future__ import annotations
@@ -54,38 +53,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import ideal_toffoli_choi
-from .register import _check_count, kron_stack
-from .tomography import (
-    PAULI_AXES,
-    _readout_probabilities,
-    _unit_readout,
-    standard_pauli_stack,
-)
+from .register import _check_count
+from .tomography import _pauli_table, _readout_probabilities
 
 RELEVANCE_CUTOFF = 1e-9
 
-# Eigenvectors (columns) and eigenvalues of each single-site Pauli.
-_EIGEN = {
-    "I": (np.eye(2, dtype=complex), np.array([1.0, 1.0])),
-    "X": (
-        np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-        np.array([1.0, -1.0]),
-    ),
-    "Y": (
-        np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
-        np.array([1.0, -1.0]),
-    ),
-    "Z": (np.eye(2, dtype=complex), np.array([1.0, -1.0])),
-}
 
 def enumerate_relevant_paulis(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``(inputs, outputs, ideal)`` of the pairs above ``RELEVANCE_CUTOFF``.
 
-    The correlation Tr[rho (A_m^T x B_n)] is Tr[B_n E(A_m)] / 8, one matmul
-    on the matrix-unit readout; pairs come in row-major (input, output) order.
+    The correlation Tr[rho (A_m^T x B_n)] is Tr[B_n E(A_m)] / 8, entry (m, n)
+    of the channel's Pauli table; pairs come in row-major (input, output) order.
     """
-    readout = _unit_readout(choi).reshape(64, 64)
-    table = (standard_pauli_stack().reshape(64, 64) @ readout.T).real / 8.0
+    table = _pauli_table(choi)
     inputs, outputs = np.nonzero(np.abs(table) > RELEVANCE_CUTOFF)
     ideal = table[inputs, outputs]
     for arr in (inputs, outputs, ideal):
@@ -99,33 +79,36 @@ def _relevant_toffoli_paulis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=1)
-def _eigenstates() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(64, 8, 8)`` product eigenvectors v_mk (row k) and their eigenvalues."""
-    # row k of the product of the transposes is column k of the Kronecker
-    # product of the eigenvector columns, v_a[i] (x) v_b[j] (x) v_c[k]
-    vecs = np.stack([_EIGEN[p][0].T for p in PAULI_AXES])
-    vals = np.stack([_EIGEN[p][1] for p in PAULI_AXES])
-    vectors, values = kron_stack(vecs, vecs, vecs), kron_stack(vals, vals, vals)
-    vectors.setflags(write=False)
-    values.setflags(write=False)
-    return vectors, values
+def _eigenstate_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only integer tables ``sub`` (64, 8), ``sign`` (8, 8) and ``eigenvalues`` (64, 8).
 
-
-def _eigenstate_readout(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact readout of every input Pauli's product eigenstates.
-
-    Returns ``exact[m, k, n] = Tr[P_n E(|v_mk><v_mk|)]``, where v_mk is the
-    k-th product eigenvector of input Pauli m and P_n the output Pauli, and
-    the ``(64, 8)`` eigenvalues of the v_mk, contracted from the
-    matrix-unit readout of ``choi``.
+    Eigenstate k of input Pauli m is prod_s (I + mu_s tau_s) / 2 over sites
+    s: tau_s is the site's Pauli, or Z where that is I, and mu_s = -1 where
+    bit s of k is set, site A the high bit.  Over site subsets S, numbered
+    likewise, that is sum_S sign[k, S] P_sub[m, S] / 8, ``sub[m, S]`` with
+    tau_s on S and I elsewhere, ``sign[k, S] = (-1)^|k & S|``; the
+    eigenvalue is sign[k, sites where m is not I].
     """
-    vectors, values = _eigenstates()
-    # The 512 KB projector stack is dropped after each call (holding it raised
-    # peak RSS): calls come once per distinct channel, because
-    # ``_relevant_readout`` keeps the 30 KB of the result the estimators read.
-    states = np.einsum("mki,mkj->mkij", vectors, vectors.conj()).reshape(512, 64)
-    exact = (states @ _unit_readout(choi).reshape(64, 64).T).real.reshape(64, 8, 64)
-    return exact, values
+    digits = np.indices((4, 4, 4)).reshape(3, 64).T  # per site of m, A first
+    bits = np.indices((2, 2, 2)).reshape(3, 8).T  # per site of k or S, A first
+    sub = (np.where(digits == 0, 3, digits)[:, None, :] * bits) @ (16, 4, 1)
+    sign = (-1) ** (bits @ bits.T)
+    eigenvalues = sign[(digits > 0) @ (4, 2, 1)]  # sign is symmetric
+    for table in (sub, sign, eigenvalues):
+        table.setflags(write=False)
+    return sub, sign, eigenvalues
+
+
+def _eigenstate_readout(choi: np.ndarray, inputs, outputs) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam_k and exact readouts r_k, each ``(len(inputs), 8)``, of the given pairs.
+
+    Row i is of input Pauli m = ``inputs[i]``'s product eigenstates and output
+    Pauli n = ``outputs[i]``: r_k = Tr[P_n E(rho_mk)] = sum_S sign[k, S]
+    R[sub[m, S], n] on the Pauli table R of ``choi`` (``_eigenstate_tables``).
+    """
+    sub, sign, eigenvalues = _eigenstate_tables()
+    terms = _pauli_table(choi)[sub[inputs], np.asarray(outputs)[:, None]]
+    return eigenvalues[inputs], terms @ sign.T
 
 
 # One entry: the content key of the last channel read and its relevant-pair
@@ -135,19 +118,15 @@ _READOUT_MEMO: dict = {}
 
 
 def _relevant_readout(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(232, 8)`` eigenvalues and exact readouts of the relevant Toffoli pairs.
+    """Read-only ``(232, 8)`` ``_eigenstate_readout`` of the relevant Toffoli pairs.
 
-    Row i holds the eigenvalues lam_k of input Pauli ``inputs[i]``'s product
-    eigenstates and the exact readouts r_k of output Pauli ``outputs[i]`` on
-    them, from ``_eigenstate_readout(choi)``.  The last channel's result is
-    reused while its content is unchanged.
+    The last channel's result is reused while its content is unchanged.
     """
     choi = np.asarray(choi)
     key = (choi.dtype.str, choi.shape, choi.tobytes())
     if key not in _READOUT_MEMO:
         inputs, outputs, _ = _relevant_toffoli_paulis()
-        exact, eigenvalues = _eigenstate_readout(choi)
-        lams, rows = eigenvalues[inputs], exact[inputs, :, outputs]
+        lams, rows = _eigenstate_readout(choi, inputs, outputs)
         lams.setflags(write=False)
         rows.setflags(write=False)
         _READOUT_MEMO.clear()

@@ -9,7 +9,8 @@ order of the three-qubit basis |000>, |001>, ..., |111>.
 
 The module holds what the rest of the package builds on: site and basis
 indexing, the Pauli matrices, ``kron_stack`` for the constant tables of
-three-site products, ``_check_count`` for every count argument, the
+three-site products (``tomography``'s readout Pauli products, preparation
+table and its inverse), ``_check_count`` for every count argument, the
 ``ProjectionError`` a failed CPTP projection raises, and ``checked_choi``,
 which makes the one representation of a three-qubit channel that
 tomography and certification read.  A Choi matrix is a read-only complex

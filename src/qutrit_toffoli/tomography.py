@@ -18,11 +18,11 @@ Site A is the slowest label, and per site the factor order is I, X, Y, Z,
 so the string "XZI" sits at index 16*1 + 4*3 + 0.  The two are related by
 one unitary, chi = W^dag J W, and chi is formed only there, by ``chi_of_choi``.
 
-The constant tables (the readout Pauli products and the 64 input states)
-are built on first use, each by one broadcast product of the four
-single-site factors (``register.kron_stack``), bit-identical to a chain of
-``np.kron`` calls per entry.  The CLI imports this module only when
-``process-tomo`` or ``certify`` runs.
+Every reader of a channel reads its real Pauli table R = ``_pauli_table``.
+The exact records are C R, with C the integer table Tr[P_q rho_i] of the
+64 inputs, and linear inversion reads R = C^-1 v; C, C^-1 and the readout
+Pauli products are built on first use, each by one ``register.kron_stack``.
+The CLI imports this module only when ``process-tomo`` or ``certify`` runs.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import pi
 
 import numpy as np
 
-from .gates import ideal_toffoli_choi, rotation_matrix_qutrit
+from .gates import ideal_toffoli_choi
 from .register import (
     ATOL,
     PAULI,
@@ -81,30 +80,35 @@ def chi_basis() -> np.ndarray:
     return stack
 
 
-def _prep_matrix(label: str) -> np.ndarray:
-    if label == "id":
-        return np.eye(3, dtype=complex)
-    if label == "x90":
-        return rotation_matrix_qutrit("x", pi / 2)
-    if label == "y90":
-        return rotation_matrix_qutrit("y", pi / 2)
-    if label == "x180":
-        return rotation_matrix_qutrit("x", pi)
-    raise ValueError(f"unknown preparation {label!r}")
-
-
 @functools.lru_cache(maxsize=1)
-def _input_qubit_matrices() -> np.ndarray:
-    """Ideal 8x8 input density matrices, A-major order.
+def _preparations() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``C[i, q] = Tr[P_q rho_i]`` of the 64 inputs, and C^-1, exact.
 
-    Every preparation pulse maps |0> into levels 0-1, so each input is the
-    product of the pulses' first columns truncated to two levels.
+    Every pulse maps |0> into levels 0-1, so C is the three-fold product of
+    the site table: integer, with C^-1 in multiples of 1/8 and C @ C^-1 = I.
     """
-    columns = np.stack([_prep_matrix(label)[:2, 0] for label in PREP_LABELS])
-    amps = kron_stack(columns, columns, columns)
-    stack = amps[:, :, None] * amps.conj()[:, None, :]
-    stack.setflags(write=False)
-    return stack
+    # Tr[sigma rho], sigma = I, X, Y, Z, of |0> after each of ``PREP_LABELS``
+    site = np.array([[1, 0, 0, 1], [1, 0, -1, 0], [1, 1, 0, 0], [1, 0, 0, -1]], dtype=float)
+    inverse = np.array([[1, 0, 0, 1], [-1, 0, 2, -1], [1, -2, 0, 1], [1, 0, 0, -1]]) / 2.0
+    tables = kron_stack(site, site, site), kron_stack(inverse, inverse, inverse)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _pauli_table(choi: np.ndarray) -> np.ndarray:
+    """The real Pauli table ``R[q, n] = Tr[P_n E(P_q)] / 8`` of the channel E of ``choi``.
+
+    R = Re(p x p^T), p the readout products as rows, x[(i, j), (b, a)] = J[8i + a, 8j + b].
+    Every reader of a channel comes through here, so anything but a finite 64x64
+    array raises ValueError; positivity and trace are checked by ``checked_choi``.
+    """
+    choi = np.asarray(choi)
+    if choi.shape != (64, 64) or not np.all(np.isfinite(choi)):
+        raise ValueError("Choi matrix must be a finite 64x64 array")
+    p = standard_pauli_stack().reshape(64, 64)
+    x = choi.reshape(8, 8, 8, 8).transpose(0, 2, 3, 1).reshape(64, 64)
+    return (p @ x @ p.T).real
 
 
 def _readout_probabilities(expectations: np.ndarray) -> np.ndarray:
@@ -145,21 +149,6 @@ class Records:
         object.__setattr__(self, "shots", _check_count(self.shots, "shots", 0))
 
 
-def _unit_readout(choi: np.ndarray) -> np.ndarray:
-    """``table[n, i, j] = Tr[P_n E(|i><j|)]`` for the channel E of ``choi``.
-
-    With C the Choi matrix reshaped to (8, 8, 8, 8),
-    E(M) = 8 sum_ij M_ij C[i, :, j, :].  Every reader of a channel comes
-    through here, so anything but a finite 64x64 array raises ValueError;
-    positivity and trace are checked once, by the producer's ``checked_choi``.
-    """
-    choi = np.asarray(choi)
-    if choi.shape != (64, 64) or not np.all(np.isfinite(choi)):
-        raise ValueError("Choi matrix must be a finite 64x64 array")
-    tensor = choi.reshape(8, 8, 8, 8)
-    return 8.0 * np.einsum("iajb,nba->nij", tensor, standard_pauli_stack())
-
-
 def measure_output_records(choi: np.ndarray, shots: int = 0, seed: int = 0) -> Records:
     """Measure all 64 x 64 Pauli expectations behind the channel of ``choi``.
 
@@ -168,8 +157,7 @@ def measure_output_records(choi: np.ndarray, shots: int = 0, seed: int = 0) -> R
     drawn in row-major order from the one generator ``default_rng(seed)``.
     """
     shots = _check_count(shots, "shots", 0)
-    preparations = _input_qubit_matrices().reshape(64, 64)
-    values = (preparations @ _unit_readout(choi).reshape(64, 64).T).real
+    values = _preparations()[0] @ _pauli_table(choi)
     if shots:
         rng = np.random.default_rng(seed)
         values = _binomial_readout(rng, shots, _readout_probabilities(values))
@@ -222,24 +210,15 @@ def chi_of_unitary(unitary8: np.ndarray) -> ChiMatrix:
 
 
 @functools.lru_cache(maxsize=1)
-def _preparation_inverse() -> np.ndarray:
-    inverse = np.linalg.inv(_input_qubit_matrices().reshape(64, 64))
-    inverse.setflags(write=False)
-    return inverse
-
-
-@functools.lru_cache(maxsize=1)
 def _fidelity_weights() -> np.ndarray:
     """Real w with ``process_fidelity(choi_from_records(v), ideal Toffoli J) = <w, v>``.
 
-    Both Choi matrices expand in the Pauli tables ``Tr[P_n E(|i><j|)]`` of
-    ``choi_from_records``, so their overlap is Re <table(v), table_ideal> / 512.
-    Every weight is a whole multiple of 1/512 up to float noise (at most
-    2e-15/512), so the weights are rounded to those multiples: 1120 of them
-    are +-1, 2 or 4 over 512 and the other 2976 are exact zeros.
+    Two Choi matrices overlap by <R, R'> / 64 in their Pauli tables, and
+    R = C^-1 v, so w = C^-T R_ideal / 64, in whole multiples of 1/512 up to
+    float noise; rounded to those, 1120 weights are +-1, 2 or 4 over 512
+    and the other 2976 exact zeros.
     """
-    table = _unit_readout(ideal_toffoli_choi()).reshape(64, 64).T
-    weights = np.rint((_preparation_inverse().T @ table.conj()).real) / 512.0
+    weights = np.rint(8.0 * (_preparations()[1].T @ _pauli_table(ideal_toffoli_choi()))) / 512.0
     weights.setflags(write=False)
     return weights
 
@@ -247,12 +226,13 @@ def _fidelity_weights() -> np.ndarray:
 def choi_from_records(records: Records) -> np.ndarray:
     """Read-only linear-inversion Choi matrix of ``records``; no positivity enforced.
 
-    Undoing the preparations gives ``table[(i, j), n] = Tr[P_n E(|i><j|)]``,
-    and E(|i><j|) = (1/8) sum_n table[(i, j), n] P_n fills block (i, j).
+    Undoing the preparations gives the Pauli table R = C^-1 v of
+    ``_pauli_table``, and the Paulis' orthogonality, Tr[P_q P_n] = 8 delta_qn,
+    inverts it: p^T R p / 64 is x rearranged.
     """
-    table = (_preparation_inverse() @ records.values).reshape(8, 8, 64)
-    tensor = np.einsum("ijn,nab->iajb", table, standard_pauli_stack())
-    choi = tensor.reshape(64, 64) / 64.0
+    p = standard_pauli_stack().reshape(64, 64)
+    tensor = (p.T @ (_preparations()[1] @ records.values @ p)).reshape(8, 8, 8, 8)
+    choi = tensor.transpose(1, 2, 0, 3).reshape(64, 64) / 64.0
     choi.setflags(write=False)
     return choi
 

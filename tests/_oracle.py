@@ -42,20 +42,31 @@ It checks ``noise.circuit_truth_table``, which never builds one.
 
 ``input_prep_labels`` names the 64 tomography inputs in record order, such as
 "x180.id.id" for x180 on site A alone; ``tomography.Records`` states that
-order.
+order.  ``PREP_PULSES`` holds each preparation pulse as its qutrit rotation
+from ``gates.rotation_matrix_qutrit``, and ``SITE_EIGENVECTORS`` each
+single-site Pauli's eigenvectors.
 
-``pauli_stack_reference``, ``input_states_reference`` and
-``eigenstates_reference`` build the constant tables of tomography and
-certification one product at a time, by ``functools.reduce(np.kron, ...)``
-as the package did before it formed them in one broadcast product
-(``register.kron_stack``); the tables must match them bit for bit.
+``pauli_stack_reference`` and ``input_states_reference`` build the readout
+Pauli products and the 64 input states one product at a time, by
+``functools.reduce(np.kron, ...)``; ``preparation_table_reference`` reads
+Tr[P_q rho_i] off those states, and ``preparation_rows_reference`` chains
+the same values per site, rounded to the integers they are.
+``product_eigenvectors`` lists the eight product eigenvectors of a Pauli
+string, ``eigenstates_reference`` stacks them with their eigenvalues for
+all 64, and ``eigenstate_readout_reference`` reads the output Pauli
+expectations of every one of their projectors off a Choi matrix.  None of
+them uses the package's preparation or eigenstate tables, so they check
+``tomography._preparations`` and ``certify._eigenstate_readout``.
 
 ``per_draw_monte_carlo`` is the Monte Carlo certification estimator that
-reads every draw on its own: Binomial(shots, p_k) counts per draw and
-eigenstate, and the sample mean and sample deviation of the per-draw
-X = Q/P.  The package pools a pair's draws into one count per eigenstate
-and takes the expected sample variance given those counts; over seeds both
-must agree in distribution.
+reads every draw on its own.  It reuses the package's estimator inputs, the
+relevant pairs (``certify._relevant_toffoli_paulis``), their exact readouts
+(``certify._relevant_readout``) and the readout probabilities
+(``tomography._readout_probabilities``), and draws from them:
+Binomial(shots, p_k) counts per draw and eigenstate, and the sample mean and
+sample deviation of the per-draw X = Q/P.  The package pools a pair's draws
+into one count per eigenstate and takes the expected sample variance given
+those counts; over seeds both must agree in distribution.
 
 ``dykstra_projection`` finds the Frobenius-nearest CPTP Choi matrix by
 alternating projections, with its own partial trace and TP step.  It shares
@@ -67,14 +78,13 @@ import itertools
 
 import numpy as np
 
-from qutrit_toffoli.certify import _EIGEN, _relevant_readout, _relevant_toffoli_paulis
-from qutrit_toffoli.gates import XY_PULSE_NS, toffoli_circuit
+from qutrit_toffoli.certify import _relevant_readout, _relevant_toffoli_paulis
+from qutrit_toffoli.gates import XY_PULSE_NS, rotation_matrix_qutrit, toffoli_circuit
 from qutrit_toffoli.noise import NoiseModel
 from qutrit_toffoli.register import PAULI, checked_choi
 from qutrit_toffoli.tomography import (
     PAULI_AXES,
     PREP_LABELS,
-    _prep_matrix,
     _readout_probabilities,
     pauli_labels,
     standard_pauli_stack,
@@ -224,6 +234,22 @@ def device_channel8(rho8):
     return qubit_block_oracle(rho8, toffoli_circuit(), NoiseModel.from_device(), XY_PULSE_NS)
 
 
+PREP_PULSES = {
+    "id": np.eye(3, dtype=complex),
+    "x90": rotation_matrix_qutrit("x", np.pi / 2),
+    "y90": rotation_matrix_qutrit("y", np.pi / 2),
+    "x180": rotation_matrix_qutrit("x", np.pi),
+}
+
+# Eigenvectors of each single-site Pauli, the +1 eigenvector first; I has Z's.
+SITE_EIGENVECTORS = {
+    "I": ([1, 0], [0, 1]),
+    "X": ([1, 1], [1, -1]),
+    "Y": ([1, 1j], [1, -1j]),
+    "Z": ([1, 0], [0, 1]),
+}
+
+
 def input_prep_labels():
     """Dot-joined site pulses of each tomography input, site A first and slowest."""
     return tuple(".".join(combo) for combo in itertools.product(PREP_LABELS, repeat=3))
@@ -237,21 +263,60 @@ def pauli_stack_reference():
 
 
 def input_states_reference():
-    """The 64 input states of ``tomography._input_qubit_matrices``, one kron chain each."""
+    """The 64 input density matrices, each the kron chain of its pulses' truncated |0> columns."""
     states = []
     for combo in itertools.product(PREP_LABELS, repeat=3):
-        amps = functools.reduce(np.kron, [_prep_matrix(label)[:2, 0] for label in combo])
+        amps = functools.reduce(np.kron, [PREP_PULSES[label][:2, 0] for label in combo])
         states.append(np.outer(amps, amps.conj()))
     return np.stack(states)
 
 
+def preparation_table_reference():
+    """Tr[P_q rho_i] of input i (row) and readout product q (column), from the 8x8 states."""
+    return np.einsum("iab,qba->iq", input_states_reference(), pauli_stack_reference()).real
+
+
+def preparation_rows_reference():
+    """Kron chains, input by input, of each site's Tr[sigma rho] for sigma = I, X, Y, Z.
+
+    The site values, of |0> after each pulse, are rounded to the integers
+    they are up to float noise (negative zeros dropped).
+    """
+    rows = []
+    for label in PREP_LABELS:
+        amps = PREP_PULSES[label][:2, 0]
+        rho = np.outer(amps, amps.conj())
+        rows.append([np.trace(PAULI[p] @ rho).real for p in PAULI_AXES])
+    rows = np.rint(rows) + 0.0
+    combos = itertools.product(rows, repeat=3)
+    return np.stack([functools.reduce(np.kron, combo) for combo in combos])
+
+
+def product_eigenvectors(labels):
+    """The 8 normalized product eigenvectors of a Pauli string, site A's choice slowest."""
+    return [
+        functools.reduce(np.kron, [np.array(x, dtype=complex) / np.linalg.norm(x) for x in combo])
+        for combo in itertools.product(*(SITE_EIGENVECTORS[c] for c in labels))
+    ]
+
+
 def eigenstates_reference():
-    """``certify._eigenstates``: row k of entry m is the k-th column of the kron chain."""
-    vectors, values = [], []
-    for labels in pauli_labels():
-        vectors.append(functools.reduce(np.kron, [_EIGEN[p][0] for p in labels]).T)
-        values.append(functools.reduce(np.kron, [_EIGEN[p][1] for p in labels]))
-    return np.stack(vectors), np.stack(values)
+    """``(vectors, eigenvalues)``: v_mk, product eigenvector k of Pauli m, and <v_mk|P_m|v_mk>."""
+    vectors = np.stack([product_eigenvectors(labels) for labels in pauli_labels()])
+    paulis = pauli_stack_reference()
+    return vectors, np.einsum("mki,mij,mkj->mk", vectors.conj(), paulis, vectors).real
+
+
+def eigenstate_readout_reference(choi):
+    """``exact[m, k, n] = Tr[P_n E(|v_mk><v_mk|)]`` for the v_mk of ``eigenstates_reference``.
+
+    Each projector is contracted with the Choi matrix entry by entry,
+    E(rho) = 8 sum_ij rho_ij J[8i:8i+8, 8j:8j+8].
+    """
+    vectors, _ = eigenstates_reference()
+    projectors = np.einsum("mki,mkj->mkij", vectors, vectors.conj())
+    outputs = 8.0 * np.einsum("mkij,iajb->mkab", projectors, choi.reshape(8, 8, 8, 8))
+    return np.einsum("mkab,nba->mkn", outputs, pauli_stack_reference()).real
 
 
 def choi_truth_table(choi):

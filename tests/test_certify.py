@@ -9,7 +9,7 @@ import pytest
 from qutrit_toffoli.certify import (
     RELEVANCE_CUTOFF,
     _eigenstate_readout,
-    _eigenstates,
+    _eigenstate_tables,
     _measured_correlations,
     _relevant_readout,
     enumerate_relevant_paulis,
@@ -37,7 +37,9 @@ from _oracle import (
     choi_expectation_direct,
     choi_of_channel,
     device_channel8,
+    eigenstate_readout_reference,
     per_draw_monte_carlo,
+    product_eigenvectors,
 )
 
 
@@ -69,23 +71,11 @@ def pauli_product(labels):
     return mat
 
 
-# Eigenvectors of each single-site Pauli, the +1 eigenvector first.
-SITE_EIGENVECTORS = {
-    "I": ([1, 0], [0, 1]),
-    "X": ([1, 1], [1, -1]),
-    "Y": ([1, 1j], [1, -1j]),
-    "Z": ([1, 0], [0, 1]),
-}
-
-
 def oracle_readout(channel, in_labels, out_labels):
     """Tr[B E(|v_k><v_k|)] and eigenvalue of each product eigenstate v_k of A."""
     a, b = pauli_product(in_labels), pauli_product(out_labels)
     readout, eigenvalues = [], []
-    for combo in itertools.product(*(SITE_EIGENVECTORS[c] for c in in_labels)):
-        v = functools.reduce(
-            np.kron, [np.array(x, dtype=complex) / np.linalg.norm(x) for x in combo]
-        )
+    for v in product_eigenvectors(in_labels):
         eigenvalue = np.vdot(v, a @ v).real
         assert np.max(np.abs(a @ v - eigenvalue * v)) < 1e-12
         eigenvalues.append(eigenvalue)
@@ -289,37 +279,36 @@ def test_eigenstate_readout_matches_direct_contraction():
     for trial in range(5):
         channel = random_cptp_channel(np.random.default_rng(100 + trial))
         choi = choi_of_channel(channel)
-        exact, eigenvalues = _eigenstate_readout(choi)
         for _ in range(50):
             m, n = rng.integers(64), rng.integers(64)
+            (eigenvalues,), (row,) = _eigenstate_readout(choi, [m], [n])
             oracle, oracle_eigenvalues = oracle_readout(channel, labels[m], labels[n])
-            assert np.max(np.abs(exact[m, :, n] - oracle)) < 1e-9
-            assert np.allclose(eigenvalues[m], oracle_eigenvalues, atol=1e-12)
+            assert np.max(np.abs(row - oracle)) < 1e-9
+            assert np.allclose(eigenvalues, oracle_eigenvalues, atol=1e-12)
             direct = choi_expectation_direct(choi, labels[m], labels[n])
-            via_states = np.dot(eigenvalues[m], exact[m, :, n]) / 8.0
+            via_states = np.dot(eigenvalues, row) / 8.0
             assert abs(direct - via_states) < 1e-9
 
 
 def test_eigenstate_readout_identity_factors():
     channel = device_channel8
     choi = device_choi()
-    exact, eigenvalues = _eigenstate_readout(choi)
     labels = pauli_labels()
     for in_labels, out_labels in [("III", "IZZ"), ("IZI", "IZI"), ("XII", "XII")]:
         m, n = labels.index(in_labels), labels.index(out_labels)
+        (eigenvalues,), (row,) = _eigenstate_readout(choi, [m], [n])
         oracle, oracle_eigenvalues = oracle_readout(channel, in_labels, out_labels)
-        assert np.max(np.abs(exact[m, :, n] - oracle)) < 1e-10
-        assert np.allclose(eigenvalues[m], oracle_eigenvalues, atol=1e-12)
+        assert np.max(np.abs(row - oracle)) < 1e-10
+        assert np.allclose(eigenvalues, oracle_eigenvalues, atol=1e-12)
         direct = choi_expectation_direct(choi, in_labels, out_labels)
-        assert np.dot(eigenvalues[m], exact[m, :, n]) / 8.0 == pytest.approx(
+        assert np.dot(eigenvalues, row) / 8.0 == pytest.approx(
             direct, abs=1e-10
         )
 
 
 def test_eigenstate_readout_shot_mode():
-    exact, eigenvalues = _eigenstate_readout(device_choi())
     m = n = pauli_labels().index("IIZ")
-    lam, row = eigenvalues[m], exact[m, :, n]
+    (lam,), (row,) = _eigenstate_readout(device_choi(), [m], [n])
     probabilities = _readout_probabilities(row)
     # One batched readout of a repeated row draws what repeated readouts draw.
     batch = _binomial_readout(
@@ -376,21 +365,21 @@ def test_monte_carlo_shot_readout_matches_integer_count_oracle():
     # error from the closed form
     choi = device_choi()
     result = monte_carlo_fidelity(choi, samples=3000, seed=5, shots=1000)
-    exact, eigenvalues = _eigenstate_readout(choi)
     inputs, outputs, ideal = enumerate_relevant_paulis(ideal_toffoli_choi())
+    eigenvalues, rows = _eigenstate_readout(choi, inputs, outputs)
     rng = np.random.default_rng(5)
     probs = ideal**2 / np.sum(ideal**2)
     chosen = rng.choice(len(ideal), size=3000, p=probs)
     assert np.array_equal(result.draws, np.bincount(chosen, minlength=len(ideal)))
     drawn = np.flatnonzero(result.draws).tolist()
-    probabilities = _readout_probabilities(exact[inputs, :, outputs])[drawn]
+    probabilities = _readout_probabilities(rows)[drawn]
     pooled = [1000 * int(result.draws[i]) for i in drawn]
     counts = rng.binomial(np.repeat(pooled, 8), probabilities.ravel()).tolist()
     assert len(counts) == 8 * len(drawn)
     assert set(np.unique(eigenvalues)) == {-1.0, 1.0}
     terms = []  # (draws, X of the pair mean, expected squared spread of one X)
     for j, (index, n) in enumerate(zip(drawn, pooled)):
-        lams = [int(lam) for lam in eigenvalues[inputs[index]]]
+        lams = [int(lam) for lam in eigenvalues[index]]
         row = counts[8 * j : 8 * j + 8]
         total = sum(lam * c for lam, c in zip(lams, row))
         mean = (2.0 * total / n - sum(lams)) / 8.0
@@ -404,7 +393,7 @@ def test_monte_carlo_shot_readout_matches_integer_count_oracle():
     squares = sum(d * ((x - estimate) ** 2 + w) for d, x, w in terms)
     assert result.estimate == pytest.approx(estimate, rel=1e-13)
     assert result.stderr == pytest.approx(np.sqrt(squares / 2999 / 3000), rel=1e-12)
-    assert not any(arr.flags.writeable for arr in _eigenstates())
+    assert not any(arr.flags.writeable for arr in _eigenstate_tables())
     assert not result.draws.flags.writeable and not result.mean_values.flags.writeable
 
 
@@ -603,9 +592,9 @@ def test_readout_memo_reads_a_channel_changed_in_place():
     monte_carlo_fidelity(choi, samples=500, seed=1)
     choi[...] = (choi + ideal_toffoli_choi()) / 2.0
     result = monte_carlo_fidelity(choi, samples=500, seed=1)
-    exact, eigenvalues = _eigenstate_readout(choi)  # uncached
     inputs, outputs, _ = enumerate_relevant_paulis(ideal_toffoli_choi())
-    lams, rows = eigenvalues[inputs], exact[inputs, :, outputs]
+    lams, rows = _eigenstate_readout(choi, inputs, outputs)  # uncached
+    assert np.max(np.abs(rows - eigenstate_readout_reference(choi)[inputs, :, outputs])) < 1e-12
     cached_lams, cached_rows = _relevant_readout(choi)
     assert cached_lams.tobytes() == lams.tobytes()
     assert cached_rows.tobytes() == rows.tobytes()

@@ -18,9 +18,29 @@ from qutrit_toffoli.noise import (  # noqa: E402
     noise_model_from_config,
     parse_config_file,
 )
-from qutrit_toffoli.tomography import _tp_residual, ml_projection  # noqa: E402
+from qutrit_toffoli.certify import _eigenstate_readout  # noqa: E402
+from qutrit_toffoli.tomography import (  # noqa: E402
+    _tp_residual,
+    choi_from_records,
+    measure_output_records,
+    ml_projection,
+)
 
-from _oracle import CUSTOM_MODEL, choi_of_channel, qubit_block_oracle  # noqa: E402
+from _oracle import (  # noqa: E402
+    CUSTOM_MODEL,
+    choi_of_channel,
+    eigenstate_readout_reference,
+    eigenstates_reference,
+    qubit_block_oracle,
+)
+
+
+def random_cptp_choi(rng, n_kraus):
+    """Choi matrix of a channel with ``n_kraus`` Kraus operators from a random isometry."""
+    big = rng.normal(size=(8 * n_kraus, 8)) + 1j * rng.normal(size=(8 * n_kraus, 8))
+    isometry, _ = np.linalg.qr(big)
+    kraus = [isometry[8 * k : 8 * (k + 1)] for k in range(n_kraus)]
+    return choi_of_channel(lambda block: sum(k @ block @ k.conj().T for k in kraus))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -31,16 +51,26 @@ from _oracle import CUSTOM_MODEL, choi_of_channel, qubit_block_oracle  # noqa: E
 )
 def test_ml_projection_of_perturbed_cptp_chi_is_physical(seed, n_kraus, noise_norm):
     rng = np.random.default_rng(seed)
-    big = rng.normal(size=(8 * n_kraus, 8)) + 1j * rng.normal(size=(8 * n_kraus, 8))
-    isometry, _ = np.linalg.qr(big)
-    kraus = [isometry[8 * k : 8 * (k + 1)] for k in range(n_kraus)]
-    choi = choi_of_channel(lambda block: sum(k @ block @ k.conj().T for k in kraus))
+    choi = random_cptp_choi(rng, n_kraus)
     noise = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     noise = noise + noise.conj().T
     noise *= noise_norm / np.linalg.norm(noise)
     projected = ml_projection(choi + noise)
     assert np.linalg.eigvalsh(projected)[0] > -1e-10
     assert _tp_residual(projected) < 1e-8
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(1, 4))
+def test_pauli_table_inverts_exactly_and_reads_every_eigenstate(seed, n_kraus):
+    choi = random_cptp_choi(np.random.default_rng(seed), n_kraus)
+    recovered = choi_from_records(measure_output_records(choi))
+    assert np.max(np.abs(recovered - choi)) < 1e-13
+    # every one of the 4096 pairs against the projector readout
+    inputs, outputs = np.indices((64, 64)).reshape(2, -1)
+    eigenvalues, rows = _eigenstate_readout(choi, inputs, outputs)
+    assert np.max(np.abs(rows - eigenstate_readout_reference(choi)[inputs, :, outputs])) < 1e-12
+    assert np.array_equal(eigenvalues, np.rint(eigenstates_reference()[1])[inputs])
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

@@ -1,13 +1,15 @@
+import ast
 import functools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qutrit_toffoli import cli
 from qutrit_toffoli.certify import (
-    _eigenstates,
+    _eigenstate_tables,
     exhaustive_fidelity,
     monte_carlo_fidelity,
 )
@@ -32,12 +34,12 @@ from qutrit_toffoli.tomography import (
     standard_pauli_stack,
     _choi_basis,
     _fidelity_weights,
-    _input_qubit_matrices,
-    _prep_matrix,
+    _preparations,
     _tp_residual,
 )
 
 from _oracle import (
+    PREP_PULSES,
     choi_of_channel,
     device_channel8,
     dykstra_projection,
@@ -45,6 +47,8 @@ from _oracle import (
     input_prep_labels,
     input_states_reference,
     pauli_stack_reference,
+    preparation_rows_reference,
+    preparation_table_reference,
     project_tp,
 )
 
@@ -161,7 +165,7 @@ def test_standard_stack_differs_only_in_y():
 
 
 def test_input_states_cover_all_preparations():
-    stack = _input_qubit_matrices()
+    stack = input_states_reference()
     labels = input_prep_labels()
     assert stack.shape == (64, 8, 8) and len(labels) == 64
     # x180 on site A only: |100><100|, the rotation's global phase cancels
@@ -169,20 +173,25 @@ def test_input_states_cover_all_preparations():
     target = np.zeros((8, 8))
     target[4, 4] = 1.0
     assert np.max(np.abs(rho - target)) < 1e-12
+    # and the preparation table holds its Pauli expectations
+    expected = np.einsum("ab,qba->q", target, standard_pauli_stack()).real
+    assert np.max(np.abs(_preparations()[0][labels.index("x180.id.id")] - expected)) < 1e-12
     # preparations never populate level 2
     for label in PREP_LABELS:
-        assert _prep_matrix(label)[2, 0] == 0
+        assert PREP_PULSES[label][2, 0] == 0
 
 
 @pytest.mark.parametrize(
     "table, reference",
     [
         (standard_pauli_stack, pauli_stack_reference),
-        (_input_qubit_matrices, input_states_reference),
-        (lambda: _eigenstates()[0], lambda: eigenstates_reference()[0]),
-        (lambda: _eigenstates()[1], lambda: eigenstates_reference()[1]),
+        (lambda: _preparations()[0], preparation_rows_reference),
+        (
+            lambda: _eigenstate_tables()[2],
+            lambda: np.rint(eigenstates_reference()[1]).astype(np.int64),
+        ),
     ],
-    ids=["pauli-stack", "input-states", "eigenvectors", "eigenvalues"],
+    ids=["pauli-stack", "input-states", "eigenvalues"],
 )
 def test_constant_tables_are_their_kron_chains_bit_for_bit(table, reference):
     built, expected = table(), reference()
@@ -191,9 +200,43 @@ def test_constant_tables_are_their_kron_chains_bit_for_bit(table, reference):
     assert not built.flags.writeable and built.flags.c_contiguous
 
 
+def test_preparation_tables_are_exact():
+    # C[i, q] = Tr[P_q rho_i] is integer, its inverse is made of multiples of
+    # 1/8, and their product is the identity bit for bit
+    table, inverse = _preparations()
+    assert np.array_equal(table, np.rint(table))
+    assert np.array_equal(8.0 * inverse, np.rint(8.0 * inverse))
+    assert np.array_equal(table @ inverse, np.eye(64))
+    assert np.max(np.abs(table - preparation_table_reference())) < 1e-15
+    assert not table.flags.writeable and not inverse.flags.writeable
+
+
+def test_the_oracle_imports_no_private_code_of_the_modules_it_checks():
+    # a reference built from the code it checks cannot disagree with it; the
+    # oracle may reuse only the estimator inputs its docstring names
+    tree = ast.parse(Path(__file__).with_name("_oracle.py").read_text())
+    stated = ast.get_docstring(tree)
+    reused = {"_relevant_readout", "_relevant_toffoli_paulis", "_readout_probabilities"}
+    checked = {"qutrit_toffoli.tomography", "qutrit_toffoli.certify"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not {alias.name for alias in node.names} & checked
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert not {f"{node.module}.{name}" for name in names} & checked
+            if node.module in checked:
+                private = {name for name in names if name.startswith("_")}
+                assert private <= reused, private - reused
+                module = node.module.removeprefix("qutrit_toffoli.")
+                assert all(f"``{module}.{name}``" in stated for name in private)
+
+
 def test_input_matrices_are_well_conditioned():
-    stack = _input_qubit_matrices().reshape(64, 64).T
-    assert np.linalg.cond(stack) < 100
+    # the states are C @ p / 8 with p / sqrt(8) unitary, so both have one condition number
+    condition = np.linalg.cond(_preparations()[0])
+    assert condition < 100
+    states = input_states_reference().reshape(64, 64)
+    assert np.linalg.cond(states) == pytest.approx(condition, rel=1e-9)
 
 
 def test_chi_of_identity_and_single_x():
@@ -634,10 +677,11 @@ def test_fidelity_weights_are_the_raw_fidelity_functional():
 
 def test_fidelity_weights_are_exact_multiples_of_one_512th():
     # the weights before rounding, as the adjoint of the linear inversion
-    table = tomography._unit_readout(choi_of_unitary(ideal_toffoli_unitary()))
-    unrounded = (
-        tomography._preparation_inverse().T @ table.reshape(64, 64).T.conj()
-    ).real / 512.0
+    # of the oracle's input states and matrix-unit readout Tr[P_n E(|i><j|)]
+    ideal = choi_of_unitary(ideal_toffoli_unitary()).reshape(8, 8, 8, 8)
+    table = 8.0 * np.einsum("iajb,nba->nij", ideal, pauli_stack_reference())
+    inverse = np.linalg.inv(input_states_reference().reshape(64, 64))
+    unrounded = (inverse.T @ table.reshape(64, 64).T.conj()).real / 512.0
     assert np.max(np.abs(512.0 * unrounded - np.rint(512.0 * unrounded))) < 1e-12
     weights = _fidelity_weights()
     assert np.array_equal(weights, np.rint(512.0 * unrounded) / 512.0)

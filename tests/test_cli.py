@@ -146,6 +146,11 @@ ARTIFACT_RUNS = {
         ["process-tomo", "--shots", "1000", "--seed", "5", "--bootstrap", "20"],
         ["process_tomo.json"],
     ),
+    "process-tomo ideal": (["process-tomo", "--noise", "ideal"], ["process_tomo.json"]),
+    "process-tomo bootstrap": (
+        ["process-tomo", "--shots", "20", "--seed", "3", "--bootstrap", "200"],
+        ["process_tomo.json"],
+    ),
     "certify": (["certify"], ["certification.json"]),
     "certify exhaustive": (["certify", "--exhaustive"], ["certification.json"]),
 }
@@ -165,12 +170,16 @@ def test_json_artifacts_are_compact_sorted_lines(name, tmp_path):
         assert read_json(tmp_path / "certification.json")["samples"] == cli.MONTE_CARLO_SAMPLES
 
 
-@pytest.mark.parametrize("shots, seed", [(0, 0), (1000, 5)])
-def test_chi_parses_back_bit_for_bit(shots, seed, tmp_path):
-    argv = ["process-tomo", "--shots", str(shots), "--seed", str(seed)]
+@pytest.mark.parametrize(
+    "shots, seed, extra",
+    [(0, 0, []), (1000, 5, []), (0, 0, ["--noise", "ideal"]), (1000, 5, ["--bootstrap", "200"])],
+    ids=["0-0", "1000-5", "0-0-ideal", "1000-5-bootstrap"],
+)
+def test_chi_parses_back_bit_for_bit(shots, seed, extra, tmp_path):
+    argv = ["process-tomo", "--shots", str(shots), "--seed", str(seed)] + extra
     assert run_cli(argv + ["--output", str(tmp_path)]) == 0
     data = read_json(tmp_path / "process_tomo.json")
-    model = noise.NoiseModel.from_device()
+    model = None if "ideal" in extra else noise.NoiseModel.from_device()
     choi = noise.circuit_choi(gates.toffoli_circuit(), model, spam_window_ns=gates.XY_PULSE_NS)
     raw_choi = tomography.choi_from_records(
         tomography.measure_output_records(choi, shots=shots, seed=seed)
@@ -183,6 +192,61 @@ def test_chi_parses_back_bit_for_bit(shots, seed, tmp_path):
         for part in ("real", "imag"):
             parsed = np.array(data[key][part], dtype=np.float64)
             assert parsed.tobytes() == getattr(chi, part).tobytes(), (key, part)
+
+
+def dumps_reference(matrix):
+    return json.dumps(
+        {"real": matrix.real.tolist(), "imag": matrix.imag.tolist()},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def complex_matrix(real, imag):
+    matrix = np.empty(np.shape(real), dtype=complex)  # not real + 1j * imag, which drops -0.0
+    matrix.real, matrix.imag = real, imag
+    return matrix
+
+
+HERMITIAN_JSON_CASES = {
+    "signed zeros": complex_matrix(
+        [[-0.0, 0.0, -0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]],
+        [[0.0, -0.0, 0.0], [0.0, -0.0, -0.0], [0.0, 0.0, 0.0]],
+    ),
+    "mirrors differ in magnitude": complex_matrix([[1.0, 0.5], [0.25, 3.0]], [[0, 2.0], [-3.0, 0]]),
+    "mirrors differ in sign only": complex_matrix([[1.0, -0.5], [0.5, 2.0]], [[0, 0.75], [0.75, 0]]),
+    "exponent forms": complex_matrix(
+        [[1e-05, -1e16, 2.0], [-1e16, -2.0, 5e-324], [1e-05, 5e-324, 1e300]],
+        [[-2.2250738585072014e-308, 1e-07, -1e22], [-1e-07, 0.0, 3.0], [1e22, -3.0, 0.1]],
+    ),
+    "size 1": complex_matrix([[-0.7]], [[1e-05]]),
+    "size 2 hermitian": complex_matrix([[0.1, -1 / 3], [-1 / 3, 0.2]], [[0, 2 / 3], [-2 / 3, 0]]),
+}
+
+
+@pytest.mark.parametrize("case", HERMITIAN_JSON_CASES)
+def test_hermitian_json_writes_the_text_of_json_dumps(case):
+    matrix = HERMITIAN_JSON_CASES[case]
+    assert cli._hermitian_json(matrix) == dumps_reference(matrix)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_hermitian_json_of_a_64x64_matrix(hermitian):
+    rng = np.random.default_rng(64)
+    matrix = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    matrix *= 10.0 ** rng.integers(-20, 20, size=(64, 64))
+    matrix[rng.random((64, 64)) < 0.2] = -0.0
+    if hermitian:
+        matrix = tomography.chi_of_choi(matrix).matrix
+    assert cli._hermitian_json(matrix) == dumps_reference(matrix)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_hermitian_json_rejects_non_finite_entries(bad):
+    matrix = np.zeros((2, 2), dtype=complex)
+    matrix[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._hermitian_json(matrix)
 
 
 def test_custom_noise_config(tmp_path, capsys):

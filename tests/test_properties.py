@@ -1,5 +1,6 @@
 """Property tests; skipped when hypothesis is not installed."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from qutrit_toffoli.cli import _hermitian_json  # noqa: E402
 from qutrit_toffoli.gates import Circuit, GateOp, toffoli_circuit  # noqa: E402
 from qutrit_toffoli.noise import (  # noqa: E402
     _CONFIG_KEYS,
@@ -41,6 +43,22 @@ def random_cptp_choi(rng, n_kraus):
     isometry, _ = np.linalg.qr(big)
     kraus = [isometry[8 * k : 8 * (k + 1)] for k in range(n_kraus)]
     return choi_of_channel(lambda block: sum(k @ block @ k.conj().T for k in kraus))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 8),
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=128, max_size=128),
+)
+def test_hermitian_json_is_the_text_of_json_dumps(n, values):
+    matrix = np.empty((n, n), dtype=complex)
+    matrix.real, matrix.imag = np.reshape(values[: 2 * n * n], (2, n, n))
+    hermitian = matrix.copy()  # mirrored bit for bit, as chi_of_choi leaves a chi matrix
+    lower = np.tril_indices(n, -1)
+    hermitian[lower] = hermitian.T[lower].conj()
+    for m in (matrix, hermitian):
+        expected = {"real": m.real.tolist(), "imag": m.imag.tolist()}
+        assert _hermitian_json(m) == json.dumps(expected, sort_keys=True, separators=(",", ":"))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

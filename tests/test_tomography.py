@@ -34,6 +34,7 @@ from qutrit_toffoli.tomography import (
     standard_pauli_stack,
     _choi_basis,
     _fidelity_weights,
+    _lift,
     _preparations,
     _tp_residual,
 )
@@ -551,6 +552,19 @@ def test_ml_projection_is_nearest_feasible_point():
         random_unitary(8, rng)
     )
     assert np.real(np.vdot(gap, mix - x_star)) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lift_is_kron_with_the_identity_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    multiplier = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    zeros = rng.random((2, 8, 8)) < 0.3  # signed zeros in both parts, the way a step can make them
+    multiplier.real[zeros[0]] = np.copysign(0.0, rng.normal(size=zeros[0].sum()))
+    multiplier.imag[zeros[1]] = np.copysign(0.0, rng.normal(size=zeros[1].sum()))
+    lifted = _lift(multiplier)
+    expected = np.kron(multiplier, np.eye(8))
+    assert lifted.shape == expected.shape and lifted.dtype == expected.dtype
+    assert lifted.tobytes() == expected.tobytes()
 
 
 def test_ml_projection_nonconvergence_raises():
